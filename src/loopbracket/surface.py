@@ -245,7 +245,10 @@ def _newton_last_handle(spec, rng, a_seed, earlier_blocks, tol):
         step = 1.0
         for _ in range(12):
             an, bn = a @ expm(step * xa), b @ expm(step * xb)
-            rn = residual(an, bn)
+            try:
+                rn = residual(an, bn)
+            except np.linalg.LinAlgError:
+                return None  # singular iterate: this try fails
             if np.linalg.norm(rn) < np.linalg.norm(r):
                 a, b, r = an, bn, rn
                 break

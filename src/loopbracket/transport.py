@@ -13,12 +13,17 @@ Perturbed holonomy of a word: each letter's arc carries a constant
 algebra-valued perturbation (inverse letters traverse it backwards), the
 current-frame equation is P' = -m B_j P with a crossing jump rho(x_j) at
 each arc end, and the substitution P = psi R with psi the unperturbed
-prefix holonomy turns it into a transport problem for the piecewise
-constant path Atilde = -m psi^-1 B_j psi.  The perturbed holonomy is
+prefix holonomy turns it into a transport problem whose coefficient is
+constant on each arc, C_j = -psi_j^-1 B_j psi_j integrated over the arc.
+No grid is needed: by Chen's concatenation identity the arc's levels
+are C_j^k / k! and the word's levels are the truncated Cauchy product of
+the arcs' level lists, exact up to rounding.  The perturbed holonomy is
 hol(w) R(1), it is multiplicative for concatenation, and the exposed
 series terms V_k = hol R_k hol^-1 satisfy the concatenation rule tested
-in the suites.  An arc-by-arc RK4 integrator in the current frame is the
-independent second route.
+in the suites.  Its remainder_bound covers the returned value: the
+series tail times |hol|_2 plus a stated rounding term (see
+perturbed_holonomy).  An arc-by-arc RK4 integrator in the current frame
+is the independent second route.
 """
 
 from __future__ import annotations
@@ -121,8 +126,8 @@ def picard_transport(path: MatrixPath, n_max: int = 12, n_steps: int = 2000,
     d = path.dim
     npts = len(grid)
     eye = np.eye(d, dtype=complex)
-    r_hat = float(sum(hi / 2 * (np.linalg.norm(a, 2) + np.linalg.norm(b, 2))
-                      for hi, a, b in zip(np.diff(grid), al, ar)))
+    r_hat = float(np.sum(h[:, 0, 0] / 2 * (np.linalg.norm(al, 2, axis=(1, 2))
+                                          + np.linalg.norm(ar, 2, axis=(1, 2)))))
     prev = np.broadcast_to(eye, (npts, d, d)).copy()
     terms = [eye.copy()]
     total = eye.copy()
@@ -155,53 +160,68 @@ def rk4_transport(path: MatrixPath, n_steps: int = 2000, sign: int = 1) -> np.nd
     return r
 
 
-def word_perturbation_path(rep: S.Representation, pert: dict, word) -> MatrixPath:
-    """Start-frame path Atilde for the perturbed-holonomy equation.
-
-    pert maps generator index k to a constant algebra element B_k; the
-    arc of an inverse letter carries -B_k.  Arc j contributes the
-    constant -m psi_j^-1 B_j psi_j, psi_j the prefix holonomy.
-    """
-    w = list(word)
-    if not w:
-        return MatrixPath.piecewise_constant(
-            [np.zeros((rep.spec.matrix_dim, rep.spec.matrix_dim), dtype=complex)])
-    m = len(w)
-    values = []
-    psi = np.eye(rep.spec.matrix_dim, dtype=complex)
-    for x in w:
-        b = np.asarray(pert[abs(x)], dtype=complex)
-        if x < 0:
-            b = -b
-        psi_inv = np.linalg.inv(psi)
-        values.append(-m * psi_inv @ b @ psi)
-        psi = rep.image(x) @ psi
-    return MatrixPath.piecewise_constant(values)
-
-
 @dataclass
 class PerturbedHolonomy:
     hol: np.ndarray                # unperturbed holonomy
     value: np.ndarray              # perturbed holonomy hol @ R(1)
     series: list[np.ndarray]       # exposed terms V_k = hol T_k hol^-1
     r_hat: float
-    remainder_bound: float
+    remainder_bound: float         # bounds |value - exact|_2
 
 
 def perturbed_holonomy(rep: S.Representation, pert: dict, word,
-                       n_max: int = 12, n_steps: int = 2000) -> PerturbedHolonomy:
-    path = word_perturbation_path(rep, pert, word)
-    res = picard_transport(path, n_max=n_max, n_steps=n_steps)
-    hol = S.holonomy(rep, word)
-    hol_inv = np.linalg.inv(hol)
-    series = [hol @ t @ hol_inv for t in res.terms]
-    return PerturbedHolonomy(hol, hol @ res.transport, series,
-                             res.r_hat, res.remainder_bound)
+                       n_max: int = 12) -> PerturbedHolonomy:
+    """Perturbed holonomy of a word by Chen concatenation of its arcs.
+
+    pert maps generator index k to a constant algebra element B_k; the
+    arc of an inverse letter carries -B_k.  Arc j has the constant
+    start-frame coefficient C_j = -psi_j^-1 B_j psi_j over the whole arc
+    (psi_j the prefix holonomy), so its levels are C_j^k / k! and the
+    levels of the word are their truncated Cauchy product, later arcs on
+    the left.
+
+    remainder_bound = |hol|_2 tail(r_hat, n_max)
+                      + (m + n_max) d u e^r_hat prod_j |rho(x_j)|_2,
+    with m letters, d the matrix size and u = 2^-53: series truncation
+    plus a Higham gamma_n estimate of the rounding in the m + n_max
+    chained products of d x d matrices.
+    """
+    S.check_word(word, rep.genus)
+    d = rep.spec.matrix_dim
+    eye = np.eye(d, dtype=complex)
+    psi, psi_inv = eye, eye
+    levels = np.zeros((n_max + 1, d, d), dtype=complex)
+    levels[0] = eye
+    arc = levels.copy()            # arc[0] = I; arc[k] rewritten per arc
+    r_hat, letters_norm = 0.0, 1.0
+    for x in word:
+        b = np.asarray(pert[abs(x)], dtype=complex)
+        c = psi_inv @ (b if x < 0 else -b) @ psi
+        for k in range(1, n_max + 1):
+            arc[k] = arc[k - 1] @ c / k
+        new = np.zeros_like(levels)
+        for i in range(n_max + 1):
+            new[i:] += arc[:n_max + 1 - i] @ levels[i]
+        levels = new
+        r_hat += float(np.linalg.norm(c, 2))
+        letters_norm *= float(np.linalg.norm(rep.image(x), 2))
+        psi = rep.image(x) @ psi
+        psi_inv = psi_inv @ rep.image(-x)
+    rounding = (len(word) + n_max) * d * 2.0 ** -53 * np.exp(r_hat) * letters_norm
+    bound = float(np.linalg.norm(psi, 2) * series_tail_bound(r_hat, n_max)
+                  + rounding)
+    series = [psi @ t @ psi_inv for t in levels]
+    return PerturbedHolonomy(psi, psi @ levels.sum(axis=0), series, r_hat, bound)
 
 
 def rk4_perturbed_holonomy(rep: S.Representation, pert: dict, word,
                            n_steps: int = 2000) -> np.ndarray:
-    """Current-frame route: integrate each arc, then apply the crossing."""
+    """Current-frame route: integrate each arc, then apply the crossing.
+
+    On a constant arc one classical RK4 step of size h is the fixed
+    matrix I + hC + (hC)^2/2 + (hC)^3/6 + (hC)^4/24, so the arc's steps
+    are one matrix power of it.
+    """
     w = list(word)
     d = rep.spec.matrix_dim
     p = np.eye(d, dtype=complex)
@@ -214,14 +234,10 @@ def rk4_perturbed_holonomy(rep: S.Representation, pert: dict, word,
         b = np.asarray(pert[abs(x)], dtype=complex)
         if x < 0:
             b = -b
-        c = -m * b
-        for _ in range(steps):
-            k1 = c @ p
-            k2 = c @ (p + h / 2 * k1)
-            k3 = c @ (p + h / 2 * k2)
-            k4 = c @ (p + h * k3)
-            p = p + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        p = rep.image(x) @ p
+        hc = h * (-m * b)
+        hc2 = hc @ hc
+        step = np.eye(d) + hc + hc2 / 2 + hc2 @ hc / 6 + hc2 @ hc2 / 24
+        p = rep.image(x) @ np.linalg.matrix_power(step, steps) @ p
     return p
 
 

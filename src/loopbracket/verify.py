@@ -18,6 +18,8 @@ finite differences and the generic projection route.
 
 from __future__ import annotations
 
+from math import factorial
+
 import numpy as np
 
 from . import bracket as B
@@ -180,7 +182,7 @@ def chen_trial(seed: int, idx: int, genus=None, group=None,
         gap = float(np.linalg.norm(res.transport - T.rk4_transport(path, 2000)))
         budget = res.remainder_bound + tol
         norm_ok = all(
-            np.linalg.norm(term, 2) <= res.r_hat ** k / _fact(k) * (1 + 1e-6)
+            np.linalg.norm(term, 2) <= res.r_hat ** k / factorial(k) * (1 + 1e-6)
             + 1e-12 for k, term in enumerate(res.terms))
         rec.update({"r_hat": res.r_hat, "gap": gap,
                     "remainder_bound": res.remainder_bound,
@@ -227,7 +229,7 @@ def chen_trial(seed: int, idx: int, genus=None, group=None,
         d = rep.spec.matrix_dim
         zeros = {k: np.zeros((d, d)) for k in range(1, 5)}
         word = random_reduced_word(rng, 2, max_len=6)
-        out = T.perturbed_holonomy(rep, zeros, word, n_max=4, n_steps=400)
+        out = T.perturbed_holonomy(rep, zeros, word, n_max=4)
         exact = bool(np.array_equal(out.value, S.holonomy(rep, word)))
         rec.update({"word": S.format_word(word),
                     "residual": 0.0 if exact else 1.0, "pass": exact})
@@ -290,13 +292,6 @@ def dgla_trial(seed: int, idx: int, genus=None, group=None,
             "axioms_pass": bool(axioms_ok), "moment_fd": moment_fd,
             "mc_converged": bool(mc.converged), "mc_residual": mc.residual,
             "tangency": tangency, "xi_homomorphism": xi_hom, "pass": ok}
-
-
-def _fact(k: int) -> float:
-    out = 1.0
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 def variation_trial(seed: int, idx: int, genus=None, group=None,

@@ -152,6 +152,16 @@ def test_sample_rep_round_trips(tmp_path):
     assert run_cli(*args).stdout == out.stdout
 
 
+def test_sample_rep_survives_singular_newton_iterate():
+    # this seed once ended in a LinAlgError traceback with exit 1
+    out = run_cli("sample-rep", "--group", "O(2,1)", "--genus", "5",
+                  "--seed", "3")
+    assert out.returncode == 0
+    assert "Traceback" not in out.stderr
+    rep = Z.rep_from_json(json.loads(out.stdout))
+    assert S.relator_residual(rep) <= 1e-9
+
+
 def test_sample_rep_needs_group():
     assert run_cli("sample-rep", "--seed", "1").returncode == 2
 

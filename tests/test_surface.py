@@ -86,6 +86,19 @@ def test_sample_representation_genus3():
     assert S.relator_residual(rep) < 1e-9
 
 
+@pytest.mark.parametrize("spec,genus,seed", [
+    (G.GroupSpec("O_pq", 3, 2, 1), 2, 30), (G.GroupSpec("O_pq", 3, 2, 1), 2, 211),
+    (SP2, 3, 3), (SP2, 3, 189)],
+    ids=["O(2,1)-g2-s30", "O(2,1)-g2-s211", "Sp(2,R)-g3-s3", "Sp(2,R)-g3-s189"])
+def test_singular_line_search_iterate_starts_a_fresh_try(spec, genus, seed):
+    # these seeds drive a Gauss-Newton line search onto a singular iterate
+    rng = np.random.default_rng([seed, genus, 99])
+    rep = S.sample_representation(spec, genus, rng)
+    assert S.relator_residual(rep) < 1e-11
+    for m in rep.images:
+        assert G.membership_residual(spec, m) < 1e-9
+
+
 def test_holonomy_order_convention():
     # hol(u then v) = hol(v) hol(u)
     rng = np.random.default_rng(31)

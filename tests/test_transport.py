@@ -7,6 +7,7 @@ import pytest
 from scipy.linalg import expm
 
 from loopbracket import groups as G
+from loopbracket import serialize as Z
 from loopbracket import surface as S
 from loopbracket import transport as T
 
@@ -124,7 +125,7 @@ def test_zero_perturbation_reproduces_holonomy_exactly():
     d = rep.spec.matrix_dim
     pert = {k: np.zeros((d, d)) for k in range(1, 5)}
     word = [1, 2, -1, 3]
-    out = T.perturbed_holonomy(rep, pert, word, n_max=6, n_steps=200)
+    out = T.perturbed_holonomy(rep, pert, word, n_max=6)
     assert np.array_equal(out.value, S.holonomy(rep, word))
     for k in range(1, 7):
         assert np.all(out.series[k] == 0)
@@ -145,10 +146,34 @@ def test_perturbed_holonomy_three_routes_agree(kind, genus):
     rk4 = T.rk4_perturbed_holonomy(rep, pert, word)
     closed = T.expm_perturbed_holonomy(rep, pert, word)
     assert np.linalg.norm(out.value - rk4) <= out.remainder_bound + 1e-8
-    assert np.linalg.norm(out.value - closed) <= out.remainder_bound + 1e-8
+    assert np.linalg.norm(out.value - closed) <= out.remainder_bound
     assert np.linalg.norm(out.series[0] - np.eye(2)) < 1e-12
     rebuilt = sum(out.series) @ S.holonomy(rep, word)
     assert np.linalg.norm(rebuilt - out.value) < 1e-10
+
+
+@pytest.mark.parametrize("group", ["GL(2,R)", "GL(2,C)", "O(2,1)", "O(2,C)",
+                                   "U(1,1)", "Sp(2,R)", "Sp(1,1)"])
+def test_perturbed_holonomy_matches_expm_with_honest_bound(group):
+    spec = Z.parse_group_string(group)
+    rng = np.random.default_rng([61, *group.encode()])
+    rep = S.sample_representation(spec, 2, rng)
+    raw = {k + 1: G.random_algebra_element(spec, rng) for k in range(4)}
+    for length in range(13):
+        word = []
+        while len(word) < length:
+            x = int(rng.integers(1, 5)) * (1 if rng.integers(2) else -1)
+            if not word or word[-1] != -x:
+                word.append(x)
+        # r_hat is linear in the perturbation: rescale it into [0.1, 0.5]
+        r_raw = T.perturbed_holonomy(rep, raw, word).r_hat
+        scale = rng.uniform(0.1, 0.5) / r_raw if length else 1.0
+        pert = {k: scale * b for k, b in raw.items()}
+        out = T.perturbed_holonomy(rep, pert, word)
+        want = T.expm_perturbed_holonomy(rep, pert, word)
+        err = np.linalg.norm(out.value - want, 2)
+        assert err <= 1e-13 * (1 + np.linalg.norm(want, 2)), (word, err)
+        assert err <= out.remainder_bound, (word, err, out.remainder_bound)
 
 
 def test_series_concatenation_rule():
@@ -167,7 +192,7 @@ def test_series_concatenation_rule():
     for n in range(5):
         want = sum(out_v.series[n - i] @ hv @ out_u.series[i] @ hv_inv
                    for i in range(n + 1))
-        assert np.linalg.norm(out_uv.series[n] - want) < 1e-7
+        assert np.linalg.norm(out_uv.series[n] - want) < 1e-12
     # and the values themselves compose
     assert np.linalg.norm(out_uv.value - out_v.value @ out_u.value) < 1e-7
 
