@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
 from . import groups as G
 from . import polygon as P
 from . import surface as S
@@ -63,35 +65,35 @@ class LoopSum:
         return f"LoopSum({inner})"
 
     def evaluate(self, rep: S.Representation) -> float:
-        return sum(float(c) * S.trace_function(rep, list(w))
-                   for w, c in self.items())
+        items = self.items()
+        traces = S.trace_functions(rep, [w for w, _ in items])
+        return sum(float(c) * f for (_, c), f in zip(items, traces))
+
+
+def _bracket(genus: int, word1, word2, seed: int, unoriented: bool) -> LoopSum:
+    out = LoopSum()
+    if not S.cyclic_reduce(word1) or not S.cyclic_reduce(word2):
+        return out  # trivial class is central
+    c1, c2, crossings = P.realized_pair(genus, word1, word2, seed)
+    for x in crossings:
+        g = c1.based_word(x.seg_first)
+        l = c2.based_word(x.seg_second)
+        if unoriented:
+            out.add(g + l, Fraction(x.sign, 2))
+            out.add(g + S.inverse_word(l), Fraction(-x.sign, 2))
+        else:
+            out.add(g + l, x.sign)
+    return out
 
 
 def bracket_oriented(genus: int, word1, word2, seed: int = 0) -> LoopSum:
     """[gamma, lambda] = sum over crossings of sign(p) (gamma_p lambda_p)."""
-    if not S.cyclic_reduce(word1) or not S.cyclic_reduce(word2):
-        return LoopSum()  # trivial class is central
-    c1, c2, crossings = P.realized_pair(genus, word1, word2, seed)
-    out = LoopSum()
-    for x in crossings:
-        joined = c1.based_word(x.seg_first) + c2.based_word(x.seg_second)
-        out.add(joined, x.sign)
-    return out
+    return _bracket(genus, word1, word2, seed, unoriented=False)
 
 
 def bracket_unoriented(genus: int, word1, word2, seed: int = 0) -> LoopSum:
     """Unoriented variant, sign(p)/2 [(g_p l_p) - (g_p l_p^-1)]."""
-    if not S.cyclic_reduce(word1) or not S.cyclic_reduce(word2):
-        return LoopSum()
-    c1, c2, crossings = P.realized_pair(genus, word1, word2, seed)
-    out = LoopSum()
-    half = Fraction(1, 2)
-    for x in crossings:
-        g = c1.based_word(x.seg_first)
-        l = c2.based_word(x.seg_second)
-        out.add(g + l, half * x.sign)
-        out.add(g + S.inverse_word(l), -half * x.sign)
-    return out
+    return _bracket(genus, word1, word2, seed, unoriented=True)
 
 
 def bracket_sums(genus: int, sum1: LoopSum, sum2: LoopSum, seed: int = 0,
@@ -119,13 +121,29 @@ def poisson_direct(rep: S.Representation, word1, word2, seed: int = 0) -> float:
     the form kinds.
     """
     c1, c2, crossings = P.realized_pair(rep.genus, word1, word2, seed)
+    var1, var2 = _based_variations(rep, c1.word), _based_variations(rep, c2.word)
     total = 0.0
     for x in crossings:
-        h1 = S.holonomy(rep, c1.based_word(x.seg_first))
-        h2 = S.holonomy(rep, c2.based_word(x.seg_second))
-        total += x.sign * G.pairing(G.variation(rep.spec, h1),
-                                    G.variation(rep.spec, h2))
+        total += x.sign * G.pairing(var1[x.seg_first], var2[x.seg_second])
     return total
+
+
+def _based_variations(rep: S.Representation, word) -> list:
+    """F(hol(w[i:] + w[:i])) for every segment i of the loop of `word`.
+
+    The based word at segment i runs w[i:] first, so its holonomy is
+    hol(w[:i]) @ hol(w[i:]): a prefix product times a suffix product.
+    """
+    m = len(word)
+    pre = [np.eye(rep.spec.matrix_dim, dtype=complex)]
+    for x in word:
+        pre.append(rep.image(x) @ pre[-1])
+    suf = pre[0]
+    out = [None] * m
+    for i in range(m - 1, -1, -1):
+        suf = suf @ rep.image(word[i])
+        out[i] = G.variation(rep.spec, pre[i] @ suf)
+    return out
 
 
 def torus_class_word(p: int, q: int) -> list[int]:

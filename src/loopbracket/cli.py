@@ -9,9 +9,10 @@ serialized or built-in instance).
 Determinism contract: stdout is a pure function of (command, input
 files, seed).  Reports print floats at 12 significant digits; files
 written via --out keep full double precision.  Exit codes: 0 success
-(verify/dgla-check: all checks passed), 1 check failure, 2 bad input
-or unknown suite, 3 realization failure, 4 relator residual above
-tolerance.
+(verify/dgla-check: all checks passed), 1 check failure (including a
+holonomy output that is not finite, which is never printed), 2 bad
+input or unknown suite, 3 realization failure, 4 relator residual
+above tolerance.
 """
 
 from __future__ import annotations
@@ -89,13 +90,28 @@ def cmd_bracket(args) -> int:
     return 0
 
 
+class NonFiniteResult(ArithmeticError):
+    """A computed output overflowed or became NaN."""
+
+
+def _finite(obj) -> bool:
+    if isinstance(obj, float):
+        return math.isfinite(obj)
+    if isinstance(obj, dict):
+        return all(_finite(v) for v in obj.values())
+    if isinstance(obj, (list, tuple)):
+        return all(_finite(v) for v in obj)
+    return True
+
+
+@np.errstate(over="ignore", invalid="ignore")  # reported by NonFiniteResult
 def cmd_holonomy(args) -> int:
     rep = Z.rep_from_json(_load_json(args.input))
     word = S.parse_word(args.word)
     S.check_word(word, rep.genus)
     tol = args.tol if args.tol is not None else TAU_REP
     resid = S.relator_residual(rep)
-    if resid > tol:
+    if not resid <= tol:  # a NaN residual fails too
         raise S.RelatorError(f"relator residual {resid:.3e} exceeds {tol:.3e}")
     hol = S.holonomy(rep, word)
     out = {"word": S.format_word(word),
@@ -113,6 +129,9 @@ def cmd_holonomy(args) -> int:
             "remainder_bound": res.remainder_bound,
             "rk4_delta": float(np.linalg.norm(res.value - rk4)),
         })
+    if not _finite(out):
+        raise NonFiniteResult(f"holonomy of {args.word!r} is not finite "
+                              "in double precision")
     text = dumps(out)
     print(text)
     _write_out(args.out, dumps_full(out))
@@ -238,6 +257,9 @@ def main(argv=None) -> int:
     except S.RelatorError as err:
         print(f"relator failure: {err}", file=sys.stderr)
         return 4 if args.command == "holonomy" else 3
+    except NonFiniteResult as err:
+        print(f"non-finite result: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -18,7 +18,13 @@ gives the normalization [a, b] = +(a b) with no extra global sign.
 
 Intersections between two realized loops are the transverse crossings of
 their chords; each crossing records the sign and the based words of both
-loops read from the crossing point (a rotation of each input word).
+loops read from the crossing point (a rotation of each input word).  No
+plane geometry is needed for them: a point of side s at parameter t sits
+at perimeter position s + t, and two chords of the convex polygon cross
+exactly when their endpoints interleave in that cyclic order (M. Chas,
+Topology 43, 2004).  Realization therefore fails only when the per-side
+spacing of one loop's boundary points cannot be met within the retry
+budget, or when the two loops share an endpoint exactly.
 """
 
 from __future__ import annotations
@@ -138,50 +144,43 @@ def realize(genus: int, word, rng: np.random.Generator,
 
 @dataclass
 class Crossing:
-    point: np.ndarray
     sign: int
     seg_first: int
     seg_second: int
 
 
-def _cross(u, v) -> float:
-    return float(u[0] * v[1] - u[1] * v[0])
+def _boundary_chords(loop: PLLoop) -> list[tuple[float, float]]:
+    """(start, end) of each chord as perimeter positions side + t."""
+    sides = [exit_side_for_letter(loop.genus, x) for x in loop.word]
+    ends = [s + t for s, t in zip(sides, loop.exit_params)]
+    starts = [partner_side(s) + 1 - t for s, t in zip(sides, loop.exit_params)]
+    return [(starts[j - 1], ends[j]) for j in range(len(ends))]
 
 
-def intersections(first: PLLoop, second: PLLoop,
-                  margin: float = 1e-7) -> list[Crossing]:
+def intersections(first: PLLoop, second: PLLoop) -> list[Crossing]:
     """Transverse crossings of the chord chains of two loops.
 
-    sign is det[first tangent, second tangent] in the ccw plane
-    orientation.  Near-endpoint hits, near-parallel overlaps, and
-    near-coincident crossing points violate generic position and raise
+    Chords (a -> b) and (c -> d) of the convex polygon cross iff c and d
+    lie on different arcs of the boundary between a and b.  sign is
+    det[first tangent, second tangent] in the ccw plane orientation,
+    which is -1 iff d lies on the ccw arc from a to b.  An endpoint
+    shared by the two loops violates generic position and raises
     RealizationError so the caller can re-realize with a fresh seed.
+    The empty class is a small loop crossing nothing.
     """
+    if not first.word or not second.word:
+        return []
+    chords1, chords2 = _boundary_chords(first), _boundary_chords(second)
+    if not {p for c in chords1 for p in c}.isdisjoint(p for c in chords2 for p in c):
+        raise RealizationError("chord endpoints of the two loops coincide")
     found: list[Crossing] = []
-    for i, (p0, p1) in enumerate(first.segments):
-        u = p1 - p0
-        for j, (q0, q1) in enumerate(second.segments):
-            v = q1 - q0
-            den = _cross(u, v)
-            w = q0 - p0
-            if abs(den) < 1e-12:
-                # parallel: generic iff the lines stay apart
-                if abs(_cross(u, w)) < 1e-9 * max(np.linalg.norm(u), 1.0):
-                    raise RealizationError("parallel overlapping chords")
-                continue
-            s = _cross(w, v) / den
-            t = _cross(w, u) / den
-            inside = margin < s < 1 - margin and margin < t < 1 - margin
-            near = (-margin <= s <= margin or 1 - margin <= s <= 1 + margin or
-                    -margin <= t <= margin or 1 - margin <= t <= 1 + margin)
-            if near:
-                raise RealizationError("crossing too close to a chord endpoint")
-            if inside:
-                found.append(Crossing(p0 + s * u, 1 if den > 0 else -1, i, j))
-    for a in range(len(found)):
-        for b in range(a + 1, len(found)):
-            if np.linalg.norm(found[a].point - found[b].point) < margin:
-                raise RealizationError("coincident crossing points")
+    for i, (a, b) in enumerate(chords1):
+        for j, (c, d) in enumerate(chords2):
+            # True for points of the arc from a to b that avoids position 0,
+            # whichever of a and b comes first
+            c_in, d_in = (a < c) == (c < b), (a < d) == (d < b)
+            if c_in != d_in:
+                found.append(Crossing(-1 if d_in == (a < b) else 1, i, j))
     return found
 
 

@@ -5,7 +5,8 @@ Matrices travel as row-major arrays of [re, im] pairs, group specs as
 {"a1": matrix, ...}}, loop sums as [{"coef": "1/2", "word": "a1 b1"}],
 perturbations as {"a1": matrix, ...}, and DGLA tensors as dense real
 arrays with explicit dimensions.  Every reader validates shape and
-finiteness and raises SchemaError, which the CLI maps to exit code 2.
+finiteness and raises SchemaError, which the CLI maps to exit code 2;
+representation images must also have finite inverses.
 """
 
 from __future__ import annotations
@@ -146,7 +147,14 @@ def rep_from_json(obj) -> S.Representation:
             raise SchemaError(f"image {name} has shape {m.shape}, "
                               f"expected {(spec.matrix_dim,) * 2}")
         mats.append(m)
-    return S.Representation(spec, genus, mats)
+    try:
+        rep = S.Representation(spec, genus, mats)
+    except np.linalg.LinAlgError as err:
+        raise SchemaError(f"images must be invertible: {err}") from err
+    for k in range(1, 2 * genus + 1):
+        if not np.all(np.isfinite(rep.image(-k))):
+            raise SchemaError(f"image {S.format_word([k])} has no finite inverse")
+    return rep
 
 
 def curves_from_json(obj) -> tuple[int, dict]:

@@ -99,7 +99,10 @@ def canonical_cyclic(word) -> tuple[int, ...]:
     w = cyclic_reduce(word)
     if not w:
         return ()
-    return min(tuple(w[i:] + w[:i]) for i in range(len(w)))
+    # the least rotation starts at an occurrence of the least letter
+    n, first = len(w), min(w)
+    doubled = tuple(w) * 2
+    return min(doubled[i:i + n] for i in range(n) if w[i] == first)
 
 
 def relator(genus: int) -> list[int]:
@@ -177,6 +180,33 @@ def holonomy(rep: Representation, word) -> np.ndarray:
 def trace_function(rep: Representation, word) -> float:
     """f_w(rho) = Re tr hol(w); constant on free homotopy classes."""
     return G.invariant_f(rep.spec, holonomy(rep, word))
+
+
+def trace_functions(rep: Representation, words) -> list[float]:
+    """trace_function of each word, batched over words of equal length.
+
+    Letter matrices are stacked once (identity, images, inverses) and
+    each length class runs one stacked matmul per letter position.
+    """
+    g = rep.genus
+    stack = np.stack([np.eye(rep.spec.matrix_dim, dtype=complex),
+                      *rep.images, *(rep.image(-k) for k in range(1, 2 * g + 1))])
+    by_length: dict[int, list[int]] = {}
+    for pos, word in enumerate(words):
+        check_word(word, g)
+        by_length.setdefault(len(word), []).append(pos)
+    out = [0.0] * len(words)
+    for length, positions in by_length.items():
+        # stack row of letter x: x for a_k/b_k, 2g - x for inverses
+        rows = np.array([[x if x > 0 else 2 * g - x for x in words[p]]
+                         for p in positions], dtype=np.intp)
+        h = np.broadcast_to(stack[0], (len(positions),) + stack[0].shape)
+        for k in range(length):
+            h = stack[rows[:, k]] @ h
+        traces = np.trace(h, axis1=1, axis2=2).real
+        for p, f in zip(positions, traces.tolist()):
+            out[p] = f
+    return out
 
 
 def relator_residual(rep: Representation) -> float:

@@ -28,8 +28,8 @@ is the independent second route.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from math import factorial
 
 import numpy as np
 
@@ -97,11 +97,22 @@ def _cell_samples(path: MatrixPath, grid: np.ndarray, sign: int):
 
 
 def series_tail_bound(r_hat: float, n_max: int) -> float:
-    """sum_{k > n_max} r^k / k!, summed from the small end for stability."""
-    term = r_hat ** (n_max + 1) / factorial(n_max + 1)
+    """sum_{k > n_max} r^k / k!, or inf when that overflows a double.
+
+    The terms grow while k < r and then fall off, so the sum runs past
+    k = r until the terms are negligible (below 1e-300).
+    """
+    if not r_hat < math.inf:
+        return math.inf
+    try:
+        term = r_hat ** (n_max + 1) / math.factorial(n_max + 1)
+    except OverflowError:
+        return math.inf
     total, k = 0.0, n_max + 1
-    while term > 1e-300 and k < n_max + 400:
+    while term > 1e-300 or k < r_hat:
         total += term
+        if total == math.inf:
+            return math.inf
         k += 1
         term *= r_hat / k
     return total
@@ -207,7 +218,8 @@ def perturbed_holonomy(rep: S.Representation, pert: dict, word,
         letters_norm *= float(np.linalg.norm(rep.image(x), 2))
         psi = rep.image(x) @ psi
         psi_inv = psi_inv @ rep.image(-x)
-    rounding = (len(word) + n_max) * d * 2.0 ** -53 * np.exp(r_hat) * letters_norm
+    with np.errstate(over="ignore"):  # past r = 709.78 the bound is inf
+        rounding = (len(word) + n_max) * d * 2.0 ** -53 * np.exp(r_hat) * letters_norm
     bound = float(np.linalg.norm(psi, 2) * series_tail_bound(r_hat, n_max)
                   + rounding)
     series = [psi @ t @ psi_inv for t in levels]

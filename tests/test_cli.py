@@ -92,6 +92,36 @@ def test_holonomy_relator_violation_exits_4(tmp_path):
     assert "relator" in out.stderr
 
 
+def _rep_file(tmp_path, name, a1):
+    path = tmp_path / name
+    path.write_text(json.dumps(
+        {"group": {"kind": "GL_R", "n": 2},
+         "images": {"a1": a1, "b1": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}}))
+    return str(path)
+
+
+def test_holonomy_singular_image_exits_2(tmp_path):
+    path = _rep_file(tmp_path, "singular.json",
+                     [[[1, 0], [0, 0]], [[0, 0], [0, 0]]])
+    out = run_cli("holonomy", path, "a1")
+    assert out.returncode == 2
+    assert "invertible" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_holonomy_non_finite_result_exits_1(tmp_path):
+    # passes the relator check, but hol(a1 a1) overflows
+    path = _rep_file(tmp_path, "huge.json",
+                     [[[1e308, 0], [0, 0]], [[0, 0], [1e-308, 0]]])
+    assert run_cli("holonomy", path, "a1").returncode == 0
+    out = run_cli("holonomy", path, "a1 a1")
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert "non-finite result" in out.stderr
+    assert "Traceback" not in out.stderr
+    assert "Warning" not in out.stderr
+
+
 def test_schema_violations_exit_2(torus_curves, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"genus":0,"curves":{}}')

@@ -53,22 +53,76 @@ def test_realize_reduces_and_spells_word():
     assert len(loop2.segments) == 3
 
 
+def _float_crossings(first, second):
+    """Reference: plane-geometry intersection of the two chord chains.
+
+    Returns (seg_first, seg_second, sign, point) for every pair of chords
+    whose segments meet at interior parameters, sign = det[u, v].
+    """
+    def cross(u, v):
+        return u[0] * v[1] - u[1] * v[0]
+
+    found = []
+    for i, (p0, p1) in enumerate(first.segments):
+        u = p1 - p0
+        for j, (q0, q1) in enumerate(second.segments):
+            v = q1 - q0
+            den = cross(u, v)
+            if den == 0.0:
+                continue
+            w = q0 - p0
+            s, t = cross(w, v) / den, cross(w, u) / den
+            if 0 < s < 1 and 0 < t < 1:
+                found.append((i, j, 1 if den > 0 else -1, p0 + s * u))
+    return found
+
+
 def test_crossings_are_interior():
+    # boundary-order crossings equal the plane-geometry ones, in order,
+    # and every one of them lies strictly inside the polygon
     rng = np.random.default_rng(2)
-    verts = P.polygon_vertices(2)
-    c1 = P.realize(2, [1, 2, -1, 4], rng)
-    c2 = P.realize(2, [3, 4, 1], rng)
-    center = verts.mean(axis=0)
-    rad = np.min(np.linalg.norm(verts - center, axis=1))
-    for x in P.intersections(c1, c2):
-        # strictly inside the polygon: inside the inscribed circle of the
-        # regular 4g-gon is sufficient here but too strict in general, so
-        # check against each side's inward half-plane instead
+    compared = 0
+    for trial in range(2100):
+        genus = 1 + trial % 3
+        words = []
+        for _ in range(2):
+            draw = rng.integers(1, 2 * genus + 1, size=int(rng.integers(1, 17)))
+            words.append(S.cyclic_reduce(
+                [int(x) * (1 if rng.integers(2) else -1) for x in draw]))
+        if not words[0] or not words[1]:
+            continue
+        c1 = P.realize(genus, words[0], rng)
+        c2 = P.realize(genus, words[1], rng)
+        want = _float_crossings(c1, c2)
+        got = [(x.seg_first, x.seg_second, x.sign) for x in P.intersections(c1, c2)]
+        assert got == [w[:3] for w in want], (genus, words)
+        verts = P.polygon_vertices(genus)
         k = len(verts)
-        for i in range(k):
-            edge = verts[(i + 1) % k] - verts[i]
-            inward = np.array([-edge[1], edge[0]])
-            assert np.dot(x.point - verts[i], inward) > 1e-9
+        for *_, point in want:
+            for i in range(k):
+                edge = verts[(i + 1) % k] - verts[i]
+                inward = np.array([-edge[1], edge[0]])
+                assert np.dot(point - verts[i], inward) > 1e-9
+        compared += 1
+    assert compared >= 2000
+
+
+def test_empty_class_crosses_nothing():
+    rng = np.random.default_rng(3)
+    for genus in (1, 2):
+        empty = P.realize(genus, [], rng)
+        loop = P.realize(genus, [1, 2, -1, -2], rng)
+        assert P.intersections(empty, loop) == []
+        assert P.intersections(loop, empty) == []
+
+
+def test_shared_endpoint_is_rejected():
+    # the a-chords of both loops end at the same boundary point
+    a = P.PLLoop(1, (1,), [], [0.5])
+    b = P.PLLoop(1, (2, 1), [], [0.3, 0.5])
+    with pytest.raises(P.RealizationError):
+        P.intersections(a, b)
+    assert P.intersections(a, P.PLLoop(1, (2, 1), [], [0.3, 0.6])) != []
 
 
 def test_torus_a_b_single_positive_crossing():
@@ -145,6 +199,31 @@ def test_unoriented_matches_poisson_on_form_kinds():
             lhs = B.bracket_unoriented(genus, w1, w2, seed=37).evaluate(rep)
             rhs = B.poisson_direct(rep, w1, w2, seed=41)
             assert abs(lhs - rhs) < 1e-8 * (1 + abs(lhs))
+
+
+def test_poisson_direct_matches_letter_by_letter_holonomies():
+    # shared prefix/suffix products against one S.holonomy per based word
+    rng = np.random.default_rng(71)
+    for spec, genus in [(GL2R, 1), (GL2C, 2), (O2, 2), (U2, 3)]:
+        rep = S.sample_representation(spec, genus, rng)
+        letters = [k for k in range(-2 * genus, 2 * genus + 1) if k]
+        for trial in range(4):
+            w1, w2 = (S.cyclic_reduce([int(x) for x in rng.choice(letters, size=n)])
+                      for n in (12, 9))
+            seed = 73 + trial
+            c1, c2, crossings = P.realized_pair(genus, w1, w2, seed)
+            terms = [x.sign * G.pairing(
+                G.variation(spec, S.holonomy(rep, c1.based_word(x.seg_first))),
+                G.variation(spec, S.holonomy(rep, c2.based_word(x.seg_second))))
+                for x in crossings]
+            got = B.poisson_direct(rep, w1, w2, seed=seed)
+            assert abs(got - sum(terms)) <= 1e-12 * (1 + sum(map(abs, terms)))
+
+
+def test_evaluate_rejects_out_of_range_letter():
+    rep = S.sample_representation(GL2R, 1, np.random.default_rng(79))
+    with pytest.raises(S.WordError):
+        B.LoopSum([([1, 2], 1), ([3], 2)]).evaluate(rep)
 
 
 def test_representative_independence_small():

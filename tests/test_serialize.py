@@ -107,6 +107,10 @@ def test_rep_from_json_rejects():
         Z.rep_from_json(wrong_shape)
     with pytest.raises(Z.SchemaError):
         Z.rep_from_json({"images": good["images"]})
+    for a1 in (np.zeros((2, 2)), np.diag([1e-310, 1.0])):  # no (finite) inverse
+        bad = dict(good, images=dict(good["images"], a1=Z.matrix_to_json(a1)))
+        with pytest.raises(Z.SchemaError):
+            Z.rep_from_json(bad)
 
 
 def test_curves_from_json():

@@ -121,6 +121,25 @@ def test_trace_function_class_invariance():
             assert abs(S.trace_function(rep, v) - base) < 1e-8 * (1 + abs(base))
 
 
+def test_trace_functions_match_word_by_word():
+    rng = np.random.default_rng(39)
+    for spec, genus in [(GL2R, 1), (GL2C, 2), (U2, 2)]:
+        rep = S.sample_representation(spec, genus, rng)
+        letters = [k for k in range(-2 * genus, 2 * genus + 1) if k]
+        words = [[], [1], (2, -1)] + [
+            [int(x) for x in rng.choice(letters, size=int(rng.integers(0, 9)))]
+            for _ in range(40)]
+        got = S.trace_functions(rep, words)
+        want = [S.trace_function(rep, list(w)) for w in words]
+        assert got[0] == rep.spec.matrix_dim
+        assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
+    assert S.trace_functions(rep, []) == []
+    with pytest.raises(S.WordError):
+        S.trace_functions(rep, [[1], [1, 2 * genus + 1]])
+    with pytest.raises(S.WordError):
+        S.trace_functions(rep, [[0]])
+
+
 def test_holonomy_of_relator_is_identity():
     rng = np.random.default_rng(41)
     rep = S.sample_representation(U2, 2, rng)

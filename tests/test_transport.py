@@ -1,7 +1,9 @@
 """Transport series against closed forms, RK4, and its own error certificate."""
 
+import math
 from math import factorial
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -106,6 +108,22 @@ def test_tail_bound_frozen_values():
     assert abs(T.series_tail_bound(1.0, 2) - (np.e - 2.5)) < 1e-14
     assert T.series_tail_bound(0.0, 5) == 0.0
     assert T.series_tail_bound(2.0, 12) < T.series_tail_bound(2.0, 6)
+
+
+@pytest.mark.parametrize("r_hat", [300.0, 500.0, 700.0])
+def test_tail_bound_past_the_peak_term(r_hat):
+    # terms r^k / k! still grow for k < r: the sum must run past them
+    got = T.series_tail_bound(r_hat, 12)
+    with mpmath.workdps(40):
+        r = mpmath.mpf(r_hat)
+        want = mpmath.exp(r) - mpmath.fsum(r ** k / mpmath.factorial(k)
+                                           for k in range(13))
+        assert abs(mpmath.mpf(got) / want - 1) < 1e-12
+
+
+def test_tail_bound_overflow_is_inf():
+    assert T.series_tail_bound(800.0, 12) == math.inf
+    assert T.series_tail_bound(1e30, 12) == math.inf
 
 
 # --- perturbed holonomy ---
