@@ -33,8 +33,11 @@ class LoopSum:
                 self.add(word, coef)
 
     def add(self, word, coef):
-        key = S.canonical_cyclic(list(word))
-        c = self.terms.get(key, Fraction(0)) + Fraction(coef)
+        self._add_key(S.canonical_cyclic(list(word)), Fraction(coef))
+
+    def _add_key(self, key, coef: Fraction):
+        """Add coef to an already canonical key, dropping a zero sum."""
+        c = self.terms.get(key, 0) + coef
         if c == 0:
             self.terms.pop(key, None)
         else:
@@ -42,16 +45,16 @@ class LoopSum:
 
     def __add__(self, other):
         out = LoopSum()
-        for word, coef in self.items():
-            out.add(word, coef)
-        for word, coef in other.items():
-            out.add(word, coef)
+        out.terms = dict(self.terms)
+        for key, coef in other.terms.items():
+            out._add_key(key, coef)
         return out
 
     def scale(self, factor):
+        f = Fraction(factor)
         out = LoopSum()
-        for word, coef in self.items():
-            out.add(word, Fraction(factor) * coef)
+        if f:
+            out.terms = {key: f * coef for key, coef in self.terms.items()}
         return out
 
     def items(self):
@@ -104,7 +107,8 @@ def bracket_sums(genus: int, sum1: LoopSum, sum2: LoopSum, seed: int = 0,
     for i, (w1, c1) in enumerate(sum1.items()):
         for j, (w2, c2) in enumerate(sum2.items()):
             part = fn(genus, list(w1), list(w2), seed=_mix(seed, i, j))
-            out = out + part.scale(c1 * c2)
+            for key, coef in part.terms.items():
+                out._add_key(key, c1 * c2 * coef)
     return out
 
 

@@ -196,9 +196,17 @@ def cmd_dgla_check(args) -> int:
     return 0 if ok else 1
 
 
+def _count(text: str) -> int:
+    """argparse type for --seed and --trials: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--seed", type=_count, default=0)
     common.add_argument("--tol", type=float, default=None)
     common.add_argument("--genus", type=int, default=None)
     common.add_argument("--group", default=None)
@@ -226,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common],
                        help="run an invariant battery, one JSON line per trial")
     p.add_argument("suite", choices=V.SUITE_NAMES)
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--trials", type=_count, default=None)
     p.add_argument("--parallel", type=int, default=None)
     p.set_defaults(fn=cmd_verify)
 

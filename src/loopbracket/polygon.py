@@ -1,10 +1,9 @@
-"""PL loops in the 4g-gon model of the closed orientable genus-g surface.
+"""Loops in the 4g-gon model of the closed orientable genus-g surface.
 
-The surface is a convex 4g-gon with counterclockwise vertices V_0..V_{4g-1}
-and sides s_i = [V_i, V_{i+1}], glued in blocks of four: s_{4k} ~ s_{4k+2}
-and s_{4k+1} ~ s_{4k+3}, each by t <-> 1-t in the ccw side parameter.
-Genus 1 is the unit square, higher genus the regular 4g-gon in the unit
-circle.
+The surface is a convex 4g-gon with counterclockwise sides s_0..s_{4g-1},
+glued in blocks of four: s_{4k} ~ s_{4k+2} and s_{4k+1} ~ s_{4k+3}, each
+by t <-> 1-t in the ccw side parameter.  A point of side s at parameter
+t sits at perimeter position s + t.
 
 A free homotopy class given by a cyclically reduced word is realized as a
 closed chain of chords, one chord per letter: the chord of letter x_j runs
@@ -18,13 +17,13 @@ gives the normalization [a, b] = +(a b) with no extra global sign.
 
 Intersections between two realized loops are the transverse crossings of
 their chords; each crossing records the sign and the based words of both
-loops read from the crossing point (a rotation of each input word).  No
-plane geometry is needed for them: a point of side s at parameter t sits
-at perimeter position s + t, and two chords of the convex polygon cross
-exactly when their endpoints interleave in that cyclic order (M. Chas,
-Topology 43, 2004).  Realization therefore fails only when the per-side
-spacing of one loop's boundary points cannot be met within the retry
-budget, or when the two loops share an endpoint exactly.
+loops read from the crossing point (a rotation of each input word).  Two
+chords of the convex polygon cross exactly when their endpoints
+interleave in the cyclic order of perimeter positions (M. Chas,
+Topology 43, 2004), so no plane coordinates are needed.  Realization
+therefore fails only when the per-side spacing of one loop's boundary
+points cannot be met within the retry budget, or when the two loops
+share an endpoint exactly.
 """
 
 from __future__ import annotations
@@ -38,21 +37,6 @@ from . import surface as S
 
 class RealizationError(RuntimeError):
     """Generic position could not be reached within the retry budget."""
-
-
-def polygon_vertices(genus: int) -> np.ndarray:
-    if genus < 1:
-        raise S.WordError("genus must be >= 1")
-    if genus == 1:
-        return np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    k = 4 * genus
-    ang = 2 * np.pi * np.arange(k) / k
-    return np.c_[np.cos(ang), np.sin(ang)]
-
-
-def side_point(verts: np.ndarray, side: int, t: float) -> np.ndarray:
-    k = len(verts)
-    return verts[side % k] + t * (verts[(side + 1) % k] - verts[side % k])
 
 
 def partner_side(side: int) -> int:
@@ -84,15 +68,15 @@ def letter_for_exit_side(genus: int, side: int) -> int:
 class PLLoop:
     """Closed chain of chords realizing a free homotopy class.
 
-    segments[j] runs from the re-entry point of crossing j-1 to the exit
-    point of crossing j, so the first boundary crossing after any point
-    of segments[j] carries word[j]; the based word read from a point on
-    segments[j] is the rotation word[j:] + word[:j].
+    Chord j runs from the re-entry point of crossing j-1 to the exit
+    point of crossing j, at parameter exit_params[j] of the exit side of
+    word[j], so the first boundary crossing after any point of chord j
+    carries word[j]; the based word read from a point on chord j is the
+    rotation word[j:] + word[:j].
     """
 
     genus: int
     word: tuple[int, ...]
-    segments: list[tuple[np.ndarray, np.ndarray]]
     exit_params: list[float]
 
     def based_word(self, seg_index: int) -> list[int]:
@@ -106,21 +90,15 @@ def realize(genus: int, word, rng: np.random.Generator,
 
     The word is freely and cyclically reduced first; reduction removes
     exactly the degenerate chords (a cancelling pair would re-enter and
-    exit through the same glued side).  The empty class becomes a small
-    triangle near the center, crossing nothing.
+    exit through the same glued side).  The empty class has no chords and
+    crosses nothing.
     """
     w = S.cyclic_reduce(list(word))
     S.check_word(w, genus)
-    verts = polygon_vertices(genus)
+    if genus < 1:
+        raise S.WordError("genus must be >= 1")
     if not w:
-        center = verts.mean(axis=0)
-        radius = 0.02 if genus == 1 else 0.05
-        phi = rng.uniform(0, 2 * np.pi)
-        pts = [center + radius * np.array([np.cos(phi + 2 * np.pi * i / 3),
-                                           np.sin(phi + 2 * np.pi * i / 3)])
-               for i in range(3)]
-        segs = [(pts[i], pts[(i + 1) % 3]) for i in range(3)]
-        return PLLoop(genus, (), segs, [])
+        return PLLoop(genus, (), [])
     sides = [exit_side_for_letter(genus, x) for x in w]
     for _ in range(max_tries):
         ts = rng.uniform(0.12, 0.88, size=len(w))
@@ -130,15 +108,9 @@ def realize(genus: int, word, rng: np.random.Generator,
         for side, t in zip(sides, ts):
             marks.setdefault(side, []).append(t)
             marks.setdefault(partner_side(side), []).append(1 - t)
-        ok = all(len(v) < 2 or np.min(np.diff(np.sort(v))) > 1e-4
-                 for v in marks.values())
-        if not ok:
-            continue
-        exits = [side_point(verts, s, t) for s, t in zip(sides, ts)]
-        entries = [side_point(verts, partner_side(s), 1 - t)
-                   for s, t in zip(sides, ts)]
-        segs = [(entries[j - 1], exits[j]) for j in range(len(w))]
-        return PLLoop(genus, tuple(w), segs, [float(t) for t in ts])
+        gaps = (y - x for v in map(sorted, marks.values()) for x, y in zip(v, v[1:]))
+        if all(g > 1e-4 for g in gaps):
+            return PLLoop(genus, tuple(w), [float(t) for t in ts])
     raise RealizationError("no generic realization within retry budget")
 
 

@@ -193,13 +193,15 @@ def trace_functions(rep: Representation, words) -> list[float]:
                       *rep.images, *(rep.image(-k) for k in range(1, 2 * g + 1))])
     by_length: dict[int, list[int]] = {}
     for pos, word in enumerate(words):
-        check_word(word, g)
         by_length.setdefault(len(word), []).append(pos)
     out = [0.0] * len(words)
     for length, positions in by_length.items():
+        w = np.array([words[p] for p in positions], dtype=np.intp)
+        bad = w[(w == 0) | (abs(w) > 2 * g)]
+        if bad.size:
+            raise WordError(f"letter {bad[0]} out of range for genus {g}")
         # stack row of letter x: x for a_k/b_k, 2g - x for inverses
-        rows = np.array([[x if x > 0 else 2 * g - x for x in words[p]]
-                         for p in positions], dtype=np.intp)
+        rows = np.where(w > 0, w, 2 * g - w)
         h = np.broadcast_to(stack[0], (len(positions),) + stack[0].shape)
         for k in range(length):
             h = stack[rows[:, k]] @ h
@@ -274,12 +276,16 @@ def _newton_last_handle(spec, rng, a_seed, earlier_blocks, tol):
         xb = sum(ci * ei for ci, ei in zip(coef[m:], basis))
         step = 1.0
         for _ in range(12):
-            an, bn = a @ expm(step * xa), b @ expm(step * xb)
-            try:
-                rn = residual(an, bn)
-            except np.linalg.LinAlgError:
-                return None  # singular iterate: this try fails
-            if np.linalg.norm(rn) < np.linalg.norm(r):
+            # an overflowing trial's non-finite residual compares false
+            # like any step that does not improve, so the step halves
+            with np.errstate(over="ignore", invalid="ignore"):
+                an, bn = a @ expm(step * xa), b @ expm(step * xb)
+                try:
+                    rn = residual(an, bn)
+                except np.linalg.LinAlgError:
+                    return None  # singular iterate: this try fails
+                improved = np.linalg.norm(rn) < np.linalg.norm(r)
+            if improved:
                 a, b, r = an, bn, rn
                 break
             step /= 2

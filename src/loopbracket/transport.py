@@ -3,11 +3,10 @@
 picard_transport solves dR/dt = sign * A(t) R, R(0) = I, by the Picard
 iteration: R = sum of T_k with T_0 = I and T_k(t) = int_0^t A T_{k-1},
 so the kth term is the k-fold time-ordered integral with the largest time
-leftmost.  Composite trapezoid on a shared grid evaluates every level;
-declared breakpoints are merged into the grid and cell-end samples back
-off into the owning cell, which keeps piecewise-constant integrands exact
-per cell.  The tail of the series is certified by |T_k| <= Rhat^k / k!
-with Rhat = int |A(t)|_2 dt, and remainder_bound sums that tail stably.
+leftmost.  Composite trapezoid on a uniform grid evaluates every level
+from one sample of the smooth path A per grid node.  The tail of the
+series is certified by |T_k| <= Rhat^k / k! with Rhat = int |A(t)|_2 dt,
+and remainder_bound sums that tail stably.
 
 Perturbed holonomy of a word: each letter's arc carries a constant
 algebra-valued perturbation (inverse letters traverse it backwards), the
@@ -38,62 +37,13 @@ from . import surface as S
 
 @dataclass
 class MatrixPath:
-    """Time-dependent square matrix A(t) on [0, 1].
-
-    breakpoints lists interior discontinuity times; samplers built here
-    are right-continuous at them.
-    """
+    """Smooth time-dependent square matrix A(t) on [0, 1]."""
 
     fn: callable
     dim: int
-    breakpoints: tuple[float, ...] = ()
 
     def __call__(self, t: float) -> np.ndarray:
         return self.fn(t)
-
-    @classmethod
-    def piecewise_constant(cls, values) -> "MatrixPath":
-        values = [np.asarray(v, dtype=complex) for v in values]
-        m = len(values)
-        bounds = np.arange(1, m) / m
-
-        def fn(t):
-            i = min(int(np.searchsorted(bounds, t, side="right")), m - 1)
-            return values[i]
-
-        return cls(fn, values[0].shape[0], tuple(bounds))
-
-    @classmethod
-    def concat(cls, first: "MatrixPath", second: "MatrixPath") -> "MatrixPath":
-        """Path running first on [0, 1/2], then second, clocks doubled."""
-
-        def fn(t):
-            if t < 0.5:
-                return 2.0 * first.fn(2.0 * t)
-            return 2.0 * second.fn(2.0 * t - 1.0)
-
-        breaks = tuple(b / 2 for b in first.breakpoints) + (0.5,) + \
-            tuple(0.5 + b / 2 for b in second.breakpoints)
-        return cls(fn, first.dim, breaks)
-
-
-def _grid(path: MatrixPath, n_steps: int) -> np.ndarray:
-    base = np.linspace(0.0, 1.0, n_steps + 1)
-    if path.breakpoints:
-        base = np.union1d(base, np.asarray(path.breakpoints))
-    return base
-
-
-def _cell_samples(path: MatrixPath, grid: np.ndarray, sign: int):
-    """A at each cell's left edge and just inside its right edge."""
-    nudge = bool(path.breakpoints)
-    left, right = [], []
-    for i in range(len(grid) - 1):
-        h = grid[i + 1] - grid[i]
-        left.append(sign * path.fn(grid[i]))
-        tr = grid[i + 1] - 1e-6 * h if nudge else grid[i + 1]
-        right.append(sign * path.fn(tr))
-    return left, right
 
 
 def series_tail_bound(r_hat: float, n_max: int) -> float:
@@ -129,17 +79,15 @@ class TransportResult:
 def picard_transport(path: MatrixPath, n_max: int = 12, n_steps: int = 2000,
                      sign: int = 1) -> TransportResult:
     """Truncated time-ordered exponential of sign * A along the path."""
-    grid = _grid(path, n_steps)
-    al, ar = _cell_samples(path, grid, sign)
-    al = np.stack(al)
-    ar = np.stack(ar)
+    grid = np.linspace(0.0, 1.0, n_steps + 1)
+    a = np.stack([sign * path.fn(t) for t in grid])
+    al, ar = a[:-1], a[1:]         # each cell's left and right samples
     h = np.diff(grid)[:, None, None]
     d = path.dim
-    npts = len(grid)
     eye = np.eye(d, dtype=complex)
-    r_hat = float(np.sum(h[:, 0, 0] / 2 * (np.linalg.norm(al, 2, axis=(1, 2))
-                                          + np.linalg.norm(ar, 2, axis=(1, 2)))))
-    prev = np.broadcast_to(eye, (npts, d, d)).copy()
+    norms = np.linalg.norm(a, 2, axis=(1, 2))
+    r_hat = float(np.sum(h[:, 0, 0] / 2 * (norms[:-1] + norms[1:])))
+    prev = np.broadcast_to(eye, (len(grid), d, d)).copy()
     terms = [eye.copy()]
     total = eye.copy()
     for _ in range(n_max):
@@ -153,16 +101,15 @@ def picard_transport(path: MatrixPath, n_max: int = 12, n_steps: int = 2000,
 
 
 def rk4_transport(path: MatrixPath, n_steps: int = 2000, sign: int = 1) -> np.ndarray:
-    """Classical RK4 for dR/dt = sign * A(t) R on the same aligned grid."""
-    grid = _grid(path, n_steps)
-    nudge = bool(path.breakpoints)
+    """Classical RK4 for dR/dt = sign * A(t) R on the same uniform grid."""
+    grid = np.linspace(0.0, 1.0, n_steps + 1)
     r = np.eye(path.dim, dtype=complex)
-    for i in range(len(grid) - 1):
-        t0, t1 = grid[i], grid[i + 1]
+    a1 = sign * path.fn(grid[0])
+    for t0, t1 in zip(grid[:-1], grid[1:]):
         h = t1 - t0
-        a0 = sign * path.fn(t0)
+        a0 = a1
         am = sign * path.fn(t0 + h / 2)
-        a1 = sign * path.fn(t1 - 1e-6 * h if nudge else t1)
+        a1 = sign * path.fn(t1)
         k1 = a0 @ r
         k2 = am @ (r + h / 2 * k1)
         k3 = am @ (r + h / 2 * k2)

@@ -137,6 +137,20 @@ def test_unknown_suite_exits_2():
     assert run_cli("verify", "nope").returncode == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["bracket", "CURVES", "a", "b", "--seed", "-1"],
+    ["sample-rep", "--group", "GL(2,R)", "--seed", "-3"],
+    ["verify", "variation", "--seed", "-1"],
+    ["verify", "variation", "--trials", "-5"],
+    ["verify", "variation", "--trials", "x"],
+])
+def test_negative_seed_or_trials_exits_2(torus_curves, argv):
+    out = run_cli(*[torus_curves if a == "CURVES" else a for a in argv])
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "usage:" in out.stderr and "Traceback" not in out.stderr
+
+
 def test_verify_goldman_gl_genus_1():
     out = run_cli("verify", "goldman-gl", "--genus", "1",
                   "--trials", "8", "--seed", "1")

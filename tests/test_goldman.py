@@ -30,15 +30,45 @@ def test_side_pairing_table():
     assert P.exit_side_for_letter(1, 2) == 0
 
 
+def _vertices(genus):
+    """Plane model: the unit square for genus 1, else the regular 4g-gon."""
+    if genus == 1:
+        return np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    ang = 2 * np.pi * np.arange(4 * genus) / (4 * genus)
+    return np.c_[np.cos(ang), np.sin(ang)]
+
+
+def _segments(loop):
+    """Plane chords of a realized loop, rebuilt from its exit parameters."""
+    verts = _vertices(loop.genus)
+    k = len(verts)
+
+    def side_point(side, t):
+        return verts[side % k] + t * (verts[(side + 1) % k] - verts[side % k])
+
+    sides = [P.exit_side_for_letter(loop.genus, x) for x in loop.word]
+    exits = [side_point(s, t) for s, t in zip(sides, loop.exit_params)]
+    entries = [side_point(P.partner_side(s), 1 - t)
+               for s, t in zip(sides, loop.exit_params)]
+    return [(entries[j - 1], exits[j]) for j in range(len(sides))]
+
+
 def test_square_torus_chords():
     rng = np.random.default_rng(0)
     a = P.realize(1, [1], rng)
-    (p0, p1), = a.segments
-    # a runs leftward: from the right side to the left side at equal height
+    (t,) = a.exit_params
+    # a re-enters the right side s_1 at 1 - t and exits the left side s_3
+    # at t: both at height 1 - t, so it runs leftward at equal height
+    assert P._boundary_chords(a) == [(2 - t, 3 + t)]
+    (p0, p1), = _segments(a)
     assert p0[0] == pytest.approx(1.0) and p1[0] == pytest.approx(0.0)
     assert p0[1] == pytest.approx(p1[1])
     b = P.realize(1, [2], rng)
-    (q0, q1), = b.segments
+    (t,) = b.exit_params
+    # b re-enters the top side s_2 at 1 - t and exits the bottom side s_0
+    # at t: both at x = t, so it runs downward
+    assert P._boundary_chords(b) == [(3 - t, 0 + t)]
+    (q0, q1), = _segments(b)
     assert q0[1] == pytest.approx(1.0) and q1[1] == pytest.approx(0.0)
     assert q0[0] == pytest.approx(q1[0])
 
@@ -47,10 +77,11 @@ def test_realize_reduces_and_spells_word():
     rng = np.random.default_rng(1)
     loop = P.realize(2, [1, 3, -3, 2], rng)
     assert loop.word == (1, 2)
-    assert len(loop.segments) == 2
+    assert len(loop.exit_params) == 2
+    assert all(0.12 <= t <= 0.88 for t in loop.exit_params)
     loop2 = P.realize(1, [1, 2, -2, -1], rng)
     assert loop2.word == ()
-    assert len(loop2.segments) == 3
+    assert loop2.exit_params == []      # the empty class has no chords
 
 
 def _float_crossings(first, second):
@@ -63,9 +94,9 @@ def _float_crossings(first, second):
         return u[0] * v[1] - u[1] * v[0]
 
     found = []
-    for i, (p0, p1) in enumerate(first.segments):
+    for i, (p0, p1) in enumerate(_segments(first)):
         u = p1 - p0
-        for j, (q0, q1) in enumerate(second.segments):
+        for j, (q0, q1) in enumerate(_segments(second)):
             v = q1 - q0
             den = cross(u, v)
             if den == 0.0:
@@ -96,7 +127,7 @@ def test_crossings_are_interior():
         want = _float_crossings(c1, c2)
         got = [(x.seg_first, x.seg_second, x.sign) for x in P.intersections(c1, c2)]
         assert got == [w[:3] for w in want], (genus, words)
-        verts = P.polygon_vertices(genus)
+        verts = _vertices(genus)
         k = len(verts)
         for *_, point in want:
             for i in range(k):
@@ -118,11 +149,11 @@ def test_empty_class_crosses_nothing():
 
 def test_shared_endpoint_is_rejected():
     # the a-chords of both loops end at the same boundary point
-    a = P.PLLoop(1, (1,), [], [0.5])
-    b = P.PLLoop(1, (2, 1), [], [0.3, 0.5])
+    a = P.PLLoop(1, (1,), [0.5])
+    b = P.PLLoop(1, (2, 1), [0.3, 0.5])
     with pytest.raises(P.RealizationError):
         P.intersections(a, b)
-    assert P.intersections(a, P.PLLoop(1, (2, 1), [], [0.3, 0.6])) != []
+    assert P.intersections(a, P.PLLoop(1, (2, 1), [0.3, 0.6])) != []
 
 
 def test_torus_a_b_single_positive_crossing():

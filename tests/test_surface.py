@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -92,8 +94,11 @@ def test_sample_representation_genus3():
     ids=["O(2,1)-g2-s30", "O(2,1)-g2-s211", "Sp(2,R)-g3-s3", "Sp(2,R)-g3-s189"])
 def test_singular_line_search_iterate_starts_a_fresh_try(spec, genus, seed):
     # these seeds drive a Gauss-Newton line search onto a singular iterate
+    # (and the O(2,1) ones through trial points that overflow, silently)
     rng = np.random.default_rng([seed, genus, 99])
-    rep = S.sample_representation(spec, genus, rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = S.sample_representation(spec, genus, rng)
     assert S.relator_residual(rep) < 1e-11
     for m in rep.images:
         assert G.membership_residual(spec, m) < 1e-9
@@ -138,6 +143,8 @@ def test_trace_functions_match_word_by_word():
         S.trace_functions(rep, [[1], [1, 2 * genus + 1]])
     with pytest.raises(S.WordError):
         S.trace_functions(rep, [[0]])
+    with pytest.raises(S.WordError):
+        S.trace_functions(rep, [[2, 1], [-(2 * genus + 1)]])
 
 
 def test_holonomy_of_relator_is_identity():

@@ -36,19 +36,6 @@ def test_constant_nilpotent_is_exact():
     assert abs(res.r_hat - 1.0) < 1e-12
 
 
-def test_two_piece_path_matches_expm_product():
-    rng = np.random.default_rng(7)
-    x = rng.normal(size=(2, 2)) * 0.6
-    y = rng.normal(size=(2, 2)) * 0.6
-    path = T.MatrixPath.piecewise_constant([x, y])
-    res = T.picard_transport(path, n_max=12, n_steps=2000)
-    # second piece acts later, so its factor sits on the left
-    want = expm(y / 2) @ expm(x / 2)
-    # trapezoid floor at this step count, not series truncation
-    assert np.linalg.norm(res.transport - want) < 5e-8
-    assert np.linalg.norm(T.rk4_transport(path, 2000) - want) < 1e-10
-
-
 def test_commuting_profile_matches_expm():
     rng = np.random.default_rng(3)
     m = rng.normal(size=(2, 2)) * 0.15
@@ -91,16 +78,35 @@ def test_sign_flag_inverts_constant_transport():
 
 
 def test_concat_composes_transports():
-    rng = np.random.default_rng(21)
-    p1 = _smooth_path(rng, amp=0.05)
-    p2 = _smooth_path(rng, amp=0.05)
-    cat = T.MatrixPath.concat(p1, p2)
-    r1 = T.picard_transport(p1, n_max=12, n_steps=1000).transport
-    r2 = T.picard_transport(p2, n_max=12, n_steps=1000).transport
-    rc = T.picard_transport(cat, n_max=12, n_steps=2000).transport
-    assert np.linalg.norm(rc - r2 @ r1) < 1e-8
-    want = T.rk4_transport(p2, 1000) @ T.rk4_transport(p1, 1000)
-    assert np.linalg.norm(T.rk4_transport(cat, 2000) - want) < 1e-10
+    # p1 then p2 at double speed, p2 shifted to start where p1 ends, so
+    # the joined path is continuous at the grid node t = 1/2
+    for seed in range(21, 25):
+        rng = np.random.default_rng(seed)
+        p1 = _smooth_path(rng, amp=0.05)
+        q = _smooth_path(rng, amp=0.05)
+        shift = p1(1.0) - q(0.0)
+        p2 = T.MatrixPath(lambda t: q(t) + shift, 2)
+        cat = T.MatrixPath(lambda t: 2.0 * (p1(2.0 * t) if t < 0.5
+                                            else p2(2.0 * t - 1.0)), 2)
+        r1 = T.picard_transport(p1, n_max=20, n_steps=1000).transport
+        r2 = T.picard_transport(p2, n_max=20, n_steps=1000).transport
+        rc = T.picard_transport(cat, n_max=20, n_steps=2000).transport
+        assert np.linalg.norm(rc - r2 @ r1) < 1e-12
+        want = T.rk4_transport(p2, 1000) @ T.rk4_transport(p1, 1000)
+        assert np.linalg.norm(T.rk4_transport(cat, 2000) - want) < 1e-10
+
+
+def test_each_grid_node_is_sampled_once():
+    calls = []
+    path = T.MatrixPath(lambda t: calls.append(t) or np.eye(2), 2)
+    for n_steps in (1, 7, 2000):
+        calls.clear()
+        T.picard_transport(path, n_max=3, n_steps=n_steps)
+        assert len(calls) == n_steps + 1
+        calls.clear()
+        T.rk4_transport(path, n_steps)
+        # nodes once each, plus one midpoint per step
+        assert len(calls) == 2 * n_steps + 1
 
 
 def test_tail_bound_frozen_values():
