@@ -11,8 +11,9 @@ files, seed).  Reports print floats at 12 significant digits; files
 written via --out keep full double precision.  Exit codes: 0 success
 (verify/dgla-check: all checks passed), 1 check failure (including a
 holonomy output that is not finite, which is never printed), 2 bad
-input or unknown suite, 3 realization failure, 4 relator residual
-above tolerance.
+input or unknown suite (including a --tol that is not a finite float
+> 0, a --genus below 1, and --genus given to a verify suite that takes
+none), 3 realization failure, 4 relator residual above tolerance.
 """
 
 from __future__ import annotations
@@ -167,7 +168,7 @@ def cmd_sample_rep(args) -> int:
     if not args.group:
         raise Z.SchemaError("sample-rep needs --group")
     spec = Z.parse_group_string(args.group)
-    genus = args.genus if args.genus else 1
+    genus = args.genus if args.genus is not None else 1
     rng = np.random.default_rng([args.seed, 0])
     tol = args.tol if args.tol is not None else 1e-12
     rep = S.sample_representation(spec, genus, rng, tol=tol)
@@ -180,7 +181,8 @@ def cmd_sample_rep(args) -> int:
 def cmd_dgla_check(args) -> int:
     if args.toy:
         spec = Z.parse_group_string(args.toy)
-        inst = DG.surface_toy_instance(args.genus if args.genus else 1, spec)
+        genus = args.genus if args.genus is not None else 1
+        inst = DG.surface_toy_instance(genus, spec)
     elif args.input:
         inst = Z.dgla_from_json(_load_json(args.input))
     else:
@@ -204,11 +206,27 @@ def _count(text: str) -> int:
     return value
 
 
+def _genus(text: str) -> int:
+    """argparse type for --genus: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    """argparse type for --tol: a finite float > 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=_count, default=0)
-    common.add_argument("--tol", type=float, default=None)
-    common.add_argument("--genus", type=int, default=None)
+    common.add_argument("--tol", type=_tolerance, default=None)
+    common.add_argument("--genus", type=_genus, default=None)
     common.add_argument("--group", default=None)
     common.add_argument("--out", default=None)
 
@@ -253,7 +271,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if (args.command == "verify" and args.genus is not None
+            and args.suite in V.GENUS_FREE_SUITES):
+        parser.error(f"verify {args.suite} takes no --genus")
     try:
         return args.fn(args)
     except (Z.SchemaError, S.WordError, DG.DglaError) as err:

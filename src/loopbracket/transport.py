@@ -3,10 +3,35 @@
 picard_transport solves dR/dt = sign * A(t) R, R(0) = I, by the Picard
 iteration: R = sum of T_k with T_0 = I and T_k(t) = int_0^t A T_{k-1},
 so the kth term is the k-fold time-ordered integral with the largest time
-leftmost.  Composite trapezoid on a uniform grid evaluates every level
-from one sample of the smooth path A per grid node.  The tail of the
-series is certified by |T_k| <= Rhat^k / k! with Rhat = int |A(t)|_2 dt,
-and remainder_bound sums that tail stably.
+leftmost.  Every level is integrated spectrally (Greengard, SIAM J.
+Numer. Anal. 28, 1991) on Chebyshev panels.  A panel samples A at 17,
+then 33, then 65 nested Chebyshev points of the second kind, each t
+once, until the chop rule holds: the upper half of the interpolant's
+Chebyshev coefficients is below 64 u (u = 2^-53) of the largest, or of
+the largest on the whole path if that is larger.  A is then resolved
+at half the degree, so each product A T_{k-1} is integrated by the
+panel's integration matrix without aliasing.  A panel still unresolved
+at 65 points is bisected, and the halves' levels are joined by Chen's
+identity, the truncated Cauchy product that perturbed holonomy also
+uses.  Bisection stops at panels of length 2^-12, where a kink or a
+jump is left, and after 5 bisections along a chain of panels that left
+both halves unresolved, where noise is left; the first rule bounds the
+depth, the second the width, and neither depends on where along [0, 1]
+the other panels lie.  A panel whose samples are all equal takes the
+closed-form arc levels C^k / k!.
+
+The certificate rests on |T_k| <= r^k / k! for any r >= int |A(t)|_2 dt.
+r_hat is, per panel, a trapezoid sum of |A_N|_2 over 32 cells of the
+interpolant A_N (the norm of its linear interpolant is convex, so the
+chords lie above it), plus a bound on the rest from the Chebyshev
+coefficients of A_N'', plus the panel length times the coefficient-tail
+estimate of |A - A_N|.  remainder_bound is tail(r_hat, n_max) plus, over
+panels, (length * tail estimate + (n_max + N) d u) e^r_hat.  The series
+tail and the A_N'' term are bounds; the coefficient tail (twice the sum
+of the upper half of the coefficient norms) is an estimate of the
+interpolation error, as the rounding term is of the rounding, not a
+bound.  rk4_transport is the independent route: it samples the path on
+its own uniform grid and shares nothing with the series.
 
 Perturbed holonomy of a word: each letter's arc carries a constant
 algebra-valued perturbation (inverse letters traverse it backwards), the
@@ -29,6 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -72,50 +98,236 @@ def series_tail_bound(r_hat: float, n_max: int) -> float:
 class TransportResult:
     terms: list[np.ndarray]        # T_0 .. T_n_max at t = 1
     transport: np.ndarray          # their sum
-    r_hat: float
-    remainder_bound: float
+    r_hat: float                   # upper bound on int_0^1 |A(t)|_2 dt
+    remainder_bound: float         # see picard_transport
+    nodes: int                     # distinct t at which the path was sampled
 
 
-def picard_transport(path: MatrixPath, n_max: int = 12, n_steps: int = 2000,
+_U = 2.0 ** -53
+_SIZES = (17, 33, 65)              # nested Chebyshev grids of one panel
+_CHOP = 64 * _U                    # relative size of a negligible coefficient;
+                                   # sample rounding alone reaches 10-20 u of
+                                   # the path's scale
+_MAX_DEPTH = 12                    # bisections down to the shortest panel
+_MAX_FORKS = 5                     # bisections along a chain of panels that
+                                   # leave both halves unresolved
+_TRAP = 32                         # trapezoid cells of the r_hat bound
+_RK4_BLOCK = 256                   # steps per block of rk4_transport
+
+
+def _chebyshev(size: int):
+    """Nodes and matrices of the size-point Chebyshev grid on [0, 1].
+
+    The nodes x_j = (1 - cos(pi j / n)) / 2, n = size - 1, increase from
+    0 to 1 and are those of the second kind, so each grid holds every
+    other node of the next.  With s = 2x - 1 and the interpolant
+    p = sum_k c_k T_k(s), returns (x, coef, integ, trap, second): coef
+    maps values to the c_k, integ maps values to the integral of p over
+    [0, x_j], trap maps values to p at _TRAP + 1 equispaced points, and
+    second maps values to the Chebyshev coefficients of d^2 p / ds^2.
+    """
+    n = size - 1
+    theta = np.pi * np.arange(size) / n
+    x = np.sin(theta / 2) ** 2
+    k = np.arange(size)
+    sign = (-1.0) ** k
+    t_k = sign * np.cos(np.outer(theta, k))          # T_k(s_j), s_j = -cos theta_j
+    w = np.ones(size)
+    w[[0, -1]] = 0.5
+    coef = (2.0 / n) * (w[:, None] * t_k * w[None, :]).T
+    # antiderivatives of T_k in s that vanish at s = -1
+    t_up = -sign * np.cos(np.outer(theta, k + 1))    # T_{k+1}(s_j)
+    t_dn = -sign * np.cos(np.outer(theta, k - 1))    # T_{k-1}(s_j)
+    anti = np.empty((size, size))
+    anti[:, 0] = 2 * x
+    anti[:, 1] = (t_up[:, 1] - 1) / 4
+    m = k[2:]
+    anti[:, 2:] = ((t_up[:, 2:] + sign[2:]) / (m + 1)     # T_{k+-1}(-1) = -sign
+                   - (t_dn[:, 2:] + sign[2:]) / (m - 1)) / 2
+    integ = 0.5 * anti @ coef                        # dt = ds / 2
+    s_trap = np.linspace(-1.0, 1.0, _TRAP + 1)
+    trap = np.cos(np.outer(np.arccos(s_trap), k)) @ coef
+    # d/ds on coefficients: b_{k-1} = b_{k+1} + 2 k c_k, then b_0 / 2
+    diff = np.zeros((size + 1, size))
+    for j in range(n, 0, -1):
+        diff[j - 1] = diff[j + 1]
+        diff[j - 1, j] += 2 * j
+    diff = diff[:size]
+    diff[0] /= 2
+    return x, coef, integ, trap, diff @ diff @ coef
+
+
+@lru_cache(maxsize=None)
+def _grids() -> dict:
+    """_chebyshev(size) for every size in _SIZES, all built on the first
+    call, so that no later transport pays for building a grid."""
+    return {size: _chebyshev(size) for size in _SIZES}
+
+
+def _arc_levels(c: np.ndarray, n_max: int) -> np.ndarray:
+    """Levels C^k / k!, k = 0..n_max, of a constant coefficient C."""
+    arc = np.empty((n_max + 1, *c.shape), dtype=complex)
+    arc[0] = np.eye(len(c))
+    for k in range(1, n_max + 1):
+        arc[k] = arc[k - 1] @ c / k
+    return arc
+
+
+def _chen_product(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
+    """Levels of a path followed by another, by Chen's identity: the
+    truncated Cauchy product of their level lists, later on the left."""
+    new = np.zeros_like(earlier)
+    for i in range(len(earlier)):
+        new[i:] += later[:len(earlier) - i] @ earlier[i]
+    return new
+
+
+class _Samples(dict):
+    """sign * A(t), sampled once per distinct t."""
+
+    def __init__(self, fn, sign: int):
+        super().__init__()
+        self.fn, self.sign = fn, sign
+
+    def __missing__(self, t):
+        value = self[t] = self.sign * np.asarray(self.fn(t))
+        return value
+
+
+def _fit(samples: _Samples, a: float, b: float, scale: float):
+    """A on [a, b] at the first nested Chebyshev grid that resolves it,
+    else at 65 points, as (f, c, resolved): the samples, the Frobenius
+    norms of the interpolant's Chebyshev coefficients, and whether the
+    samples are all equal or the chop rule holds, that is the upper half
+    of c is below _CHOP times the larger of scale and max c.  The upper
+    half, so that A is resolved at half the degree and the products
+    A T_k are integrated without aliasing."""
+    grids = _grids()
+    x = grids[_SIZES[-1]][0]
+    for size in _SIZES:
+        stride = (_SIZES[-1] - 1) // (size - 1)
+        f = np.stack([samples[a + (b - a) * x[j]]
+                      for j in range(0, _SIZES[-1], stride)])
+        c = np.linalg.norm(grids[size][1] @ f.reshape(size, -1), axis=1)
+        if (f == f[0]).all() or c[size // 2:].max() <= _CHOP * max(scale, c.max()):
+            return f, c, True
+    return f, c, False
+
+
+def _panel(samples: _Samples, a: float, b: float, fit, scale: float,
+           n_max: int, depth: int, forks: int):
+    """Levels at b of the transport from a, given A's fit on [a, b], with
+    this panel's share of r_hat and of the certificate's estimate term
+    before the e^r_hat factor, as (levels, r_hat, estimate).
+
+    An unresolved panel is bisected unless it is _MAX_DEPTH bisections
+    deep or _MAX_FORKS of its ancestors had both halves unresolved: a
+    kink or a jump bisects one half at each depth, noise both."""
+    f, c, resolved = fit
+    if not resolved and depth < _MAX_DEPTH and forks < _MAX_FORKS:
+        half = a + (b - a) / 2
+        fits = _fit(samples, a, half, scale), _fit(samples, half, b, scale)
+        forks += not (fits[0][2] or fits[1][2])
+        left = _panel(samples, a, half, fits[0], scale, n_max, depth + 1, forks)
+        right = _panel(samples, half, b, fits[1], scale, n_max, depth + 1, forks)
+        return (_chen_product(right[0], left[0]),
+                left[1] + right[1], left[2] + right[2])
+    length, (size, d, _) = b - a, f.shape
+    if (f == f[0]).all():
+        # closed-form arc levels: spectral weights sum to 1 only to
+        # within an ulp, and a constant panel needs no interpolation
+        return (_arc_levels(length * f[0], n_max),
+                length * float(np.linalg.norm(f[0], 2)),
+                (n_max + size) * d * _U)
+    _, _, integ, trap, second = _grids()[size]
+    flat = f.reshape(size, d * d)
+    tail = 2 * float(c[size // 2:].sum())            # estimate of |A - A_N|
+    # r_hat: the norm of A_N's linear interpolant on each trapezoid cell
+    # is convex, so its chord bounds it; the rest of A_N is at most
+    # h^2/8 max|A_N''|, and A differs from A_N by about the tail
+    curve = (2 / length) ** 2 * float(np.linalg.norm(second @ flat, axis=1).sum())
+    h = length / _TRAP
+    norms = np.linalg.norm((trap @ flat).reshape(-1, d, d), 2, axis=(1, 2))
+    r_hat = (h * float(norms.sum() - (norms[0] + norms[-1]) / 2)
+             + length * h * h / 12 * curve + length * tail)
+    levels = np.empty((n_max + 1, d, d), dtype=complex)
+    levels[0] = np.eye(d)
+    q = length * integ
+    integrand = f                                    # A T_{k-1} at the nodes
+    for k in range(1, n_max + 1):
+        cur = (q @ integrand.reshape(size, d * d)).reshape(size, d, d)
+        levels[k] = cur[-1]
+        integrand = f @ cur
+    return levels, r_hat, length * tail + (n_max + size) * d * _U
+
+
+def picard_transport(path: MatrixPath, n_max: int = 12, n_steps: int | None = None,
                      sign: int = 1) -> TransportResult:
-    """Truncated time-ordered exponential of sign * A along the path."""
-    grid = np.linspace(0.0, 1.0, n_steps + 1)
-    a = np.stack([sign * path.fn(t) for t in grid])
-    al, ar = a[:-1], a[1:]         # each cell's left and right samples
-    h = np.diff(grid)[:, None, None]
-    d = path.dim
-    eye = np.eye(d, dtype=complex)
-    norms = np.linalg.norm(a, 2, axis=(1, 2))
-    r_hat = float(np.sum(h[:, 0, 0] / 2 * (norms[:-1] + norms[1:])))
-    prev = np.broadcast_to(eye, (len(grid), d, d)).copy()
-    terms = [eye.copy()]
-    total = eye.copy()
-    for _ in range(n_max):
-        inc = (h / 2) * (al @ prev[:-1] + ar @ prev[1:])
-        cur = np.zeros_like(prev)
-        np.cumsum(inc, axis=0, out=cur[1:])
-        terms.append(cur[-1].copy())
-        total = total + cur[-1]
-        prev = cur
-    return TransportResult(terms, total, r_hat, series_tail_bound(r_hat, n_max))
+    """Truncated time-ordered exponential of sign * A along the path.
+
+    Adaptive Chebyshev panels (see the module docstring).  The result's
+    remainder_bound is tail(r_hat, n_max) plus, summed over panels,
+    (length * coefficient-tail estimate + (n_max + N) d u) e^r_hat with
+    N the panel's grid size, d the matrix size and u = 2^-53; the last
+    two terms are estimates.  n_steps is accepted for compatibility
+    with callers of the former fixed-grid version and ignored: the
+    panels choose their own nodes.
+    """
+    samples = _Samples(path.fn, sign)
+    fit = _fit(samples, 0.0, 1.0, 0.0)
+    levels, r_hat, estimate = _panel(samples, 0.0, 1.0, fit, float(fit[1].max()),
+                                     n_max, 0, 0)
+    with np.errstate(over="ignore"):  # past r = 709.78 the bound is inf
+        bound = series_tail_bound(r_hat, n_max) + estimate * np.exp(r_hat)
+    return TransportResult(list(levels), levels.sum(axis=0), r_hat,
+                           float(bound), len(samples))
+
+
+def _tree_product(steps: np.ndarray) -> np.ndarray:
+    """steps[-1] @ ... @ steps[0] by pairwise tree reduction."""
+    while len(steps) > 1:
+        steps = np.concatenate([steps[1::2] @ steps[:-1:2],
+                                steps[len(steps) - len(steps) % 2:]])
+    return steps[0]
 
 
 def rk4_transport(path: MatrixPath, n_steps: int = 2000, sign: int = 1) -> np.ndarray:
-    """Classical RK4 for dR/dt = sign * A(t) R on the same uniform grid."""
-    grid = np.linspace(0.0, 1.0, n_steps + 1)
-    r = np.eye(path.dim, dtype=complex)
-    a1 = sign * path.fn(grid[0])
-    for t0, t1 in zip(grid[:-1], grid[1:]):
-        h = t1 - t0
-        a0 = a1
-        am = sign * path.fn(t0 + h / 2)
-        a1 = sign * path.fn(t1)
-        k1 = a0 @ r
-        k2 = am @ (r + h / 2 * k1)
-        k3 = am @ (r + h / 2 * k2)
-        k4 = a1 @ (r + h * k3)
-        r = r + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    return r
+    """Classical RK4 for dR/dt = sign * A(t) R with n_steps uniform steps.
+
+    The ODE is linear, so each step is the matrix
+    I + h/6 (K1 + 2 K2 + 2 K3 + K4) with K1 = A0, K2 = Am (I + h/2 K1),
+    K3 = Am (I + h/2 K2), K4 = A1 (I + h K3).  The path is sampled once
+    at each of the 2 n_steps + 1 nodes and midpoints; then the steps are
+    built and multiplied by pairwise tree reduction, later steps on the
+    left, in blocks of _RK4_BLOCK steps.  The block size is a power of
+    two, so the blocks are subtrees of the reduction over all steps and
+    the result does not depend on it; it keeps each temporary a few tens
+    of kB instead of a few MB allocated afresh on every call.
+    """
+    d, h = path.dim, 1.0 / n_steps
+    a = np.empty((2 * n_steps + 1, d, d), dtype=complex)
+    for i, t in enumerate(np.linspace(0.0, 1.0, 2 * n_steps + 1)):
+        a[i] = path.fn(t)
+    a *= sign
+    eye = np.eye(d)
+    blocks = []
+    for start in range(0, n_steps, _RK4_BLOCK):
+        stop = min(start + _RK4_BLOCK, n_steps)
+        a0, am, a1 = (a[2 * start + j:2 * stop + j:2] for j in range(3))
+        x = a0 * (h / 2) + eye
+        k2 = am @ x
+        np.multiply(k2, h / 2, out=x)
+        k3 = am @ (x + eye)
+        np.multiply(k3, h, out=x)
+        k4 = a1 @ (x + eye)
+        steps = np.add(k2, k3, out=k2)
+        steps *= 2
+        steps += a0
+        steps += k4
+        steps *= h / 6
+        steps += eye
+        blocks.append(_tree_product(steps))
+    return _tree_product(np.stack(blocks))
 
 
 @dataclass
@@ -150,17 +362,11 @@ def perturbed_holonomy(rep: S.Representation, pert: dict, word,
     psi, psi_inv = eye, eye
     levels = np.zeros((n_max + 1, d, d), dtype=complex)
     levels[0] = eye
-    arc = levels.copy()            # arc[0] = I; arc[k] rewritten per arc
     r_hat, letters_norm = 0.0, 1.0
     for x in word:
         b = np.asarray(pert[abs(x)], dtype=complex)
         c = psi_inv @ (b if x < 0 else -b) @ psi
-        for k in range(1, n_max + 1):
-            arc[k] = arc[k - 1] @ c / k
-        new = np.zeros_like(levels)
-        for i in range(n_max + 1):
-            new[i:] += arc[:n_max + 1 - i] @ levels[i]
-        levels = new
+        levels = _chen_product(_arc_levels(c, n_max), levels)
         r_hat += float(np.linalg.norm(c, 2))
         letters_norm *= float(np.linalg.norm(rep.image(x), 2))
         psi = rep.image(x) @ psi

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import loopbracket.cli as C
 import loopbracket.groups as G
 import loopbracket.serialize as Z
 import loopbracket.surface as S
@@ -146,6 +147,54 @@ def test_unknown_suite_exits_2():
 ])
 def test_negative_seed_or_trials_exits_2(torus_curves, argv):
     out = run_cli(*[torus_curves if a == "CURVES" else a for a in argv])
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "usage:" in out.stderr and "Traceback" not in out.stderr
+
+
+def _parse_exit(argv, capsys):
+    """Exit code and output of an in-process run stopped by argparse."""
+    with pytest.raises(SystemExit) as stop:
+        C.main(argv)
+    return stop.value.code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "dgla", "--trials", "2", "--tol", "inf"],
+    ["verify", "goldman-gl", "--trials", "2", "--tol", "nan"],
+    ["verify", "chen", "--trials", "1", "--tol", "-1"],
+    ["dgla-check", "--toy", "GL(2,R)", "--tol", "nan"],
+    ["dgla-check", "--toy", "GL(2,R)", "--tol", "0"],
+    # once spent seconds on Gauss-Newton tries and exited 3
+    ["sample-rep", "--group", "GL(2,R)", "--genus", "2", "--tol", "-1"],
+    ["sample-rep", "--group", "GL(2,R)", "--tol", "x"],
+])
+def test_tol_must_be_finite_and_positive(argv, capsys):
+    code, out = _parse_exit(argv, capsys)
+    assert code == 2
+    assert out.out == ""
+    assert "usage:" in out.err and "--tol" in out.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "goldman-gl", "--trials", "1", "--genus", "0"],
+    ["verify", "jacobi", "--trials", "1", "--genus", "-2"],
+    ["sample-rep", "--group", "GL(2,R)", "--genus", "0"],
+    ["dgla-check", "--toy", "GL(2,R)", "--genus", "-1"],
+    # these suites take no genus: it is rejected, not ignored
+    ["verify", "variation", "--trials", "1", "--genus", "2"],
+    ["verify", "chen", "--trials", "1", "--genus", "1"],
+])
+def test_genus_below_1_or_unused_exits_2(argv, capsys):
+    code, out = _parse_exit(argv, capsys)
+    assert code == 2
+    assert out.out == ""
+    assert "usage:" in out.err and "genus" in out.err
+
+
+def test_bad_tol_exits_2_without_traceback():
+    out = run_cli("sample-rep", "--group", "GL(2,R)", "--genus", "2",
+                  "--tol", "-1")
     assert out.returncode == 2
     assert out.stdout == ""
     assert "usage:" in out.stderr and "Traceback" not in out.stderr

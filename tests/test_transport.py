@@ -6,6 +6,7 @@ from math import factorial
 import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from loopbracket import groups as G
@@ -28,8 +29,9 @@ def _smooth_path(rng, d=2, amp=0.02):
 def test_constant_nilpotent_is_exact():
     n = np.array([[0.0, 1.0], [0.0, 0.0]])
     path = T.MatrixPath(lambda t: n, 2)
-    res = T.picard_transport(path, n_max=6, n_steps=50)
-    # N^2 = 0 kills every term past the first; trapezoid is exact on them
+    res = T.picard_transport(path, n_max=6)
+    # N^2 = 0 kills every term past the first; a constant path takes the
+    # closed-form arc levels N^k / k!
     assert np.allclose(res.transport, np.eye(2) + n, atol=1e-14)
     for k in range(2, 7):
         assert np.linalg.norm(res.terms[k]) < 1e-14
@@ -41,9 +43,9 @@ def test_commuting_profile_matches_expm():
     m = rng.normal(size=(2, 2)) * 0.15
     path = T.MatrixPath(lambda t: (1 + t * t) * m, 2)
     want = expm((4.0 / 3.0) * m)
-    res = T.picard_transport(path, n_max=12, n_steps=2000)
+    res = T.picard_transport(path, n_max=12)
     assert res.r_hat < 1.0
-    assert np.linalg.norm(res.transport - want) < 5e-8
+    assert np.linalg.norm(res.transport - want) < 1e-12
     assert np.linalg.norm(T.rk4_transport(path, 2000) - want) < 1e-10
 
 
@@ -51,9 +53,13 @@ def test_term_norms_obey_factorial_bound():
     for seed in range(5):
         rng = np.random.default_rng(seed)
         path = _smooth_path(rng, amp=0.05)
-        res = T.picard_transport(path, n_max=12, n_steps=500)
+        res = T.picard_transport(path, n_max=12)
+        # the periodic trapezoid rule is exact to rounding here; r_hat is
+        # a padded upper bound on the same integral
+        rho = np.mean([np.linalg.norm(path(t), 2) for t in np.arange(64) / 64])
+        assert res.r_hat >= rho
         for k, term in enumerate(res.terms):
-            bound = res.r_hat ** k / factorial(k)
+            bound = rho ** k / factorial(k)
             assert np.linalg.norm(term, 2) <= bound * (1 + 1e-6) + 1e-12
 
 
@@ -61,9 +67,9 @@ def test_remainder_certificate_covers_rk4_gap():
     for seed in range(4):
         rng = np.random.default_rng(seed + 100)
         path = _smooth_path(rng)
-        res = T.picard_transport(path, n_max=12, n_steps=2000)
+        res = T.picard_transport(path, n_max=12)
         gap = np.linalg.norm(res.transport - T.rk4_transport(path, 2000))
-        assert gap <= res.remainder_bound + 1e-7
+        assert gap <= res.remainder_bound + 1e-12
 
 
 def test_sign_flag_inverts_constant_transport():
@@ -72,14 +78,14 @@ def test_sign_flag_inverts_constant_transport():
     path = T.MatrixPath(lambda t: m, 2)
     plus = T.picard_transport(path, n_max=14, sign=1).transport
     minus = T.picard_transport(path, n_max=14, sign=-1).transport
-    assert np.linalg.norm(plus @ minus - np.eye(2)) < 1e-8
-    assert np.linalg.norm(minus - expm(-m)) < 1e-7
+    assert np.linalg.norm(plus @ minus - np.eye(2)) < 1e-12
+    assert np.linalg.norm(minus - expm(-m)) < 1e-12
     assert np.linalg.norm(T.rk4_transport(path, 500, sign=-1) - expm(-m)) < 1e-9
 
 
 def test_concat_composes_transports():
     # p1 then p2 at double speed, p2 shifted to start where p1 ends, so
-    # the joined path is continuous at the grid node t = 1/2
+    # the joined path is continuous, with a kink at t = 1/2
     for seed in range(21, 25):
         rng = np.random.default_rng(seed)
         p1 = _smooth_path(rng, amp=0.05)
@@ -88,9 +94,9 @@ def test_concat_composes_transports():
         p2 = T.MatrixPath(lambda t: q(t) + shift, 2)
         cat = T.MatrixPath(lambda t: 2.0 * (p1(2.0 * t) if t < 0.5
                                             else p2(2.0 * t - 1.0)), 2)
-        r1 = T.picard_transport(p1, n_max=20, n_steps=1000).transport
-        r2 = T.picard_transport(p2, n_max=20, n_steps=1000).transport
-        rc = T.picard_transport(cat, n_max=20, n_steps=2000).transport
+        r1 = T.picard_transport(p1, n_max=20).transport
+        r2 = T.picard_transport(p2, n_max=20).transport
+        rc = T.picard_transport(cat, n_max=20).transport
         assert np.linalg.norm(rc - r2 @ r1) < 1e-12
         want = T.rk4_transport(p2, 1000) @ T.rk4_transport(p1, 1000)
         assert np.linalg.norm(T.rk4_transport(cat, 2000) - want) < 1e-10
@@ -98,15 +104,136 @@ def test_concat_composes_transports():
 
 def test_each_grid_node_is_sampled_once():
     calls = []
-    path = T.MatrixPath(lambda t: calls.append(t) or np.eye(2), 2)
+
+    def path(fn):
+        return T.MatrixPath(lambda t: calls.append(t) or fn(t), 2)
+
+    m = np.array([[0.1, 0.3], [-0.2, 0.4]])
+    for fn in (lambda t: np.eye(2),                       # constant panel
+               lambda t: np.cos(3 * t) * m,               # one panel
+               lambda t: abs(t - 0.3) * m):               # bisected panels
+        calls.clear()
+        res = T.picard_transport(path(fn), n_max=3)
+        assert len(calls) == res.nodes == len(set(calls))
+    assert res.nodes > 2 * 65       # the kink forced bisection
     for n_steps in (1, 7, 2000):
         calls.clear()
-        T.picard_transport(path, n_max=3, n_steps=n_steps)
-        assert len(calls) == n_steps + 1
-        calls.clear()
-        T.rk4_transport(path, n_steps)
+        T.rk4_transport(path(lambda t: np.eye(2)), n_steps)
         # nodes once each, plus one midpoint per step
         assert len(calls) == 2 * n_steps + 1
+
+
+def test_n_steps_is_accepted_and_ignored():
+    # kept for callers written against the grid version of the engine
+    path = _smooth_path(np.random.default_rng(4))
+    res = T.picard_transport(path, n_steps=4)
+    assert np.array_equal(res.transport, T.picard_transport(path).transport)
+
+
+def _rk4_step_loop(path, n_steps):
+    """The step-by-step RK4 the batched rk4_transport replaced."""
+    grid = np.linspace(0.0, 1.0, n_steps + 1)
+    r = np.eye(path.dim, dtype=complex)
+    for t0, t1 in zip(grid[:-1], grid[1:]):
+        h = t1 - t0
+        a0, am, a1 = path(t0), path(t0 + h / 2), path(t1)
+        k1 = a0 @ r
+        k2 = am @ (r + h / 2 * k1)
+        k3 = am @ (r + h / 2 * k2)
+        k4 = a1 @ (r + h * k3)
+        r = r + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return r
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 7, 200])
+def test_batched_rk4_matches_step_loop(n_steps):
+    path = _smooth_path(np.random.default_rng(n_steps), d=3, amp=0.3)
+    got = T.rk4_transport(path, n_steps)
+    want = _rk4_step_loop(path, n_steps)
+    # the products are grouped differently: roundoff only
+    assert np.linalg.norm(got - want, 2) <= 1e-14 * np.linalg.norm(want, 2)
+
+
+@pytest.mark.parametrize("n_steps", [3, 700, 2000])
+def test_rk4_blocks_do_not_change_the_result(n_steps, monkeypatch):
+    # power-of-two blocks are subtrees of the pairwise reduction over all
+    # steps, so the block size leaves every bit of the product alone
+    path = _smooth_path(np.random.default_rng(n_steps), d=3, amp=0.3)
+    want = T.rk4_transport(path, n_steps, sign=-1)
+    for block in (1, 2, 64, 4096):
+        monkeypatch.setattr(T, "_RK4_BLOCK", block)
+        assert np.array_equal(T.rk4_transport(path, n_steps, sign=-1), want)
+
+
+def _dop853(fn, d, breaks=()):
+    """R(1) by DOP853 at rtol 1e-13, restarted at each kink in breaks."""
+    r = np.eye(d, dtype=complex)
+    knots = [0.0, *breaks, 1.0]
+    for a, b in zip(knots[:-1], knots[1:]):
+        sol = solve_ivp(lambda t, y: (fn(t) @ y.reshape(d, d)).ravel(), (a, b),
+                        r.ravel(), method="DOP853", rtol=1e-13, atol=1e-15)
+        r = sol.y[:, -1].reshape(d, d)
+    return r
+
+
+def _nonperiodic_cases():
+    rng = np.random.default_rng(73)
+    for i in range(12):
+        d = 2 + i % 3
+        cplx = i % 2 == 1
+        m0, m1, m2 = (rng.normal(size=(d, d))
+                      + (1j * rng.normal(size=(d, d)) if cplx else 0)
+                      for _ in range(3))
+        w, phi = rng.uniform(2.0, 8.0), rng.uniform(0.0, 2 * np.pi)
+        c = rng.uniform(0.3, 0.9) / (np.linalg.norm(m0, 2) + np.linalg.norm(m2, 2))
+        yield (lambda t, m0=m0, m1=m1, m2=m2, w=w, phi=phi, c=c:
+               c * (m0 + t * m1 + np.sin(w * t + phi) * m2)), d, ()
+    m0, m1 = rng.normal(size=(2, 2)) * 0.4, rng.normal(size=(2, 2)) * 0.4
+    yield (lambda t: m0 + abs(t - 0.5) * m1), 2, (0.5,)
+
+
+@pytest.mark.parametrize("case", range(13))
+def test_picard_meets_dop853_within_its_certificate(case):
+    fn, d, breaks = list(_nonperiodic_cases())[case]
+    path = T.MatrixPath(fn, d)
+    want = _dop853(fn, d, breaks)
+    res = T.picard_transport(path, n_max=20)
+    err = np.linalg.norm(res.transport - want, 2)
+    assert err <= res.remainder_bound, (err, res.remainder_bound)
+    assert err <= 1e-12 * (1 + np.linalg.norm(want, 2)), err
+    y = np.array([np.linalg.norm(fn(t), 2) for t in np.linspace(0.0, 1.0, 4097)])
+    integral = (y.sum() - (y[0] + y[-1]) / 2) / 4096
+    assert res.r_hat >= integral, (res.r_hat, integral)
+    assert np.linalg.norm(T.rk4_transport(path) - want, 2) <= 1e-12
+
+
+def test_kinks_anywhere_are_resolved_alike():
+    # a kink is bisected down to the shortest panel wherever it lies; no
+    # panel is left coarse because others used up the samples first
+    rng = np.random.default_rng(19)
+    m0, m1 = rng.normal(size=(2, 2)) * 0.4, rng.normal(size=(2, 2)) * 0.4
+    for kinks in ((1 / 3,), (0.1, 0.3, 0.7), (0.7, 0.8, 0.9),
+                  (0.11, 0.23, 0.37, 0.59, 0.83)):
+        def fn(t, kinks=kinks):
+            return m0 + sum(abs(t - k) for k in kinks) * m1
+        res = T.picard_transport(T.MatrixPath(fn, 2))
+        err = np.linalg.norm(res.transport - _dop853(fn, 2, kinks), 2)
+        assert err <= res.remainder_bound <= 1e-8, (kinks, err, res.remainder_bound)
+        assert err <= 1e-11, (kinks, err)
+        assert res.nodes <= 1100 * len(kinks), (kinks, res.nodes)
+
+
+def test_noisy_path_stops_bisecting():
+    # 1e-9 relative noise in every sample is never resolved; bisection
+    # stops after _MAX_FORKS rounds that leave both halves unresolved
+    rng = np.random.default_rng(23)
+    m0 = rng.normal(size=(2, 2)) * 0.4
+    noise = np.random.default_rng(29)
+    res = T.picard_transport(
+        T.MatrixPath(lambda t: m0 * (1 + 1e-9 * noise.standard_normal()), 2))
+    assert res.nodes <= 65 * 2 ** (T._MAX_FORKS + 1), res.nodes
+    err = np.linalg.norm(res.transport - expm(m0), 2)
+    assert err <= res.remainder_bound <= 1e-7, (err, res.remainder_bound)
 
 
 def test_tail_bound_frozen_values():
@@ -223,7 +350,7 @@ def test_series_concatenation_rule():
 
 def test_term_ratio_on_scalar_profile_family():
     # A = p(t) M with p > 0 makes T_k = (int p)^k M^k / k!, so consecutive
-    # norms contract at least as fast as r_hat / (k + 1)
+    # norms contract at least as fast as rho / (k + 1), rho = int |A|_2
     rng = np.random.default_rng(41)
     m = rng.normal(size=(2, 2))
     m = m + (0.3 + np.linalg.norm(m, 2)) * np.eye(2)
@@ -233,9 +360,11 @@ def test_term_ratio_on_scalar_profile_family():
         return c * (1 + 0.3 * np.sin(2 * np.pi * t)) * m
 
     path = T.MatrixPath(fn, 2)
-    res = T.picard_transport(path, n_max=10, n_steps=2000)
+    res = T.picard_transport(path, n_max=10)
     norms = [np.linalg.norm(t, 2) for t in res.terms]
+    rho = c * np.linalg.norm(m, 2)      # the profile averages to 1
+    assert res.r_hat >= rho
     for k in range(10):
         if norms[k] < 1e-10:
             break
-        assert norms[k + 1] / norms[k] <= res.r_hat / (k + 1) + 1e-6
+        assert norms[k + 1] / norms[k] <= rho / (k + 1) + 1e-6
