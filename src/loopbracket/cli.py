@@ -12,8 +12,9 @@ written via --out keep full double precision.  Exit codes: 0 success
 (verify/dgla-check: all checks passed), 1 check failure (including a
 holonomy output that is not finite, which is never printed), 2 bad
 input or unknown suite (including a --tol that is not a finite float
-> 0, a --genus below 1, and --genus given to a verify suite that takes
-none), 3 realization failure, 4 relator residual above tolerance.
+> 0, a --genus below 1, and --genus given to a command that reads the
+genus from its input file or to a verify suite that takes none), 3
+realization failure, 4 relator residual above tolerance.
 """
 
 from __future__ import annotations
@@ -139,23 +140,9 @@ def cmd_holonomy(args) -> int:
     return 0
 
 
-def _verify_worker(job):
-    suite, seed, idx, genus, group, tol = job
-    return V.run_trial(suite, seed, idx, genus=genus, group=group, tol=tol)
-
-
 def cmd_verify(args) -> int:
-    n = args.trials if args.trials else V.default_trials(args.suite)
-    jobs = [(args.suite, args.seed, i, args.genus, args.group, args.tol)
-            for i in range(n)]
-    if args.parallel and args.parallel > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        chunk = max(1, n // args.parallel)
-        with ProcessPoolExecutor(max_workers=args.parallel) as pool:
-            records = list(pool.map(_verify_worker, jobs, chunksize=chunk))
-    else:
-        records = [_verify_worker(job) for job in jobs]
-    summary = V.summarize(args.suite, args.seed, records)
+    records, summary = V.run_suite(args.suite, args.seed, args.trials,
+                                   args.genus, args.group, args.tol)
     lines = [dumps(r) for r in records] + [dumps(summary)]
     print("\n".join(lines))
     if args.out:
@@ -253,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run an invariant battery, one JSON line per trial")
     p.add_argument("suite", choices=V.SUITE_NAMES)
     p.add_argument("--trials", type=_count, default=None)
-    p.add_argument("--parallel", type=int, default=None)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("sample-rep", parents=[common],
@@ -273,9 +259,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if (args.command == "verify" and args.genus is not None
-            and args.suite in V.GENUS_FREE_SUITES):
-        parser.error(f"verify {args.suite} takes no --genus")
+    # bracket, holonomy and dgla-check FILE read the genus from the file
+    if args.genus is not None and (
+            args.command in ("bracket", "holonomy")
+            or args.command == "dgla-check" and not args.toy
+            or args.command == "verify" and args.suite in V.GENUS_FREE_SUITES):
+        parser.error(f"{args.command} takes no --genus with these arguments")
     try:
         return args.fn(args)
     except (Z.SchemaError, S.WordError, DG.DglaError) as err:

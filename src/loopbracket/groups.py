@@ -23,10 +23,11 @@ part and their membership residuals include a reality term.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
-from scipy.linalg import expm
 
 KINDS = ("GL_R", "GL_C", "O_pq", "O_C", "U_pq", "Sp_R", "Sp_pq")
 
@@ -164,18 +165,14 @@ def _eij(n, i, j):
     return e
 
 
-_BASIS_CACHE: dict[GroupSpec, tuple[np.ndarray, ...]] = {}
-
-
-def algebra_basis(spec: GroupSpec) -> tuple[np.ndarray, ...]:
-    """Real basis of the Lie algebra, as complex arrays.
+@cache
+def algebra_basis(spec: GroupSpec) -> np.ndarray:
+    """Real basis of the Lie algebra, as a read-only complex stack (m, d, d).
 
     Closed-form bases for six kinds; sp(p, q) is cut out by projecting a
     gl basis onto the joint fixed space of its two commuting involutions
     and orthonormalizing the result.
     """
-    if spec in _BASIS_CACHE:
-        return _BASIS_CACHE[spec]
     n = spec.n
     basis: list[np.ndarray] = []
     if spec.kind == "GL_R":
@@ -211,11 +208,11 @@ def algebra_basis(spec: GroupSpec) -> tuple[np.ndarray, ...]:
                 basis.append(om @ s)
     else:
         basis = _sp_pq_basis(spec)
-    out = tuple(basis)
+    out = np.array(basis, dtype=complex)
+    out.flags.writeable = False  # cached and shared
     assert len(out) == algebra_dim(spec)
     for x in out:
         assert algebra_residual(spec, x) < 1e-12
-    _BASIS_CACHE[spec] = out
     return out
 
 
@@ -236,20 +233,58 @@ def _sp_pq_basis(spec: GroupSpec) -> list[np.ndarray]:
                 v = project(e)
                 cols.append(np.r_[v.real.ravel(), v.imag.ravel()])
     u, s, _ = np.linalg.svd(np.array(cols).T)
-    rank = int(np.sum(s > 1e-8 * s[0]))
-    out = []
-    for k in range(rank):
-        w = u[:, k]
-        out.append((w[: d * d] + 1j * w[d * d:]).reshape(d, d))
-    return out
+    w = u[:, :int(np.sum(s > 1e-8 * s[0]))].T
+    return list((w[:, :d * d] + 1j * w[:, d * d:]).reshape(-1, d, d))
 
 
 def random_algebra_element(spec: GroupSpec, rng: np.random.Generator,
                            scale: float = 1.0) -> np.ndarray:
     basis = algebra_basis(spec)
-    coef = rng.standard_normal(len(basis))
-    x = sum(c * e for c, e in zip(coef, basis))
+    x = np.tensordot(rng.standard_normal(len(basis)), basis, axes=1)
     return scale * x / np.sqrt(len(basis))
+
+
+# 1-norm limit theta_m of each Pade degree m (Higham, SIAM J. Matrix
+# Anal. Appl. 26(4), 2005, Table 2.3) and its numerator coefficients
+# b_j = (2m - j)! m! / ((2m)! j! (m - j)!) (eq. 2.2)
+_PADE = {m: (theta, [math.factorial(2 * m - j) * math.factorial(m)
+                     / (math.factorial(2 * m) * math.factorial(j)
+                        * math.factorial(m - j)) for j in range(m + 1)])
+         for m, theta in ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
+                          (7, 9.504178996162932e-1), (9, 2.097847961257068e0),
+                          (13, 5.371920351148152e0))}
+
+
+def expm(a) -> np.ndarray:
+    """Matrix exponential of one matrix or a stack (..., d, d).
+
+    Scaling and squaring with a diagonal Pade approximant of degree 3, 5,
+    7, 9 or 13 (Higham 2005); one degree and one scaling serve the whole
+    stack, chosen from its largest 1-norm.  A non-finite input gives NaN
+    instead of an exception, and overflow while squaring gives inf/NaN
+    under the caller's errstate.
+    """
+    a = np.asarray(a)
+    norm = float(np.abs(a).sum(axis=-2).max(initial=0.0))
+    if not math.isfinite(norm):
+        return np.full_like(a, np.nan)
+    s = 0
+    for m, (theta, b) in _PADE.items():
+        if norm <= theta:
+            break
+    else:  # degree 13 after scaling; a finite norm keeps s below 1030
+        s = max(0, math.frexp(norm / theta)[1])
+        a = a * 2.0 ** -s
+    a2 = a @ a
+    powers = [np.broadcast_to(np.eye(a.shape[-1]), a.shape), a2]
+    while len(powers) <= m // 2:  # a^0, a^2, .., a^(m-1)
+        powers.append(powers[-1] @ a2)
+    u = a @ sum(b[2 * k + 1] * p for k, p in enumerate(powers))
+    v = sum(b[2 * k] * p for k, p in enumerate(powers))
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
 def random_element(spec: GroupSpec, rng: np.random.Generator,
@@ -303,9 +338,7 @@ def f_hat(spec: GroupSpec, g: np.ndarray, xs=(), r: float = 1.0) -> float:
     return r * float(np.trace(acc).real)
 
 
-_PON_CACHE: dict[GroupSpec, tuple[tuple[np.ndarray, ...], tuple[float, ...]]] = {}
-
-
+@cache
 def pairing_orthonormal_basis(spec: GroupSpec):
     """Basis u_i of the algebra with <u_i, u_j> = sign_i delta_ij.
 
@@ -313,8 +346,6 @@ def pairing_orthonormal_basis(spec: GroupSpec):
     every remaining vector is null the pair with the largest mutual
     pairing is replaced by its sum and difference, which are not.
     """
-    if spec in _PON_CACHE:
-        return _PON_CACHE[spec]
     work = [np.asarray(b, dtype=complex) for b in algebra_basis(spec)]
     out: list[np.ndarray] = []
     signs: list[float] = []
@@ -341,9 +372,7 @@ def pairing_orthonormal_basis(spec: GroupSpec):
             raise GroupError("degenerate pairing on algebra basis")
         vi, vj = work[bi], work[bj]
         work[bi], work[bj] = vi + vj, vi - vj
-    res = (tuple(out), tuple(signs))
-    _PON_CACHE[spec] = res
-    return res
+    return tuple(out), tuple(signs)
 
 
 def project_to_algebra(spec: GroupSpec, v: np.ndarray) -> np.ndarray:

@@ -24,7 +24,6 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import groups as G
 
@@ -226,9 +225,23 @@ def _commuting_pair(spec, rng):
         raise RelatorError("degenerate algebra sample")
     x = x / nx
     c = rng.uniform(0.3, 0.9, size=4) * np.where(rng.integers(0, 2, size=4), 1, -1)
-    a = expm(c[0] * x + c[1] * (x @ x @ x))
-    b = expm(c[2] * x + c[3] * (x @ x @ x))
-    return a, b
+    x3 = x @ x @ x
+    return G.expm(np.stack([c[0] * x + c[1] * x3, c[2] * x + c[3] * x3]))
+
+
+def _real_coords(x):
+    # real parts, then imaginary parts, of each trailing (d, d) block
+    return np.stack([x.real, x.imag], axis=-3).reshape(x.shape[:-2] + (-1,))
+
+
+def _relator_jacobian(a, b, c, basis):
+    # derivatives of B^-1 A^-1 B A C along A exp(e) and along B exp(e), for
+    # all elements e of the stacked basis at once, as columns
+    ainv, binv = np.linalg.inv(a), np.linalg.inv(b)
+    core = binv @ ainv @ b @ a
+    da = -binv @ basis @ (ainv @ b @ a @ c) + core @ basis @ c
+    db = -basis @ (core @ c) + (binv @ ainv @ b) @ basis @ (a @ c)
+    return _real_coords(np.concatenate([da, db])).T
 
 
 def _newton_last_handle(spec, rng, a_seed, earlier_blocks, tol):
@@ -240,47 +253,35 @@ def _newton_last_handle(spec, rng, a_seed, earlier_blocks, tol):
     dim Z(A) inside the unimodular target set), so Gauss-Newton runs
     over the pair; updates X exp(xi) keep both iterates in the group.
     """
-    d = spec.matrix_dim
-    eye = np.eye(d, dtype=complex)
+    eye = np.eye(spec.matrix_dim, dtype=complex)
     c = eye
     for ak, bk in earlier_blocks:
-        blk = np.linalg.inv(bk) @ np.linalg.inv(ak) @ bk @ ak
-        c = blk @ c  # later handles act later, hence multiply on the left
-    basis = G.algebra_basis(spec)
-    a = a_seed
-    b = G.random_element(spec, rng)
+        # later handles act later, hence multiply on the left
+        c = np.linalg.inv(bk) @ np.linalg.inv(ak) @ bk @ ak @ c
+    basis = G.algebra_basis(spec)  # stacked (m, d, d)
+    a, b = a_seed, G.random_element(spec, rng)
 
     def residual(am, bm):
         return np.linalg.inv(bm) @ np.linalg.inv(am) @ bm @ am @ c - eye
-
-    def vec(m):
-        return np.r_[m.real.ravel(), m.imag.ravel()]
 
     r = residual(a, b)
     for _ in range(50):
         if np.linalg.norm(r) <= tol:
             return a, b
-        ainv, binv = np.linalg.inv(a), np.linalg.inv(b)
-        core = binv @ ainv @ b @ a
-        cols = []
-        for e in basis:  # a-direction
-            de = -binv @ e @ ainv @ b @ a @ c + core @ e @ c
-            cols.append(vec(de))
-        for e in basis:  # b-direction
-            de = -e @ core @ c + binv @ ainv @ b @ e @ a @ c
-            cols.append(vec(de))
-        jac = np.array(cols).T
-        coef, *_ = np.linalg.lstsq(jac, -vec(r), rcond=None)
-        m = len(basis)
-        xa = sum(ci * ei for ci, ei in zip(coef[:m], basis))
-        xb = sum(ci * ei for ci, ei in zip(coef[m:], basis))
+        # the map is rank-deficient by construction; a cut-off well above
+        # roundoff keeps its null directions, whose singular values are
+        # only roundoff, from turning into enormous steps
+        coef, *_ = np.linalg.lstsq(_relator_jacobian(a, b, c, basis),
+                                   -_real_coords(r), rcond=1e-10)
+        xab = np.tensordot(coef.reshape(2, -1), basis, axes=1)
         step = 1.0
         for _ in range(12):
             # an overflowing trial's non-finite residual compares false
             # like any step that does not improve, so the step halves
             with np.errstate(over="ignore", invalid="ignore"):
-                an, bn = a @ expm(step * xa), b @ expm(step * xb)
                 try:
+                    ea, eb = G.expm(step * xab)
+                    an, bn = a @ ea, b @ eb
                     rn = residual(an, bn)
                 except np.linalg.LinAlgError:
                     return None  # singular iterate: this try fails
@@ -291,9 +292,7 @@ def _newton_last_handle(spec, rng, a_seed, earlier_blocks, tol):
             step /= 2
         else:
             break
-    if np.linalg.norm(r) <= tol:
-        return a, b
-    return None
+    return (a, b) if np.linalg.norm(r) <= tol else None
 
 
 def sample_representation(spec: G.GroupSpec, genus: int, rng: np.random.Generator,
@@ -317,10 +316,7 @@ def sample_representation(spec: G.GroupSpec, genus: int, rng: np.random.Generato
                                          earlier, tol)
             if solved is None:
                 continue
-            images = []
-            for ak, bk in earlier:
-                images.extend([ak, bk])
-            images.extend(solved)
+            images = [m for pair in earlier for m in pair] + list(solved)
             rep = Representation(spec, genus, images)
         if relator_residual(rep) <= max(tol, 1e-11):
             return rep

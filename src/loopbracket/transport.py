@@ -404,19 +404,3 @@ def rk4_perturbed_holonomy(rep: S.Representation, pert: dict, word,
         step = np.eye(d) + hc + hc2 / 2 + hc2 @ hc / 6 + hc2 @ hc2 / 24
         p = rep.image(x) @ np.linalg.matrix_power(step, steps) @ p
     return p
-
-
-def expm_perturbed_holonomy(rep: S.Representation, pert: dict, word) -> np.ndarray:
-    """Closed form: each arc has a constant coefficient, so it contributes
-    exp(-B_j) in the current frame, giving prod_j rho(x_j) exp(-B_j) with
-    the last letter's factors leftmost."""
-    from scipy.linalg import expm
-
-    d = rep.spec.matrix_dim
-    p = np.eye(d, dtype=complex)
-    for x in word:
-        b = np.asarray(pert[abs(x)], dtype=complex)
-        if x < 0:
-            b = -b
-        p = rep.image(x) @ expm(-b) @ p
-    return p

@@ -169,6 +169,68 @@ def test_o2_rotation_closed_forms():
     assert abs(got - trace_route) < 1e-14
 
 
+def _rel_err(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+def _bound(a):
+    # the sampler's range is |A|_1 <= 2; larger norms need more squarings
+    return 1e-13 if np.abs(a).sum(axis=-2).max() <= 2 else 1e-11
+
+
+@pytest.mark.parametrize("spec", SPECS + [G.GroupSpec("GL_C", 3)], ids=str)
+def test_expm_matches_scipy_on_algebra_elements(spec):
+    rng = np.random.default_rng(47)
+    for scale in (0.05, 0.5, 1.0, 2.0, 5.0):
+        for _ in range(4):
+            x = G.random_algebra_element(spec, rng, scale)
+            assert _rel_err(G.expm(x), expm(x)) <= _bound(x), scale
+
+
+@pytest.mark.parametrize("degree", sorted(G._PADE))
+def test_expm_each_pade_branch(degree):
+    # 1-norms just below theta_m select degree m with no scaling
+    theta = G._PADE[degree][0]
+    rng = np.random.default_rng(degree)
+    for d, cplx in ((2, False), (3, True), (4, True)):
+        a = rng.standard_normal((d, d)) + cplx * 1j * rng.standard_normal((d, d))
+        a *= theta * (1 - 1e-9) / np.abs(a).sum(axis=0).max()
+        assert _rel_err(G.expm(a), expm(a)) <= _bound(a)
+
+
+def test_expm_scaling_branch():
+    rng = np.random.default_rng(53)
+    for norm in (6.0, 9.5, 13.0, 20.0):
+        for d in (2, 3, 5):
+            a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            a *= norm / np.abs(a).sum(axis=0).max()
+            assert _rel_err(G.expm(a), expm(a)) <= 1e-11, (norm, d)
+
+
+def test_expm_stack_equals_slices_bit_for_bit():
+    # slices of one 1-norm share the degree and scaling a lone call picks
+    rng = np.random.default_rng(59)
+    for norm in (0.01, 0.1, 0.5, 1.5, 4.0, 12.0):
+        a = rng.standard_normal((3, 2, 3, 3)) + 1j * rng.standard_normal((3, 2, 3, 3))
+        a *= norm / np.abs(a).sum(axis=-2).max(axis=-1)[..., None, None]
+        got = G.expm(a)
+        assert got.shape == a.shape
+        for idx in np.ndindex(3, 2):
+            assert np.array_equal(got[idx], G.expm(a[idx])), (norm, idx)
+            assert _rel_err(got[idx], expm(a[idx])) <= _bound(a[idx])
+    assert np.array_equal(G.expm(np.zeros((2, 2))), np.eye(2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e308])
+def test_expm_non_finite_input_gives_non_finite_output(bad):
+    a = np.array([[bad, 1.0], [0.5, -1.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        single = G.expm(a)
+        stack = G.expm(np.stack([np.eye(2), a]))
+    assert not np.isfinite(single).all()
+    assert not np.isfinite(stack[1]).all()
+
+
 def test_spec_validation():
     with pytest.raises(G.GroupError):
         G.GroupSpec("GL_H", 2)

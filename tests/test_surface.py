@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopbracket import groups as G
+from loopbracket import serialize as Z
 from loopbracket import surface as S
 
 GL2R = G.GroupSpec("GL_R", 2)
@@ -102,6 +103,68 @@ def test_singular_line_search_iterate_starts_a_fresh_try(spec, genus, seed):
     assert S.relator_residual(rep) < 1e-11
     for m in rep.images:
         assert G.membership_residual(spec, m) < 1e-9
+
+
+def test_pade_solve_failure_starts_a_fresh_try(monkeypatch):
+    # a LinAlgError from the stacked line-search expm ends the try like a
+    # singular iterate; once every try fails the sampler says so
+    lone_expm = G.expm
+
+    def failing_stack(a):
+        if np.ndim(a) == 3:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return lone_expm(a)
+
+    monkeypatch.setattr(G, "expm", failing_stack)
+    with pytest.raises(S.RelatorError):
+        S.sample_representation(GL2R, 2, np.random.default_rng(3), max_tries=3)
+
+
+@pytest.mark.parametrize("spec", [GL2C, O11, U2, SP2], ids=str)
+def test_relator_jacobian_matches_columns_and_differences(spec):
+    rng = np.random.default_rng(61)
+    a, b, c = (G.random_element(spec, rng) for _ in range(3))
+    basis = G.algebra_basis(spec)
+    jac = S._relator_jacobian(a, b, c, basis)
+
+    def res(am, bm):
+        return np.linalg.inv(bm) @ np.linalg.inv(am) @ bm @ am @ c
+
+    # reference: one column per basis element, as the loop used to build it
+    ainv, binv = np.linalg.inv(a), np.linalg.inv(b)
+    core = binv @ ainv @ b @ a
+    cols = [-binv @ e @ ainv @ b @ a @ c + core @ e @ c for e in basis]
+    cols += [-e @ core @ c + binv @ ainv @ b @ e @ a @ c for e in basis]
+    want = np.array([np.r_[m.real.ravel(), m.imag.ravel()] for m in cols]).T
+    assert np.allclose(jac, want, rtol=1e-13, atol=1e-13)
+    h = 1e-6
+    for k, e in enumerate(basis):
+        for col, move in ((k, lambda t: (a @ G.expm(t * e), b)),
+                          (len(basis) + k, lambda t: (a, b @ G.expm(t * e)))):
+            fd = (res(*move(h)) - res(*move(-h))) / (2 * h)
+            fd = np.r_[fd.real.ravel(), fd.imag.ravel()]
+            assert np.allclose(jac[:, col], fd, rtol=1e-6, atol=1e-7), col
+
+
+SURVEY_GROUPS = ("GL(2,R)", "GL(2,C)", "O(2,1)", "O(3,C)", "U(1,1)",
+                 "Sp(2,R)", "Sp(1,1)")
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+@pytest.mark.parametrize("group", SURVEY_GROUPS)
+def test_sampler_survey(group, genus):
+    # every seed gives a representation or a RelatorError, nothing else
+    spec = Z.parse_group_string(group)
+    for seed in range(20):
+        rng = np.random.default_rng([seed, genus])
+        try:
+            rep = S.sample_representation(spec, genus, rng)
+        except S.RelatorError:
+            continue
+        assert S.relator_residual(rep) <= 1e-11, seed
+        for m in rep.images:
+            assert np.isfinite(m).all(), seed
+            assert G.membership_residual(spec, m) < 1e-9, seed
 
 
 def test_holonomy_order_convention():
