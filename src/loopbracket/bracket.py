@@ -78,15 +78,41 @@ def _bracket(genus: int, word1, word2, seed: int, unoriented: bool) -> LoopSum:
     if not S.cyclic_reduce(word1) or not S.cyclic_reduce(word2):
         return out  # trivial class is central
     c1, c2, crossings = P.realized_pair(genus, word1, word2, seed)
+    n1, n2 = len(c1.word), len(c2.word)
+    # g_p and l_p are rotations w[i:] + w[:i], slices of the doubled words,
+    # and l_p^-1 is the rotation of w^-1 at n - j
+    d1, d2, d2inv = c1.word * 2, c2.word * 2, tuple(S.inverse_word(c2.word)) * 2
+    signs: dict[tuple[int, ...], int] = {}
     for x in crossings:
-        g = c1.based_word(x.seg_first)
-        l = c2.based_word(x.seg_second)
+        i, j = x.seg_first, x.seg_second
+        g = d1[i:i + n1]
+        key = _joined_class(g, d2[j:j + n2])
+        signs[key] = signs.get(key, 0) + x.sign
         if unoriented:
-            out.add(g + l, Fraction(x.sign, 2))
-            out.add(g + S.inverse_word(l), Fraction(-x.sign, 2))
-        else:
-            out.add(g + l, x.sign)
+            key = _joined_class(g, d2inv[n2 - j:2 * n2 - j])
+            signs[key] = signs.get(key, 0) - x.sign
+    den = 2 if unoriented else 1
+    out.terms = {key: Fraction(c, den) for key, c in signs.items() if c}
     return out
+
+
+def _joined_class(g, l) -> tuple[int, ...]:
+    """canonical_cyclic(g + l) for cyclically reduced words g and l.
+
+    Both are reduced, so letters cancel only at the junction g|l and at
+    the cyclic junction l|g; reduce there, and hand the rare product
+    that cancels one side away entirely to canonical_cyclic.
+    """
+    n1, n2 = len(g), len(l)
+    k = 0
+    while k < n1 and k < n2 and g[n1 - 1 - k] == -l[k]:
+        k += 1
+    m = 0
+    while m < n1 - k and m < n2 - k and g[m] == -l[n2 - 1 - m]:
+        m += 1
+    if m == n1 - k or m == n2 - k:
+        return S.canonical_cyclic(g + l)
+    return S.least_rotation(g[m:n1 - k] + l[k:n2 - m])
 
 
 def bracket_oriented(genus: int, word1, word2, seed: int = 0) -> LoopSum:
@@ -125,29 +151,27 @@ def poisson_direct(rep: S.Representation, word1, word2, seed: int = 0) -> float:
     the form kinds.
     """
     c1, c2, crossings = P.realized_pair(rep.genus, word1, word2, seed)
-    var1, var2 = _based_variations(rep, c1.word), _based_variations(rep, c2.word)
-    total = 0.0
-    for x in crossings:
-        total += x.sign * G.pairing(var1[x.seg_first], var2[x.seg_second])
-    return total
+    if not crossings:
+        return 0.0
+    var1 = G.variation(rep.spec, _based_holonomies(rep, c1.word))
+    var2 = G.variation(rep.spec, _based_holonomies(rep, c2.word))
+    sign, i, j = np.array([(x.sign, x.seg_first, x.seg_second) for x in crossings]).T
+    return float(sign @ np.einsum("nij,nji->n", var1[i], var2[j]).real)
 
 
-def _based_variations(rep: S.Representation, word) -> list:
-    """F(hol(w[i:] + w[:i])) for every segment i of the loop of `word`.
+def _based_holonomies(rep: S.Representation, word) -> np.ndarray:
+    """hol(w[i:] + w[:i]) for every segment i of the loop of `word`, stacked.
 
     The based word at segment i runs w[i:] first, so its holonomy is
     hol(w[:i]) @ hol(w[i:]): a prefix product times a suffix product.
     """
-    m = len(word)
     pre = [np.eye(rep.spec.matrix_dim, dtype=complex)]
-    for x in word:
+    for x in word[:-1]:
         pre.append(rep.image(x) @ pre[-1])
-    suf = pre[0]
-    out = [None] * m
-    for i in range(m - 1, -1, -1):
-        suf = suf @ rep.image(word[i])
-        out[i] = G.variation(rep.spec, pre[i] @ suf)
-    return out
+    suf = [pre[0]]  # suf[k] = hol(w[m - k:])
+    for x in reversed(word):
+        suf.append(suf[-1] @ rep.image(x))
+    return np.stack(pre) @ np.stack(suf[:0:-1])
 
 
 def torus_class_word(p: int, q: int) -> list[int]:

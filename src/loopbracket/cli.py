@@ -4,17 +4,18 @@ Subcommands: bracket (combinatorial bracket of two named curves),
 holonomy (trace and matrix of a word under a representation, optionally
 perturbed), verify (randomized invariant batteries), sample-rep
 (random surface-group representation), dgla-check (axiom battery on a
-serialized or built-in instance).
+serialized or built-in instance, never both).
 
 Determinism contract: stdout is a pure function of (command, input
 files, seed).  Reports print floats at 12 significant digits; files
 written via --out keep full double precision.  Exit codes: 0 success
-(verify/dgla-check: all checks passed), 1 check failure (including a
-holonomy output that is not finite, which is never printed), 2 bad
-input or unknown suite (including a --tol that is not a finite float
-> 0, a --genus below 1, and --genus given to a command that reads the
-genus from its input file or to a verify suite that takes none), 3
-realization failure, 4 relator residual above tolerance.
+(verify/dgla-check: all checks passed), 1 check failure (including an
+output of any command that is not finite, which is never printed), 2
+bad input or unknown suite (including a --tol that is not a finite
+float > 0, a --genus below 1, --genus given to a command that reads
+the genus from its input file or to a verify suite that takes none,
+and dgla-check given both a file and --toy), 3 realization failure, 4
+relator residual above tolerance.
 """
 
 from __future__ import annotations
@@ -38,18 +39,26 @@ from .bracket import bracket_oriented, bracket_unoriented
 TAU_REP = 1e-9
 
 
-def canonical(obj):
-    """Round floats to 12 significant digits, recursively."""
+class NonFiniteResult(ArithmeticError):
+    """A computed output overflowed or became NaN."""
+
+
+def canonical(obj, where="output"):
+    """Round floats to 12 significant digits, recursively.
+
+    A non-finite float raises NonFiniteResult naming the innermost key
+    that holds it, so no report ever prints inf or NaN.
+    """
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, float):
         if not math.isfinite(obj):
-            return str(obj)
+            raise NonFiniteResult(f"{where} is {obj} in double precision")
         return float(f"{obj:.12g}")
     if isinstance(obj, dict):
-        return {k: canonical(v) for k, v in obj.items()}
+        return {k: canonical(v, k) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [canonical(v) for v in obj]
+        return [canonical(v, where) for v in obj]
     return obj
 
 
@@ -92,20 +101,6 @@ def cmd_bracket(args) -> int:
     return 0
 
 
-class NonFiniteResult(ArithmeticError):
-    """A computed output overflowed or became NaN."""
-
-
-def _finite(obj) -> bool:
-    if isinstance(obj, float):
-        return math.isfinite(obj)
-    if isinstance(obj, dict):
-        return all(_finite(v) for v in obj.values())
-    if isinstance(obj, (list, tuple)):
-        return all(_finite(v) for v in obj)
-    return True
-
-
 @np.errstate(over="ignore", invalid="ignore")  # reported by NonFiniteResult
 def cmd_holonomy(args) -> int:
     rep = Z.rep_from_json(_load_json(args.input))
@@ -131,9 +126,6 @@ def cmd_holonomy(args) -> int:
             "remainder_bound": res.remainder_bound,
             "rk4_delta": float(np.linalg.norm(res.value - rk4)),
         })
-    if not _finite(out):
-        raise NonFiniteResult(f"holonomy of {args.word!r} is not finite "
-                              "in double precision")
     text = dumps(out)
     print(text)
     _write_out(args.out, dumps_full(out))
@@ -265,6 +257,8 @@ def main(argv=None) -> int:
             or args.command == "dgla-check" and not args.toy
             or args.command == "verify" and args.suite in V.GENUS_FREE_SUITES):
         parser.error(f"{args.command} takes no --genus with these arguments")
+    if args.command == "dgla-check" and args.toy and args.input:
+        parser.error("dgla-check takes a DGLA file or --toy GROUP, not both")
     try:
         return args.fn(args)
     except (Z.SchemaError, S.WordError, DG.DglaError) as err:

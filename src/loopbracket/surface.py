@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -95,7 +96,11 @@ def canonical_cyclic(word) -> tuple[int, ...]:
     Canonical form for free homotopy classes of oriented loops; a word
     and its inverse stay distinct.
     """
-    w = cyclic_reduce(word)
+    return least_rotation(cyclic_reduce(word))
+
+
+def least_rotation(w) -> tuple[int, ...]:
+    """Lexicographically least rotation of a cyclically reduced word."""
     if not w:
         return ()
     # the least rotation starts at an occurrence of the least letter
@@ -148,18 +153,26 @@ def homotopy_variants(word, genus: int, rng: np.random.Generator, count: int):
 
 @dataclass
 class Representation:
-    """Images of the generators a_1, b_1, .., a_g, b_g in one group."""
+    """Images of the generators a_1, b_1, .., a_g, b_g in one group.
+
+    _letters is the letter table with the batch axis last, (d, d, 4g+1):
+    column 0 is the identity, columns 1..2g the images and 2g+1..4g the
+    inverses, so a letter x > 0 sits at column x and x < 0 at 2g - x.
+    """
 
     spec: G.GroupSpec
     genus: int
     images: list[np.ndarray]
     _inv: list[np.ndarray] = field(default=None, repr=False)
+    _letters: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         if len(self.images) != 2 * self.genus:
             raise WordError("need one image per generator")
         self.images = [np.asarray(m, dtype=complex) for m in self.images]
         self._inv = [np.linalg.inv(m) for m in self.images]
+        eye = np.eye(self.spec.matrix_dim, dtype=complex)
+        self._letters = np.stack([eye, *self.images, *self._inv], axis=-1)
 
     def image(self, letter: int) -> np.ndarray:
         if letter > 0:
@@ -182,32 +195,36 @@ def trace_function(rep: Representation, word) -> float:
 
 
 def trace_functions(rep: Representation, words) -> list[float]:
-    """trace_function of each word, batched over words of equal length.
+    """trace_function of each word, batched over all words at once.
 
-    Letter matrices are stacked once (identity, images, inverses) and
-    each length class runs one stacked matmul per letter position.
+    Words are right-aligned and padded in front with the identity, and
+    each letter position is one elementwise pass over the batch axis of
+    the letter table: new[i, m] = sum_j a[i, j] h[j, m], d multiply-adds
+    over (d, d, N) arrays in place of one small matmul per word.  An
+    overflowing product gives a non-finite trace, not an exception.
     """
     g = rep.genus
-    stack = np.stack([np.eye(rep.spec.matrix_dim, dtype=complex),
-                      *rep.images, *(rep.image(-k) for k in range(1, 2 * g + 1))])
-    by_length: dict[int, list[int]] = {}
-    for pos, word in enumerate(words):
-        by_length.setdefault(len(word), []).append(pos)
-    out = [0.0] * len(words)
-    for length, positions in by_length.items():
-        w = np.array([words[p] for p in positions], dtype=np.intp)
-        bad = w[(w == 0) | (abs(w) > 2 * g)]
-        if bad.size:
-            raise WordError(f"letter {bad[0]} out of range for genus {g}")
-        # stack row of letter x: x for a_k/b_k, 2g - x for inverses
-        rows = np.where(w > 0, w, 2 * g - w)
-        h = np.broadcast_to(stack[0], (len(positions),) + stack[0].shape)
-        for k in range(length):
-            h = stack[rows[:, k]] @ h
-        traces = np.trace(h, axis1=1, axis2=2).real
-        for p, f in zip(positions, traces.tolist()):
-            out[p] = f
-    return out
+    lengths = np.fromiter(map(len, words), dtype=np.intp, count=len(words))
+    flat = np.fromiter(chain.from_iterable(words), dtype=np.intp,
+                       count=int(lengths.sum()))
+    bad = flat[(flat == 0) | (abs(flat) > 2 * g)]
+    if bad.size:
+        raise WordError(f"letter {bad[0]} out of range for genus {g}")
+    n = int(lengths.max(initial=0))
+    # word w fills the last len(w) positions of its column of cols
+    cols = np.zeros((n, len(words)), dtype=np.intp)
+    cols.T[np.arange(n) >= n - lengths[:, None]] = np.where(flat > 0, flat, 2 * g - flat)
+    table = rep._letters
+    d = table.shape[0]
+    h = np.broadcast_to(table[..., :1], (d, d, len(words)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n):
+            a = table[..., cols[k]]
+            new = a[:, :1] * h[:1]
+            for j in range(1, d):
+                new += a[:, j:j + 1] * h[j:j + 1]
+            h = new
+    return np.trace(h).real.tolist()
 
 
 def relator_residual(rep: Representation) -> float:

@@ -300,6 +300,27 @@ def test_dgla_check_file_and_failure(tmp_path):
     assert run_cli("dgla-check").returncode == 2
 
 
+def test_dgla_check_file_and_toy_together_exit_2(tmp_path):
+    import loopbracket.dgla as DG
+    bad = tmp_path / "bad.json"
+    broken = DG.corrupt(DG.minimal_differential_instance(), "d_oe", (0, 0), 0.5)
+    bad.write_text(json.dumps(Z.dgla_to_json(broken)))
+    out = run_cli("dgla-check", str(bad), "--toy", "GL(2,R)")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "not both" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_dumps_refuses_non_finite_output(bad):
+    assert C.dumps({"a": [1.0, 2], "b": True}) == '{"a":[1.0,2],"b":true}'
+    with pytest.raises(C.NonFiniteResult, match="residual"):
+        C.dumps({"trial": 0, "rows": [{"residual": bad}]})
+    with pytest.raises(C.NonFiniteResult):
+        C.dumps([0.5, bad])
+
+
 def test_bracket_out_file_matches_stdout(torus_curves, tmp_path):
     out_path = tmp_path / "sum.json"
     out = run_cli("bracket", torus_curves, "a", "b", "--out", str(out_path))

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import given
+from hypothesis import strategies as st
 
 from loopbracket import bracket as B
 from loopbracket import groups as G
 from loopbracket import polygon as P
+from loopbracket import serialize as Z
 from loopbracket import surface as S
 
 GL2R = G.GroupSpec("GL_R", 2)
@@ -232,10 +235,16 @@ def test_unoriented_matches_poisson_on_form_kinds():
             assert abs(lhs - rhs) < 1e-8 * (1 + abs(lhs))
 
 
+ALL_KINDS = ("GL(2,R)", "GL(2,C)", "O(2,1)", "O(3,C)", "U(1,1)", "Sp(2,R)",
+             "Sp(1,1)", "GL(3,C)")
+
+
 def test_poisson_direct_matches_letter_by_letter_holonomies():
     # shared prefix/suffix products against one S.holonomy per based word
     rng = np.random.default_rng(71)
-    for spec, genus in [(GL2R, 1), (GL2C, 2), (O2, 2), (U2, 3)]:
+    cases = [(GL2R, 1), (GL2C, 2), (O2, 2), (U2, 3)] + [
+        (Z.parse_group_string(group), 1 + k % 3) for k, group in enumerate(ALL_KINDS)]
+    for spec, genus in cases:
         rep = S.sample_representation(spec, genus, rng)
         letters = [k for k in range(-2 * genus, 2 * genus + 1) if k]
         for trial in range(4):
@@ -248,7 +257,77 @@ def test_poisson_direct_matches_letter_by_letter_holonomies():
                 G.variation(spec, S.holonomy(rep, c2.based_word(x.seg_second))))
                 for x in crossings]
             got = B.poisson_direct(rep, w1, w2, seed=seed)
-            assert abs(got - sum(terms)) <= 1e-12 * (1 + sum(map(abs, terms)))
+            assert abs(got - sum(terms)) <= 1e-12 * (1 + sum(map(abs, terms))), spec
+
+
+@st.composite
+def _rotation_pairs(draw):
+    """Cyclically reduced g and l at genus 1-3; l is random, g^-1 (all
+    cancels), g^-1 followed by a tail (g cancels away and leaves a tail
+    that need not be cyclically reduced), or begins with an inverse
+    suffix of g (part cancels)."""
+    genus = draw(st.integers(1, 3))
+    letter = st.integers(-2 * genus, 2 * genus).filter(bool)
+    g = S.cyclic_reduce(draw(st.lists(letter, min_size=1, max_size=12)))
+    tail = draw(st.lists(letter, max_size=8))
+    mode = draw(st.sampled_from(("random", "inverse", "inverse+tail", "suffix")))
+    if mode == "inverse":
+        l = S.inverse_word(g)
+    elif mode == "inverse+tail":
+        l = S.cyclic_reduce(S.inverse_word(g) + tail)
+    elif mode == "suffix":
+        cut = draw(st.integers(0, len(g)))
+        l = S.cyclic_reduce(S.inverse_word(g[cut:]) + tail)
+    else:
+        l = S.cyclic_reduce(tail)
+    return g, l
+
+
+@given(_rotation_pairs())
+def test_junction_reduction_matches_canonical_cyclic(pair):
+    g, l = pair
+    for i in range(len(g)):
+        gi = tuple(g[i:] + g[:i])
+        for j in range(len(l)):
+            lj = tuple(l[j:] + l[:j])
+            assert B._joined_class(gi, lj) == S.canonical_cyclic(gi + lj)
+
+
+def _bracket_by_add(genus, word1, word2, seed, unoriented):
+    # the bracket as one LoopSum.add per term, canonicalising each
+    # joined word from scratch
+    out = B.LoopSum()
+    if not S.cyclic_reduce(word1) or not S.cyclic_reduce(word2):
+        return out
+    c1, c2, crossings = P.realized_pair(genus, word1, word2, seed)
+    for x in crossings:
+        g = c1.based_word(x.seg_first)
+        l = c2.based_word(x.seg_second)
+        if unoriented:
+            out.add(g + l, Fraction(x.sign, 2))
+            out.add(g + S.inverse_word(l), Fraction(-x.sign, 2))
+        else:
+            out.add(g + l, x.sign)
+    return out
+
+
+def test_bracket_matches_term_by_term_assembly():
+    rng = np.random.default_rng(83)
+    for trial in range(1000):
+        genus = 1 + trial % 3
+        letters = [k for k in range(-2 * genus, 2 * genus + 1) if k]
+        w1, w2 = ([int(x) for x in rng.choice(letters, size=int(rng.integers(0, 21)))]
+                  for _ in range(2))
+        if trial % 5 < 2:
+            # a rotation of w1^-1, alone (everything cancels at the two
+            # junctions) or before the random w2 (w1 cancels away)
+            k = int(rng.integers(0, len(w1) + 1))
+            w2 = S.inverse_word(w1[k:] + w1[:k]) + (w2 if trial % 5 else [])
+        seed = int(rng.integers(2 ** 31))
+        for unoriented in (False, True):
+            fn = B.bracket_unoriented if unoriented else B.bracket_oriented
+            want = _bracket_by_add(genus, w1, w2, seed, unoriented)
+            assert fn(genus, w1, w2, seed=seed) == want, (genus, w1, w2, seed)
 
 
 def test_evaluate_rejects_out_of_range_letter():

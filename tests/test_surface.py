@@ -189,6 +189,10 @@ def test_trace_function_class_invariance():
             assert abs(S.trace_function(rep, v) - base) < 1e-8 * (1 + abs(base))
 
 
+KERNEL_GROUPS = ("GL(2,R)", "GL(2,C)", "O(2,1)", "O(3,C)", "U(1,1)", "Sp(2,R)",
+                 "Sp(1,1)", "GL(3,C)")  # d = 2, 3 and 4
+
+
 def test_trace_functions_match_word_by_word():
     rng = np.random.default_rng(39)
     for spec, genus in [(GL2R, 1), (GL2C, 2), (U2, 2)]:
@@ -201,6 +205,24 @@ def test_trace_functions_match_word_by_word():
         want = [S.trace_function(rep, list(w)) for w in words]
         assert got[0] == rep.spec.matrix_dim
         assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
+    # every kind, d = 2, 3 and 4: mixed lengths up to 12, unreduced words
+    # (x x^-1 pairs) and the empty word among others
+    for group in KERNEL_GROUPS:
+        spec = Z.parse_group_string(group)
+        for genus in (1, 2):
+            rep = S.sample_representation(spec, genus, rng)
+            letters = [k for k in range(-2 * genus, 2 * genus + 1) if k]
+            words = [[], [1], (2, -1), [1, -1, 2, -2], []] + [
+                [int(x) for x in rng.choice(letters, size=int(rng.integers(0, 13)))]
+                for _ in range(40)]
+            got = np.array(S.trace_functions(rep, words))
+            want = np.array([S.trace_function(rep, list(w)) for w in words])
+            assert got[0] == got[4] == spec.matrix_dim, group
+            # the roundoff of a trace is relative to the holonomy it sums,
+            # which is far larger than the trace when the diagonal cancels
+            size = np.array([np.linalg.norm(S.holonomy(rep, list(w))) for w in words])
+            assert np.all(abs(got - want) <= 1e-13 * (1 + size)), group
+            assert S.trace_functions(rep, [[], []]) == [spec.matrix_dim] * 2
     assert S.trace_functions(rep, []) == []
     with pytest.raises(S.WordError):
         S.trace_functions(rep, [[1], [1, 2 * genus + 1]])
@@ -208,6 +230,14 @@ def test_trace_functions_match_word_by_word():
         S.trace_functions(rep, [[0]])
     with pytest.raises(S.WordError):
         S.trace_functions(rep, [[2, 1], [-(2 * genus + 1)]])
+
+
+def test_trace_functions_overflow_is_non_finite_not_an_error():
+    # tier-1 turns RuntimeWarning into an error, so a warning would raise
+    rep = S.Representation(GL2R, 1, [np.diag([1e200, 1.0]), np.eye(2)])
+    got = S.trace_functions(rep, [[1, 1], [1], [], [1, -2, 1, 1, 2]])
+    assert np.isinf(got[0]) and not np.isfinite(got[3])
+    assert got[1:3] == [1e200, 2.0]
 
 
 def test_holonomy_of_relator_is_identity():
