@@ -6,16 +6,18 @@ perturbed), verify (randomized invariant batteries), sample-rep
 (random surface-group representation), dgla-check (axiom battery on a
 serialized or built-in instance, never both).
 
-Determinism contract: stdout is a pure function of (command, input
-files, seed).  Reports print floats at 12 significant digits; files
-written via --out keep full double precision.  Exit codes: 0 success
-(verify/dgla-check: all checks passed), 1 check failure (including an
-output of any command that is not finite, which is never printed), 2
-bad input or unknown suite (including a --tol that is not a finite
-float > 0, a --genus below 1, --genus given to a command that reads
-the genus from its input file or to a verify suite that takes none,
-and dgla-check given both a file and --toy), 3 realization failure, 4
-relator residual above tolerance.
+Each subcommand takes only the flags it reads.  Determinism contract:
+stdout is a pure function of (command, input files, seed).  Reports
+print floats at 12 significant digits; files written via --out keep
+full double precision.  Exit codes: 0 success (verify/dgla-check: all
+checks passed), 1 check failure (including an output of any command
+that is not finite, which is never printed, and a stdout closed by its
+reader before the output was written), 2 bad input or unknown suite
+(including a flag the subcommand does not take, a --tol that is not a
+finite float > 0, a --genus or --trials below 1, --genus or --group
+given to a verify suite that does not read it, dgla-check given a file
+together with --toy or --genus, and an --out file that cannot be
+written), 3 realization failure, 4 relator residual above tolerance.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -84,8 +87,11 @@ def _load_json(path: str):
 
 def _write_out(path, text: str):
     if path:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(path, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as err:
+            raise Z.SchemaError(f"cannot write {path}: {err}") from err
 
 
 def cmd_bracket(args) -> int:
@@ -96,8 +102,8 @@ def cmd_bracket(args) -> int:
     fn = bracket_unoriented if args.unoriented else bracket_oriented
     ls = fn(genus, curves[args.first], curves[args.second], seed=args.seed)
     text = dumps(Z.loopsum_to_json(ls))
-    print(text)
     _write_out(args.out, text)
+    print(text)
     return 0
 
 
@@ -106,10 +112,10 @@ def cmd_holonomy(args) -> int:
     rep = Z.rep_from_json(_load_json(args.input))
     word = S.parse_word(args.word)
     S.check_word(word, rep.genus)
-    tol = args.tol if args.tol is not None else TAU_REP
     resid = S.relator_residual(rep)
-    if not resid <= tol:  # a NaN residual fails too
-        raise S.RelatorError(f"relator residual {resid:.3e} exceeds {tol:.3e}")
+    if not resid <= args.tol:  # a NaN residual fails too
+        raise S.RelatorError(
+            f"relator residual {resid:.3e} exceeds {args.tol:.3e}")
     hol = S.holonomy(rep, word)
     out = {"word": S.format_word(word),
            "trace": G.invariant_f(rep.spec, hol),
@@ -127,8 +133,8 @@ def cmd_holonomy(args) -> int:
             "rk4_delta": float(np.linalg.norm(res.value - rk4)),
         })
     text = dumps(out)
-    print(text)
     _write_out(args.out, dumps_full(out))
+    print(text)
     return 0
 
 
@@ -136,24 +142,21 @@ def cmd_verify(args) -> int:
     records, summary = V.run_suite(args.suite, args.seed, args.trials,
                                    args.genus, args.group, args.tol)
     lines = [dumps(r) for r in records] + [dumps(summary)]
-    print("\n".join(lines))
     if args.out:
         full = [dumps_full(r) for r in records] + [dumps_full(summary)]
         _write_out(args.out, "\n".join(full))
+    print("\n".join(lines))
     return 0 if summary["pass"] else 1
 
 
 def cmd_sample_rep(args) -> int:
-    if not args.group:
-        raise Z.SchemaError("sample-rep needs --group")
     spec = Z.parse_group_string(args.group)
-    genus = args.genus if args.genus is not None else 1
     rng = np.random.default_rng([args.seed, 0])
-    tol = args.tol if args.tol is not None else 1e-12
-    rep = S.sample_representation(spec, genus, rng, tol=tol)
+    rep = S.sample_representation(spec, args.genus, rng, tol=args.tol)
     obj = Z.rep_to_json(rep)
-    print(dumps(obj))
+    text = dumps(obj)
     _write_out(args.out, dumps_full(obj))
+    print(text)
     return 0
 
 
@@ -166,27 +169,26 @@ def cmd_dgla_check(args) -> int:
         inst = Z.dgla_from_json(_load_json(args.input))
     else:
         raise Z.SchemaError("dgla-check needs a DGLA file or --toy GROUP")
-    tol = args.tol if args.tol is not None else 1e-12
     report = DG.axioms_residual(inst)
-    ok = DG.axioms_pass(report, tol=tol)
+    ok = DG.axioms_pass(report, tol=args.tol)
     d0, d1 = inst.dims
-    out = {"dims": [d0, d1], "tol": tol, "axioms": report, "pass": ok}
+    out = {"dims": [d0, d1], "tol": args.tol, "axioms": report, "pass": ok}
     text = dumps(out)
-    print(text)
     _write_out(args.out, dumps_full(out))
+    print(text)
     return 0 if ok else 1
 
 
 def _count(text: str) -> int:
-    """argparse type for --seed and --trials: an integer >= 0."""
+    """argparse type for --seed: an integer >= 0."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
 
 
-def _genus(text: str) -> int:
-    """argparse type for --genus: an integer >= 1."""
+def _positive(text: str) -> int:
+    """argparse type for --genus and --trials: an integer >= 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
@@ -201,66 +203,76 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=_count, default=0)
-    common.add_argument("--tol", type=_tolerance, default=None)
-    common.add_argument("--genus", type=_genus, default=None)
-    common.add_argument("--group", default=None)
-    common.add_argument("--out", default=None)
+_OPTIONS = {"--seed": {"type": _count, "default": 0},
+            "--tol": {"type": _tolerance}, "--genus": {"type": _positive},
+            "--trials": {"type": _positive}, "--group": {}, "--out": {}}
 
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="loopbracket")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("bracket", parents=[common],
-                       help="bracket of two named curves from a curve file")
+    def command(name, fn, options, help, **defaults):
+        """A subparser that takes exactly the _OPTIONS named in `options`."""
+        p = sub.add_parser(name, help=help)
+        for flag in options.split():
+            p.add_argument(flag, **_OPTIONS[flag])
+        p.set_defaults(fn=fn, **defaults)
+        return p
+
+    p = command("bracket", cmd_bracket, "--seed --out",
+                "bracket of two named curves from a curve file")
     p.add_argument("input", help="curves JSON file, or - for stdin")
     p.add_argument("first")
     p.add_argument("second")
     p.add_argument("--unoriented", action="store_true")
-    p.set_defaults(fn=cmd_bracket)
 
-    p = sub.add_parser("holonomy", parents=[common],
-                       help="holonomy and trace of a word under a representation")
+    p = command("holonomy", cmd_holonomy, "--tol --out",
+                "holonomy and trace of a word under a representation",
+                tol=TAU_REP)
     p.add_argument("input", help="representation JSON file, or - for stdin")
     p.add_argument("word", help="curve word, e.g. 'a1 b1' (may be empty)")
     p.add_argument("--perturbation", default=None,
                    help="JSON file of per-generator perturbation matrices")
-    p.set_defaults(fn=cmd_holonomy)
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="run an invariant battery, one JSON line per trial")
-    p.add_argument("suite", choices=V.SUITE_NAMES)
-    p.add_argument("--trials", type=_count, default=None)
-    p.set_defaults(fn=cmd_verify)
+    p = command("verify", cmd_verify,
+                "--seed --tol --genus --group --trials --out",
+                "run an invariant battery, one JSON line per trial")
+    p.add_argument("suite", choices=V.SUITES)
 
-    p = sub.add_parser("sample-rep", parents=[common],
-                       help="sample a surface-group representation")
-    p.set_defaults(fn=cmd_sample_rep)
+    p = command("sample-rep", cmd_sample_rep, "--seed --tol --genus --out",
+                "sample a surface-group representation", genus=1, tol=1e-12)
+    p.add_argument("--group", required=True)
 
-    p = sub.add_parser("dgla-check", parents=[common],
-                       help="axiom battery on a DGLA instance")
+    p = command("dgla-check", cmd_dgla_check, "--tol --genus --out",
+                "axiom battery on a DGLA instance", tol=1e-12)
     p.add_argument("input", nargs="?", default=None,
                    help="DGLA JSON file (omit when using --toy)")
     p.add_argument("--toy", default=None,
                    help="built-in instance for this group, e.g. GL(2,R)")
-    p.set_defaults(fn=cmd_dgla_check)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # bracket, holonomy and dgla-check FILE read the genus from the file
-    if args.genus is not None and (
-            args.command in ("bracket", "holonomy")
-            or args.command == "dgla-check" and not args.toy
-            or args.command == "verify" and args.suite in V.GENUS_FREE_SUITES):
-        parser.error(f"{args.command} takes no --genus with these arguments")
-    if args.command == "dgla-check" and args.toy and args.input:
-        parser.error("dgla-check takes a DGLA file or --toy GROUP, not both")
+    if args.command == "verify":
+        for option in ("genus", "group"):
+            if (getattr(args, option) is not None
+                    and not V.SUITES[args.suite].reads(option)):
+                parser.error(f"verify {args.suite} takes no --{option}")
+    # dgla-check FILE reads the genus from the file
+    if args.command == "dgla-check" and args.input and (
+            args.toy or args.genus is not None):
+        parser.error("dgla-check takes a DGLA file or --toy GROUP [--genus G],"
+                     " not both")
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:  # stdout's reader left; silence the exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (Z.SchemaError, S.WordError, DG.DglaError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -65,6 +65,8 @@ class GroupSpec:
             raise GroupError(f"{self.kind} takes no signature")
         if self.kind == "Sp_R" and self.n % 2:
             raise GroupError("Sp_R needs even n")
+        if self.kind in ("O_pq", "O_C") and self.n < 2:
+            raise GroupError(f"{self.kind} needs n >= 2: its algebra is 0")
 
     @property
     def matrix_dim(self) -> int:

@@ -1,8 +1,8 @@
 """Verification suites: randomized invariant batteries with fixed seeds.
 
 Each suite maps (seed, trial index, options) to one plain-dict record,
-so trials can be computed independently, in any order or in parallel,
-and reassembled deterministically: the per-trial generator is
+so trials can be computed independently, in any order, and reassembled
+deterministically: the per-trial generator is
 np.random.default_rng([seed, index]) and nothing else is stateful.
 
 Suites: goldman-gl and goldman-unoriented compare the combinatorial
@@ -18,7 +18,10 @@ finite differences and the generic projection route.
 
 from __future__ import annotations
 
+import inspect
+from functools import partial
 from math import factorial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,21 +32,10 @@ from . import serialize as Z
 from . import surface as S
 from . import transport as T
 
-SUITE_NAMES = ("goldman-gl", "goldman-unoriented", "jacobi", "chen",
-               "dgla", "variation")
-GENUS_FREE_SUITES = ("chen", "variation")  # their trials take no genus
-
-_DEFAULT_TRIALS = {"goldman-gl": 50, "goldman-unoriented": 50, "jacobi": 30,
-                   "chen": 26, "dgla": 8, "variation": 700}
-
 _GL_GROUPS = ("GL(2,R)", "GL(2,C)")
 _FORM_GROUPS = ("O(2)", "O(1,1)", "U(2)", "Sp(2,R)")
 _VARIATION_GROUPS = ("GL(2,R)", "GL(2,C)", "O(2,1)", "O(2,C)", "U(1,1)",
                      "Sp(2,R)", "Sp(1,1)")
-
-
-def default_trials(suite: str) -> int:
-    return _DEFAULT_TRIALS[suite]
 
 
 def random_reduced_word(rng: np.random.Generator, genus: int,
@@ -58,17 +50,13 @@ def random_reduced_word(rng: np.random.Generator, genus: int,
             return word
 
 
-def _spec_for(group: str) -> G.GroupSpec:
-    return Z.parse_group_string(group)
-
-
-def _goldman_record(seed: int, idx: int, genus, group, tol: float,
-                    unoriented: bool) -> dict:
+def _goldman_record(seed: int, idx: int, *, tol: float, unoriented: bool,
+                    genus=None, group=None) -> dict:
     rng = np.random.default_rng([seed, idx])
     groups = _FORM_GROUPS if unoriented else _GL_GROUPS
     gname = group if group else groups[idx % len(groups)]
     g = genus if genus is not None else 1 + (idx // len(groups)) % 2
-    spec = _spec_for(gname)
+    spec = Z.parse_group_string(gname)
     rep = S.sample_representation(spec, g, rng)
     w1 = random_reduced_word(rng, g)
     w2 = random_reduced_word(rng, g)
@@ -86,18 +74,8 @@ def _goldman_record(seed: int, idx: int, genus, group, tol: float,
             "relative": rel, "pass": bool(rel <= tol)}
 
 
-def goldman_gl_trial(seed: int, idx: int, genus=None, group=None,
-                     tol: float = 1e-8) -> dict:
-    return _goldman_record(seed, idx, genus, group, tol, unoriented=False)
-
-
-def goldman_unoriented_trial(seed: int, idx: int, genus=None, group=None,
-                             tol: float = 1e-8) -> dict:
-    return _goldman_record(seed, idx, genus, group, tol, unoriented=True)
-
-
-def jacobi_trial(seed: int, idx: int, genus=None, group=None,
-                 tol: float = 1e-8) -> dict:
+def jacobi_trial(seed: int, idx: int, *, tol: float, genus=None,
+                 group=None) -> dict:
     rng = np.random.default_rng([seed, idx])
     unoriented = bool(idx % 2)
     if group:
@@ -106,7 +84,7 @@ def jacobi_trial(seed: int, idx: int, genus=None, group=None,
         gname = ("U(2)" if unoriented else "GL(2,R)") if idx % 4 < 2 \
             else ("O(1,1)" if unoriented else "GL(2,C)")
     g = genus if genus is not None else 1 + (idx // 4) % 2
-    spec = _spec_for(gname)
+    spec = Z.parse_group_string(gname)
     rep = S.sample_representation(spec, g, rng)
     words = [random_reduced_word(rng, g, max_len=3) for _ in range(3)]
     sums = [B.LoopSum([(w, 1)]) for w in words]
@@ -161,7 +139,7 @@ def _chen_ratio_path(rng: np.random.Generator) -> T.MatrixPath:
 
 
 def _word_rep_pert(rng, scale):
-    spec = _spec_for("U(2)" if rng.integers(2) else "GL(2,R)")
+    spec = Z.parse_group_string("U(2)" if rng.integers(2) else "GL(2,R)")
     g = 2
     rep = S.sample_representation(spec, g, rng)
     pert = {k + 1: scale * G.random_algebra_element(spec, rng)
@@ -169,8 +147,7 @@ def _word_rep_pert(rng, scale):
     return rep, pert
 
 
-def chen_trial(seed: int, idx: int, genus=None, group=None,
-               tol: float = 1e-7) -> dict:
+def chen_trial(seed: int, idx: int, *, tol: float) -> dict:
     rng = np.random.default_rng([seed, idx])
     rec = {"trial": idx}
     if idx == 0:
@@ -249,8 +226,8 @@ _DGLA_CONFIGS = ((1, "GL(2,R)"), (1, "U(2)"), (2, "GL(2,R)"), (1, "Sp(2,R)"),
                  (1, "GL(2,C)"), (2, "U(2)"), (1, "O(1,1)"), (1, "minimal"))
 
 
-def dgla_trial(seed: int, idx: int, genus=None, group=None,
-               tol: float = 1e-12) -> dict:
+def dgla_trial(seed: int, idx: int, *, tol: float, genus=None,
+               group=None) -> dict:
     rng = np.random.default_rng([seed, idx])
     g, gname = _DGLA_CONFIGS[idx % len(_DGLA_CONFIGS)]
     if genus is not None:
@@ -260,7 +237,7 @@ def dgla_trial(seed: int, idx: int, genus=None, group=None,
     if gname == "minimal":
         inst = DG.minimal_differential_instance()
     else:
-        inst = DG.surface_toy_instance(g, _spec_for(gname))
+        inst = DG.surface_toy_instance(g, Z.parse_group_string(gname))
     report = DG.axioms_residual(inst)
     axioms_ok = DG.axioms_pass(report, tol=tol)
     d0, d1 = inst.dims
@@ -303,11 +280,10 @@ def dgla_trial(seed: int, idx: int, genus=None, group=None,
             "tangency": tangency, "xi_homomorphism": xi_hom, "pass": ok}
 
 
-def variation_trial(seed: int, idx: int, genus=None, group=None,
-                    tol: float = 1e-5) -> dict:
+def variation_trial(seed: int, idx: int, *, tol: float, group=None) -> dict:
     rng = np.random.default_rng([seed, idx])
     gname = group if group else _VARIATION_GROUPS[idx % len(_VARIATION_GROUPS)]
-    spec = _spec_for(gname)
+    spec = Z.parse_group_string(gname)
     g = G.random_element(spec, rng)
     x = G.random_algebra_element(spec, rng)
     h = 1e-4
@@ -349,33 +325,42 @@ def variation_trial(seed: int, idx: int, genus=None, group=None,
     return rec
 
 
-_TRIAL_FNS = {
-    "goldman-gl": goldman_gl_trial,
-    "goldman-unoriented": goldman_unoriented_trial,
-    "jacobi": jacobi_trial,
-    "chen": chen_trial,
-    "dgla": dgla_trial,
-    "variation": variation_trial,
-}
+class Suite(NamedTuple):
+    """A trial function with its default trial count and tol.  The keyword
+    parameters of the trial function are the options the suite reads."""
+    trial: Callable[..., dict]
+    trials: int
+    tol: float
 
-_DEFAULT_TOLS = {"goldman-gl": 1e-8, "goldman-unoriented": 1e-8,
-                 "jacobi": 1e-8, "chen": 1e-7, "dgla": 1e-12,
-                 "variation": 1e-5}
+    def reads(self, option: str) -> bool:
+        """Whether the trial function takes `option` ("genus", "group")."""
+        return option in inspect.signature(self.trial).parameters
+
+
+SUITES = {
+    "goldman-gl": Suite(partial(_goldman_record, unoriented=False), 50, 1e-8),
+    "goldman-unoriented": Suite(partial(_goldman_record, unoriented=True),
+                                50, 1e-8),
+    "jacobi": Suite(jacobi_trial, 30, 1e-8),
+    "chen": Suite(chen_trial, 26, 1e-7),
+    "dgla": Suite(dgla_trial, 8, 1e-12),
+    "variation": Suite(variation_trial, 700, 1e-5),
+}
 
 
 def run_trial(suite: str, seed: int, idx: int, genus=None, group=None,
               tol=None) -> dict:
-    fn = _TRIAL_FNS[suite]
-    return fn(seed, idx, genus=genus, group=group,
-              tol=tol if tol is not None else _DEFAULT_TOLS[suite])
+    """One record; an option the suite does not read raises TypeError."""
+    spec = SUITES[suite]
+    given = {k: v for k, v in (("genus", genus), ("group", group))
+             if v is not None}
+    return spec.trial(seed, idx, tol=spec.tol if tol is None else tol, **given)
 
 
 def run_suite(suite: str, seed: int, trials=None, genus=None, group=None,
               tol=None) -> tuple[list[dict], dict]:
     """All records plus a summary; the CLI prints both as JSON lines."""
-    if suite not in _TRIAL_FNS:
-        raise ValueError(f"unknown suite {suite!r}")
-    n = trials if trials else default_trials(suite)
+    n = SUITES[suite].trials if trials is None else trials
     records = [run_trial(suite, seed, i, genus=genus, group=group, tol=tol)
                for i in range(n)]
     return records, summarize(suite, seed, records)

@@ -1,14 +1,20 @@
+import contextlib
+import io
 import json
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import loopbracket.cli as C
 import loopbracket.groups as G
 import loopbracket.serialize as Z
 import loopbracket.surface as S
+import loopbracket.verify as V
 
 
 def run_cli(*args, **kw):
@@ -144,6 +150,8 @@ def test_unknown_suite_exits_2():
     ["verify", "variation", "--seed", "-1"],
     ["verify", "variation", "--trials", "-5"],
     ["verify", "variation", "--trials", "x"],
+    # once ran the suite's default 8 trials
+    ["verify", "dgla", "--trials", "0"],
 ])
 def test_negative_seed_or_trials_exits_2(torus_curves, argv):
     out = run_cli(*[torus_curves if a == "CURVES" else a for a in argv])
@@ -208,6 +216,53 @@ def test_genus_from_input_file_rejects_genus_flag(argv, torus_curves, diag_rep,
     assert code == 2
     assert out.out == ""
     assert "usage:" in out.err and "--genus" in out.err
+
+
+@pytest.mark.parametrize("argv", [
+    # each was once accepted, ignored, and exited 0
+    ["bracket", "CURVES", "a", "b", "--tol", "1e-3"],
+    ["bracket", "CURVES", "a", "b", "--group", "GL(2,R)"],
+    ["holonomy", "REP", "a1", "--seed", "4"],
+    ["holonomy", "REP", "a1", "--group", "U(2)"],
+    ["dgla-check", "--toy", "GL(2,R)", "--seed", "4"],
+    ["dgla-check", "--toy", "GL(2,R)", "--group", "U(2)"],
+    ["verify", "chen", "--trials", "1", "--group", "GL(2,R)"],
+])
+def test_flag_the_command_does_not_read_exits_2(argv, torus_curves, diag_rep,
+                                                capsys):
+    files = {"CURVES": torus_curves, "REP": diag_rep}
+    code, out = _parse_exit([files.get(a, a) for a in argv], capsys)
+    assert code == 2
+    assert out.out == ""
+    assert "usage:" in out.err
+
+
+def test_verify_suite_takes_the_options_its_trials_read(capsys):
+    for argv in (["verify", "chen", "--trials", "1", "--group", "U(2)"],
+                 ["verify", "variation", "--trials", "1", "--genus", "1"]):
+        code, out = _parse_exit(argv, capsys)
+        assert code == 2 and out.out == "" and "takes no" in out.err
+    for argv in (["verify", "dgla", "--trials", "1", "--genus", "1",
+                  "--group", "GL(2,R)"],
+                 ["verify", "variation", "--trials", "7", "--group", "O(2,1)"]):
+        assert C.main(argv) == 0
+        records = [json.loads(line) for line in
+                   capsys.readouterr().out.splitlines()]
+        assert all(r["group"] == argv[-1] for r in records[:-1])
+        assert records[-1]["pass"] is True
+
+
+def test_closed_stdout_pipe_exits_1_without_traceback():
+    # over 64 KB of stdout: the write fails once the reader has gone
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "loopbracket.cli", "verify", "variation",
+         "--trials", "700"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert json.loads(proc.stdout.readline())["trial"] == 0
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 def test_bad_tol_exits_2_without_traceback():
@@ -321,6 +376,21 @@ def test_dumps_refuses_non_finite_output(bad):
         C.dumps([0.5, bad])
 
 
+@pytest.mark.parametrize("argv", [
+    ["bracket", "CURVES", "a", "b"],
+    ["verify", "chen", "--trials", "1"],
+    ["dgla-check", "--toy", "GL(2,R)"],
+])
+def test_unwritable_out_exits_2_before_stdout(argv, torus_curves, tmp_path,
+                                              capsys):
+    # a directory as --out once ended in an IsADirectoryError traceback
+    argv = [torus_curves if a == "CURVES" else a for a in argv]
+    assert C.main(argv + ["--out", str(tmp_path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "cannot write" in out.err
+
+
 def test_bracket_out_file_matches_stdout(torus_curves, tmp_path):
     out_path = tmp_path / "sum.json"
     out = run_cli("bracket", torus_curves, "a", "b", "--out", str(out_path))
@@ -356,3 +426,94 @@ def test_cli_runs_without_scipy(torus_curves, diag_rep):
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+# The flags each subcommand reads, written out here rather than taken
+# from the parser; a verify suite or dgla-check FILE reads fewer.
+_READS = {"bracket": {"--seed", "--out", "--unoriented"},
+          "holonomy": {"--tol", "--out", "--perturbation"},
+          "verify": {"--seed", "--tol", "--genus", "--group", "--trials",
+                     "--out"},
+          "sample-rep": {"--seed", "--tol", "--genus", "--group", "--out"},
+          "dgla-check": {"--tol", "--genus", "--toy", "--out"}}
+_UNREAD = {"chen": {"--genus", "--group"}, "variation": {"--genus"},
+           "DGLA": {"--genus", "--toy"}}
+# (values inside, values outside) each flag's range; None is a bare switch
+_VALUES = {"--seed": (["0", "3"], ["-1", "x"]),
+           "--tol": (["1e-12", "1e-6", "0.5"], ["0", "-1", "nan", "inf", "x"]),
+           "--genus": (["1"], ["0", "-2", "x"]),
+           "--group": (["GL(2,R)", "U(2)", "O(2,1)"], ["O(1)", "GL(0,R)", "x"]),
+           "--trials": (["1"], ["0", "-1", "x"]),
+           "--toy": (["GL(2,R)", "Sp(1,1)"], ["O(1,C)", "x"]),
+           "--out": (["OUT"], ["DIR"]),
+           "--perturbation": (["PERT"], ["MISSING"]),
+           "--unoriented": ([None], [])}
+
+
+def _value(flag):
+    """Inside or outside the range with even odds."""
+    return st.one_of(*(st.sampled_from(v) for v in _VALUES[flag] if v))
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory, torus_curves, diag_rep):
+    import loopbracket.dgla as DG
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "pert.json").write_text(json.dumps(
+        {"a1": Z.matrix_to_json(0.01 * np.array([[0.0, 1.0], [1.0, 0.0]]))}))
+    (root / "dgla.json").write_text(json.dumps(
+        Z.dgla_to_json(DG.minimal_differential_instance())))
+    return {"CURVES": torus_curves, "REP": diag_rep, "OUT": str(root / "out"),
+            "DIR": str(root), "PERT": str(root / "pert.json"),
+            "DGLA": str(root / "dgla.json"),
+            "MISSING": str(root / "missing.json")}
+
+
+@st.composite
+def _invocations(draw):
+    """(argv with placeholders, flags the command does not read)."""
+    command = draw(st.sampled_from(sorted(_READS)))
+    reads = set(_READS[command])
+    if command == "bracket":
+        head = ["CURVES", "a", draw(st.sampled_from(["b", "nope"]))]
+    elif command == "holonomy":
+        head = ["REP", draw(st.sampled_from(["a1 b1", "", "a3"]))]
+    elif command == "verify":
+        suite = draw(st.sampled_from(sorted(V.SUITES) + ["nope"]))
+        # a suite's default trial count would cost seconds per example
+        head = [suite, "--trials", draw(_value("--trials"))]
+        reads -= _UNREAD.get(suite, set())
+    elif command == "dgla-check":
+        head = draw(st.sampled_from([[], ["DGLA"], ["MISSING"]]))
+        reads -= _UNREAD["DGLA"] if head == ["DGLA"] else set()
+    else:
+        head = []
+    free = set(_VALUES) - set(head)
+    flags = (draw(st.sets(st.sampled_from(sorted(free & reads)), max_size=3))
+             | draw(st.sets(st.sampled_from(sorted(free - reads)),
+                            max_size=1)))
+    argv = [command, *head]
+    for flag in sorted(flags):
+        value = draw(_value(flag))
+        argv += [flag] if value is None else [flag, value]
+    return argv, flags - reads
+
+
+@settings(max_examples=400, deadline=None)
+@given(_invocations())
+def test_cli_fuzz_ends_in_a_documented_exit_code(fuzz_files, invocation):
+    template, unread = invocation
+    argv = [fuzz_files.get(a, a) for a in template]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = C.main(argv)
+        except SystemExit as stop:
+            code = stop.code
+    assert code in range(5), (template, code)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert not re.search(r"(?i)\b(nan|inf|infinity)\b", out.getvalue())
+    if unread:
+        assert code == 2, (template, unread)
+        assert out.getvalue() == "" and "usage:" in err.getvalue()

@@ -62,6 +62,8 @@ def test_group_string_table(text, spec):
 @pytest.mark.parametrize("text", [
     "GL(2)", "GL(2,Q)", "U(2,R)", "U(2,C)", "Sp(2)", "Sp(2,C)",
     "SO(3)", "O()", "O(2,R)", "GL(2,R) junk", "", "Sp(1,R)",
+    # finite groups: no Lie algebra to sample from
+    "O(1)", "O(0,1)", "O(1,C)",
 ])
 def test_parse_group_string_rejects(text):
     with pytest.raises(Z.SchemaError):
