@@ -15,9 +15,12 @@ that is not finite, which is never printed, and a stdout closed by its
 reader before the output was written), 2 bad input or unknown suite
 (including a flag the subcommand does not take, a --tol that is not a
 finite float > 0, a --genus or --trials below 1, --genus or --group
-given to a verify suite that does not read it, dgla-check given a file
+given to a verify suite that does not read it, a --group whose kind a
+goldman verify suite's bracket does not model, dgla-check given a file
 together with --toy or --genus, and an --out file that cannot be
-written), 3 realization failure, 4 relator residual above tolerance.
+written), 3 no representation found within the sampler's tries, 4
+relator residual above tolerance.  Every pair of valid curves realizes,
+so bracket exits 0 or 2.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ import numpy as np
 
 from . import dgla as DG
 from . import groups as G
-from . import polygon as P
 from . import serialize as Z
 from . import surface as S
 from . import transport as T
@@ -94,6 +96,14 @@ def _write_out(path, text: str):
             raise Z.SchemaError(f"cannot write {path}: {err}") from err
 
 
+def _emit(args, obj):
+    """Print the report of obj, after writing it at full precision to
+    --out; a non-finite output raises before either is written."""
+    text = dumps(obj)
+    _write_out(args.out, dumps_full(obj))
+    print(text)
+
+
 def cmd_bracket(args) -> int:
     genus, curves = Z.curves_from_json(_load_json(args.input))
     for name in (args.first, args.second):
@@ -101,9 +111,7 @@ def cmd_bracket(args) -> int:
             raise Z.SchemaError(f"no curve named {name!r} in {args.input}")
     fn = bracket_unoriented if args.unoriented else bracket_oriented
     ls = fn(genus, curves[args.first], curves[args.second], seed=args.seed)
-    text = dumps(Z.loopsum_to_json(ls))
-    _write_out(args.out, text)
-    print(text)
+    _emit(args, Z.loopsum_to_json(ls))
     return 0
 
 
@@ -132,9 +140,7 @@ def cmd_holonomy(args) -> int:
             "remainder_bound": res.remainder_bound,
             "rk4_delta": float(np.linalg.norm(res.value - rk4)),
         })
-    text = dumps(out)
-    _write_out(args.out, dumps_full(out))
-    print(text)
+    _emit(args, out)
     return 0
 
 
@@ -153,10 +159,7 @@ def cmd_sample_rep(args) -> int:
     spec = Z.parse_group_string(args.group)
     rng = np.random.default_rng([args.seed, 0])
     rep = S.sample_representation(spec, args.genus, rng, tol=args.tol)
-    obj = Z.rep_to_json(rep)
-    text = dumps(obj)
-    _write_out(args.out, dumps_full(obj))
-    print(text)
+    _emit(args, Z.rep_to_json(rep))
     return 0
 
 
@@ -172,10 +175,8 @@ def cmd_dgla_check(args) -> int:
     report = DG.axioms_residual(inst)
     ok = DG.axioms_pass(report, tol=args.tol)
     d0, d1 = inst.dims
-    out = {"dims": [d0, d1], "tol": args.tol, "axioms": report, "pass": ok}
-    text = dumps(out)
-    _write_out(args.out, dumps_full(out))
-    print(text)
+    _emit(args, {"dims": [d0, d1], "tol": args.tol, "axioms": report,
+                 "pass": ok})
     return 0 if ok else 1
 
 
@@ -276,9 +277,6 @@ def main(argv=None) -> int:
     except (Z.SchemaError, S.WordError, DG.DglaError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except P.RealizationError as err:
-        print(f"realization failure: {err}", file=sys.stderr)
-        return 3
     except S.RelatorError as err:
         print(f"relator failure: {err}", file=sys.stderr)
         return 4 if args.command == "holonomy" else 3

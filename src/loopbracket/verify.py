@@ -57,6 +57,9 @@ def _goldman_record(seed: int, idx: int, *, tol: float, unoriented: bool,
     gname = group if group else groups[idx % len(groups)]
     g = genus if genus is not None else 1 + (idx // len(groups)) % 2
     spec = Z.parse_group_string(gname)
+    if (spec.kind in ("GL_R", "GL_C")) == unoriented:
+        models = "form" if unoriented else "GL"
+        raise Z.SchemaError(f"this bracket models {models} kinds, not {gname}")
     rep = S.sample_representation(spec, g, rng)
     w1 = random_reduced_word(rng, g)
     w2 = random_reduced_word(rng, g)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import loopbracket.bracket as B
 import loopbracket.cli as C
 import loopbracket.groups as G
 import loopbracket.serialize as Z
@@ -138,6 +139,29 @@ def test_schema_violations_exit_2(torus_curves, tmp_path):
     notjson = tmp_path / "notjson.json"
     notjson.write_text("{")
     assert run_cli("bracket", str(notjson), "a", "b").returncode == 2
+
+
+@pytest.mark.parametrize("argv", [
+    # each once failed trials with exit 1: a kind the suite's bracket does
+    # not model read as a failed bracket, not as bad input
+    ["verify", "goldman-gl", "--trials", "4", "--group", "O(2,1)"],
+    ["verify", "goldman-unoriented", "--trials", "4", "--group", "GL(2,R)"],
+])
+def test_goldman_suite_rejects_a_kind_its_bracket_does_not_model(argv, capsys):
+    assert C.main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "models" in out.err
+
+
+def test_bracket_of_long_torus_word(tmp_path, capsys):
+    # once exited 3 ("realization failure") at every seed
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(
+        {"genus": 1, "curves": {"u": "a1 " * 300, "v": "b1"}}))
+    assert C.main(["bracket", str(path), "u", "v"]) == 0
+    want = C.dumps(Z.loopsum_to_json(B.torus_closed_form(300, 0, 0, 1)))
+    assert capsys.readouterr().out == want + "\n"
 
 
 def test_unknown_suite_exits_2():
@@ -465,16 +489,38 @@ def fuzz_files(tmp_path_factory, torus_curves, diag_rep):
         Z.dgla_to_json(DG.minimal_differential_instance())))
     return {"CURVES": torus_curves, "REP": diag_rep, "OUT": str(root / "out"),
             "DIR": str(root), "PERT": str(root / "pert.json"),
-            "DGLA": str(root / "dgla.json"),
+            "DGLA": str(root / "dgla.json"), "GEN": str(root / "gen.json"),
             "MISSING": str(root / "missing.json")}
 
 
 @st.composite
+def _curve_files(draw):
+    """A curve file of two words of at most 24 letters at genus 1-3; one
+    file in two carries an out-of-range letter or a malformed token."""
+    genus = draw(st.integers(1, 3))
+    letters = st.sampled_from([f"{c}{k}" for c in "abAB"
+                               for k in range(1, genus + 1)])
+    words = [draw(st.lists(letters, max_size=24)) for _ in range(2)]
+    if draw(st.booleans()):
+        bad = draw(st.sampled_from([f"a{genus + 1}", f"B{genus + 2}", "a0",
+                                    "c1", "a", "1", "ab1", "a-1", "b1.5"]))
+        word = draw(st.sampled_from(words))
+        word.insert(draw(st.integers(0, len(word))), bad)
+    return {"genus": genus, "curves": {"u": " ".join(words[0]),
+                                       "v": " ".join(words[1])}}
+
+
+@st.composite
 def _invocations(draw):
-    """(argv with placeholders, flags the command does not read)."""
+    """(argv with placeholders, flags the command does not read, the
+    contents of the generated curve file GEN or None)."""
     command = draw(st.sampled_from(sorted(_READS)))
     reads = set(_READS[command])
-    if command == "bracket":
+    curves = None
+    if command == "bracket" and draw(st.booleans()):
+        curves = draw(_curve_files())
+        head = ["GEN", "u", "v"]
+    elif command == "bracket":
         head = ["CURVES", "a", draw(st.sampled_from(["b", "nope"]))]
     elif command == "holonomy":
         head = ["REP", draw(st.sampled_from(["a1 b1", "", "a3"]))]
@@ -496,13 +542,16 @@ def _invocations(draw):
     for flag in sorted(flags):
         value = draw(_value(flag))
         argv += [flag] if value is None else [flag, value]
-    return argv, flags - reads
+    return argv, flags - reads, curves
 
 
 @settings(max_examples=400, deadline=None)
 @given(_invocations())
 def test_cli_fuzz_ends_in_a_documented_exit_code(fuzz_files, invocation):
-    template, unread = invocation
+    template, unread, curves = invocation
+    if curves is not None:
+        with open(fuzz_files["GEN"], "w") as fh:
+            json.dump(curves, fh)
     argv = [fuzz_files.get(a, a) for a in template]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -511,6 +560,8 @@ def test_cli_fuzz_ends_in_a_documented_exit_code(fuzz_files, invocation):
         except SystemExit as stop:
             code = stop.code
     assert code in range(5), (template, code)
+    if template[0] == "bracket":  # every pair of valid curves realizes
+        assert code in (0, 2), (template, curves, code)
     assert "Traceback" not in err.getvalue()
     if code == 0:
         assert not re.search(r"(?i)\b(nan|inf|infinity)\b", out.getvalue())

@@ -17,12 +17,13 @@ U2 = G.GroupSpec("U_pq", 2, 2, 0)
 
 
 def test_side_pairing_table():
-    # partners come in (4k, 4k+2), (4k+1, 4k+3) pairs
-    for side in range(8):
-        assert P.partner_side(P.partner_side(side)) == side
-    assert P.partner_side(0) == 2
-    assert P.partner_side(1) == 3
-    assert P.partner_side(5) == 7
+    # the side a chord re-enters after letter x is the exit side of x^-1:
+    # glued sides come in (4k, 4k+2), (4k+1, 4k+3) pairs
+    for genus in range(1, 6):
+        for letter in [x for k in range(1, 2 * genus + 1) for x in (k, -k)]:
+            side = P.exit_side_for_letter(genus, letter)
+            back = P.exit_side_for_letter(genus, -letter)
+            assert side // 4 == back // 4 and abs(side - back) == 2
     # letter <-> side tables invert each other, genus 1 and 2
     for genus in (1, 2):
         for letter in [x for k in range(1, 2 * genus + 1) for x in (k, -k)]:
@@ -41,53 +42,58 @@ def _vertices(genus):
     return np.c_[np.cos(ang), np.sin(ang)]
 
 
-def _segments(loop):
-    """Plane chords of a realized loop, rebuilt from its exit parameters."""
+def _segments(loop, width):
+    """Plane chords of a loop, rebuilt from its perimeter positions
+    side * width + numerator, where width = 4n + 1 for n letters in the
+    pair."""
     verts = _vertices(loop.genus)
     k = len(verts)
 
-    def side_point(side, t):
-        return verts[side % k] + t * (verts[(side + 1) % k] - verts[side % k])
+    def point(position):
+        side, m = divmod(position, width)
+        return verts[side] + m / width * (verts[(side + 1) % k] - verts[side])
 
-    sides = [P.exit_side_for_letter(loop.genus, x) for x in loop.word]
-    exits = [side_point(s, t) for s, t in zip(sides, loop.exit_params)]
-    entries = [side_point(P.partner_side(s), 1 - t)
-               for s, t in zip(sides, loop.exit_params)]
-    return [(entries[j - 1], exits[j]) for j in range(len(sides))]
+    return [(point(a), point(b)) for a, b in loop.chords]
 
 
 def test_square_torus_chords():
-    rng = np.random.default_rng(0)
-    a = P.realize(1, [1], rng)
-    (t,) = a.exit_params
+    a, b, crossings = P.realized_pair(1, [1], [2], seed=0)
+    width = 4 * 2 + 1
+    (start, end), = a.chords
+    m = end - 3 * width
     # a re-enters the right side s_1 at 1 - t and exits the left side s_3
     # at t: both at height 1 - t, so it runs leftward at equal height
-    assert P._boundary_chords(a) == [(2 - t, 3 + t)]
-    (p0, p1), = _segments(a)
+    assert m % 2 == 1 and start == 1 * width + width - m
+    (p0, p1), = _segments(a, width)
     assert p0[0] == pytest.approx(1.0) and p1[0] == pytest.approx(0.0)
     assert p0[1] == pytest.approx(p1[1])
-    b = P.realize(1, [2], rng)
-    (t,) = b.exit_params
+    (start, end), = b.chords
     # b re-enters the top side s_2 at 1 - t and exits the bottom side s_0
     # at t: both at x = t, so it runs downward
-    assert P._boundary_chords(b) == [(3 - t, 0 + t)]
-    (q0, q1), = _segments(b)
+    assert end % 2 == 1 and start == 2 * width + width - end
+    (q0, q1), = _segments(b, width)
     assert q0[1] == pytest.approx(1.0) and q1[1] == pytest.approx(0.0)
     assert q0[0] == pytest.approx(q1[0])
+    assert [(x.sign, x.seg_first, x.seg_second) for x in crossings] == [(1, 0, 0)]
 
 
 def test_realize_reduces_and_spells_word():
-    rng = np.random.default_rng(1)
-    loop = P.realize(2, [1, 3, -3, 2], rng)
+    loop, empty, crossings = P.realized_pair(2, [1, 3, -3, 2], [1, 2, -2, -1],
+                                             seed=1)
     assert loop.word == (1, 2)
-    assert len(loop.exit_params) == 2
-    assert all(0.12 <= t <= 0.88 for t in loop.exit_params)
-    loop2 = P.realize(1, [1, 2, -2, -1], rng)
-    assert loop2.word == ()
-    assert loop2.exit_params == []      # the empty class has no chords
+    assert empty.word == () and empty.chords == []  # no chords
+    assert crossings == []
+    width = 4 * 2 + 1
+    # chord j exits through the side of word[j], and re-enters through
+    # the side glued to the exit side of word[j-1]
+    for j, (start, end) in enumerate(loop.chords):
+        assert end // width == P.exit_side_for_letter(2, loop.word[j])
+        assert start // width == P.exit_side_for_letter(2, -loop.word[j - 1])
+        assert end % width % 2 == 1 and start % width % 2 == 0
+        assert 0 < end % width < width and 0 < start % width < width
 
 
-def _float_crossings(first, second):
+def _float_crossings(first, second, width):
     """Reference: plane-geometry intersection of the two chord chains.
 
     Returns (seg_first, seg_second, sign, point) for every pair of chords
@@ -97,9 +103,9 @@ def _float_crossings(first, second):
         return u[0] * v[1] - u[1] * v[0]
 
     found = []
-    for i, (p0, p1) in enumerate(_segments(first)):
+    for i, (p0, p1) in enumerate(_segments(first, width)):
         u = p1 - p0
-        for j, (q0, q1) in enumerate(_segments(second)):
+        for j, (q0, q1) in enumerate(_segments(second, width)):
             v = q1 - q0
             den = cross(u, v)
             if den == 0.0:
@@ -125,10 +131,10 @@ def test_crossings_are_interior():
                 [int(x) * (1 if rng.integers(2) else -1) for x in draw]))
         if not words[0] or not words[1]:
             continue
-        c1 = P.realize(genus, words[0], rng)
-        c2 = P.realize(genus, words[1], rng)
-        want = _float_crossings(c1, c2)
-        got = [(x.seg_first, x.seg_second, x.sign) for x in P.intersections(c1, c2)]
+        c1, c2, crossings = P.realized_pair(genus, *words, seed=trial)
+        width = 4 * (len(c1.word) + len(c2.word)) + 1
+        want = _float_crossings(c1, c2, width)
+        got = [(x.seg_first, x.seg_second, x.sign) for x in crossings]
         assert got == [w[:3] for w in want], (genus, words)
         verts = _vertices(genus)
         k = len(verts)
@@ -142,21 +148,29 @@ def test_crossings_are_interior():
 
 
 def test_empty_class_crosses_nothing():
-    rng = np.random.default_rng(3)
     for genus in (1, 2):
-        empty = P.realize(genus, [], rng)
-        loop = P.realize(genus, [1, 2, -1, -2], rng)
-        assert P.intersections(empty, loop) == []
-        assert P.intersections(loop, empty) == []
+        assert P.realized_pair(genus, [], [1, 2, -1, -2], seed=3)[2] == []
+        assert P.realized_pair(genus, [1, 2, -1, -2], [], seed=3)[2] == []
 
 
-def test_shared_endpoint_is_rejected():
-    # the a-chords of both loops end at the same boundary point
-    a = P.PLLoop(1, (1,), [0.5])
-    b = P.PLLoop(1, (2, 1), [0.3, 0.5])
-    with pytest.raises(P.RealizationError):
-        P.intersections(a, b)
-    assert P.intersections(a, P.PLLoop(1, (2, 1), [0.3, 0.6])) != []
+def test_long_pairs_always_realize():
+    # the float layout this replaced failed on pairs such as a1^300, b1
+    rng = np.random.default_rng(5)
+    pairs = [(1, [1] * 300, [2])]
+    for genus, n1, n2 in [(1, 120, 80), (2, 100, 120), (3, 40, 260),
+                          (2, 24, 24), (3, 7, 5)]:
+        letters = [k for k in range(-2 * genus, 2 * genus + 1) if k]
+        pairs.append((genus, *([int(x) for x in rng.choice(letters, size=n)]
+                               for n in (n1, n2))))
+    for genus, w1, w2 in pairs:
+        sums = set()
+        for seed in range(5):
+            c1, c2, _ = P.realized_pair(genus, w1, w2, seed)
+            ends = [p for c in c1.chords + c2.chords for p in c]
+            assert len(ends) == 2 * (len(c1.word) + len(c2.word))
+            assert len(set(ends)) == len(ends), (genus, w1, w2, seed)
+            sums.add(tuple(B.bracket_oriented(genus, w1, w2, seed).items()))
+        assert len(sums) == 1, (genus, w1, w2)
 
 
 def test_torus_a_b_single_positive_crossing():
