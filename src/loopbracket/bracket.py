@@ -10,17 +10,22 @@ Evaluation sends a class to Re tr of its holonomy, and poisson_direct
 computes the matching Poisson-side sum sign(p) <F(H_p(gamma)),
 F(H_p(lambda))> from a fresh realization, so the two routes share no
 geometry.
+
+The bracket itself is exact combinatorics and imports only the standard
+library; evaluate and poisson_direct import the numeric modules when
+they are called.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import groups as G
 from . import polygon as P
-from . import surface as S
+from . import words as W
+
+if TYPE_CHECKING:
+    from .surface import Representation
 
 
 class LoopSum:
@@ -33,7 +38,7 @@ class LoopSum:
                 self.add(word, coef)
 
     def add(self, word, coef):
-        self._add_key(S.canonical_cyclic(list(word)), Fraction(coef))
+        self._add_key(W.canonical_cyclic(list(word)), Fraction(coef))
 
     def _add_key(self, key, coef: Fraction):
         """Add coef to an already canonical key, dropping a zero sum."""
@@ -64,24 +69,26 @@ class LoopSum:
         return isinstance(other, LoopSum) and self.terms == other.terms
 
     def __repr__(self):
-        inner = ", ".join(f"{c} * {S.format_word(w) or '1'}" for w, c in self.items())
+        inner = ", ".join(f"{c} * {W.format_word(w) or '1'}" for w, c in self.items())
         return f"LoopSum({inner})"
 
-    def evaluate(self, rep: S.Representation) -> float:
+    def evaluate(self, rep: Representation) -> float:
+        from .surface import trace_functions
+
         items = self.items()
-        traces = S.trace_functions(rep, [w for w, _ in items])
+        traces = trace_functions(rep, [w for w, _ in items])
         return sum(float(c) * f for (_, c), f in zip(items, traces))
 
 
 def _bracket(genus: int, word1, word2, seed: int, unoriented: bool) -> LoopSum:
     out = LoopSum()
-    if not S.cyclic_reduce(word1) or not S.cyclic_reduce(word2):
+    if not W.cyclic_reduce(word1) or not W.cyclic_reduce(word2):
         return out  # trivial class is central
     c1, c2, crossings = P.realized_pair(genus, word1, word2, seed)
     n1, n2 = len(c1.word), len(c2.word)
     # g_p and l_p are rotations w[i:] + w[:i], slices of the doubled words,
     # and l_p^-1 is the rotation of w^-1 at n - j
-    d1, d2, d2inv = c1.word * 2, c2.word * 2, tuple(S.inverse_word(c2.word)) * 2
+    d1, d2, d2inv = c1.word * 2, c2.word * 2, tuple(W.inverse_word(c2.word)) * 2
     signs: dict[tuple[int, ...], int] = {}
     for x in crossings:
         i, j = x.seg_first, x.seg_second
@@ -111,8 +118,8 @@ def _joined_class(g, l) -> tuple[int, ...]:
     while m < n1 - k and m < n2 - k and g[m] == -l[n2 - 1 - m]:
         m += 1
     if m == n1 - k or m == n2 - k:
-        return S.canonical_cyclic(g + l)
-    return S.least_rotation(g[m:n1 - k] + l[k:n2 - m])
+        return W.canonical_cyclic(g + l)
+    return W.least_rotation(g[m:n1 - k] + l[k:n2 - m])
 
 
 def bracket_oriented(genus: int, word1, word2, seed: int = 0) -> LoopSum:
@@ -142,7 +149,7 @@ def _mix(seed: int, i: int, j: int) -> int:
     return (seed * 1000003 + i * 1009 + j) % (2 ** 31)
 
 
-def poisson_direct(rep: S.Representation, word1, word2, seed: int = 0) -> float:
+def poisson_direct(rep: Representation, word1, word2, seed: int = 0) -> float:
     """sum over crossings of sign(p) <F(H_p(gamma)), F(H_p(lambda))>.
 
     Based holonomies are taken at each crossing, so this is the Poisson
@@ -150,21 +157,27 @@ def poisson_direct(rep: S.Representation, word1, word2, seed: int = 0) -> float:
     oriented bracket on the GL kinds and of the unoriented bracket on
     the form kinds.
     """
+    import numpy as np
+
+    from . import groups as G
+
     c1, c2, crossings = P.realized_pair(rep.genus, word1, word2, seed)
     if not crossings:
         return 0.0
     var1 = G.variation(rep.spec, _based_holonomies(rep, c1.word))
     var2 = G.variation(rep.spec, _based_holonomies(rep, c2.word))
-    sign, i, j = np.array([(x.sign, x.seg_first, x.seg_second) for x in crossings]).T
+    sign, i, j = np.array(crossings).T
     return float(sign @ np.einsum("nij,nji->n", var1[i], var2[j]).real)
 
 
-def _based_holonomies(rep: S.Representation, word) -> np.ndarray:
+def _based_holonomies(rep: Representation, word):
     """hol(w[i:] + w[:i]) for every segment i of the loop of `word`, stacked.
 
     The based word at segment i runs w[i:] first, so its holonomy is
     hol(w[:i]) @ hol(w[i:]): a prefix product times a suffix product.
     """
+    import numpy as np
+
     pre = [np.eye(rep.spec.matrix_dim, dtype=complex)]
     for x in word[:-1]:
         pre.append(rep.image(x) @ pre[-1])

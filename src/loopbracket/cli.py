@@ -21,6 +21,10 @@ together with --toy or --genus, and an --out file that cannot be
 written), 3 no representation found within the sampler's tries, 4
 relator residual above tolerance.  Every pair of valid curves realizes,
 so bracket exits 0 or 2.
+
+Each subcommand imports the numeric modules it uses when it runs, so
+bracket, whose modules need only the standard library, never loads
+numpy.
 """
 
 from __future__ import annotations
@@ -31,15 +35,9 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from . import dgla as DG
-from . import groups as G
-from . import serialize as Z
-from . import surface as S
-from . import transport as T
-from . import verify as V
 from .bracket import bracket_oriented, bracket_unoriented
+from .schema import DglaError, SchemaError, curves_from_json, loopsum_to_json
+from .words import RelatorError, WordError
 
 TAU_REP = 1e-9
 
@@ -82,9 +80,9 @@ def _load_json(path: str):
         with open(path) as fh:
             return json.load(fh)
     except json.JSONDecodeError as err:
-        raise Z.SchemaError(f"{path}: invalid JSON: {err}") from err
+        raise SchemaError(f"{path}: invalid JSON: {err}") from err
     except OSError as err:
-        raise Z.SchemaError(f"cannot read {path}: {err}") from err
+        raise SchemaError(f"cannot read {path}: {err}") from err
 
 
 def _write_out(path, text: str):
@@ -93,7 +91,7 @@ def _write_out(path, text: str):
             with open(path, "w") as fh:
                 fh.write(text + "\n")
         except OSError as err:
-            raise Z.SchemaError(f"cannot write {path}: {err}") from err
+            raise SchemaError(f"cannot write {path}: {err}") from err
 
 
 def _emit(args, obj):
@@ -105,48 +103,58 @@ def _emit(args, obj):
 
 
 def cmd_bracket(args) -> int:
-    genus, curves = Z.curves_from_json(_load_json(args.input))
+    genus, curves = curves_from_json(_load_json(args.input))
     for name in (args.first, args.second):
         if name not in curves:
-            raise Z.SchemaError(f"no curve named {name!r} in {args.input}")
+            raise SchemaError(f"no curve named {name!r} in {args.input}")
     fn = bracket_unoriented if args.unoriented else bracket_oriented
     ls = fn(genus, curves[args.first], curves[args.second], seed=args.seed)
-    _emit(args, Z.loopsum_to_json(ls))
+    _emit(args, loopsum_to_json(ls))
     return 0
 
 
-@np.errstate(over="ignore", invalid="ignore")  # reported by NonFiniteResult
 def cmd_holonomy(args) -> int:
-    rep = Z.rep_from_json(_load_json(args.input))
-    word = S.parse_word(args.word)
-    S.check_word(word, rep.genus)
-    resid = S.relator_residual(rep)
-    if not resid <= args.tol:  # a NaN residual fails too
-        raise S.RelatorError(
-            f"relator residual {resid:.3e} exceeds {args.tol:.3e}")
-    hol = S.holonomy(rep, word)
-    out = {"word": S.format_word(word),
-           "trace": G.invariant_f(rep.spec, hol),
-           "holonomy": Z.matrix_to_json(hol)}
-    if args.perturbation:
-        pert = Z.perturbation_from_json(_load_json(args.perturbation),
-                                        rep.genus, rep.spec.matrix_dim)
-        res = T.perturbed_holonomy(rep, pert, word)
-        rk4 = T.rk4_perturbed_holonomy(rep, pert, word)
-        out.update({
-            "perturbed_holonomy": Z.matrix_to_json(res.value),
-            "perturbed_trace": G.invariant_f(rep.spec, res.value),
-            "series_order": len(res.series) - 1,
-            "remainder_bound": res.remainder_bound,
-            "rk4_delta": float(np.linalg.norm(res.value - rk4)),
-        })
-    _emit(args, out)
+    import numpy as np
+
+    from . import groups as G
+    from . import serialize as Z
+    from . import surface as S
+
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by NonFiniteResult
+        rep = Z.rep_from_json(_load_json(args.input))
+        word = S.parse_word(args.word)
+        S.check_word(word, rep.genus)
+        resid = S.relator_residual(rep)
+        if not resid <= args.tol:  # a NaN residual fails too
+            raise RelatorError(
+                f"relator residual {resid:.3e} exceeds {args.tol:.3e}")
+        hol = S.holonomy(rep, word)
+        out = {"word": S.format_word(word),
+               "trace": G.invariant_f(rep.spec, hol),
+               "holonomy": Z.matrix_to_json(hol)}
+        if args.perturbation:
+            from . import transport as T
+
+            pert = Z.perturbation_from_json(_load_json(args.perturbation),
+                                            rep.genus, rep.spec.matrix_dim)
+            res = T.perturbed_holonomy(rep, pert, word)
+            rk4 = T.rk4_perturbed_holonomy(rep, pert, word)
+            out.update({
+                "perturbed_holonomy": Z.matrix_to_json(res.value),
+                "perturbed_trace": G.invariant_f(rep.spec, res.value),
+                "series_order": len(res.series) - 1,
+                "remainder_bound": res.remainder_bound,
+                "rk4_delta": float(np.linalg.norm(res.value - rk4)),
+            })
+        _emit(args, out)
     return 0
 
 
 def cmd_verify(args) -> int:
-    records, summary = V.run_suite(args.suite, args.seed, args.trials,
-                                   args.genus, args.group, args.tol)
+    from .verify import run_suite
+
+    records, summary = run_suite(args.suite, args.seed, args.trials,
+                                 args.genus, args.group, args.tol)
     lines = [dumps(r) for r in records] + [dumps(summary)]
     if args.out:
         full = [dumps_full(r) for r in records] + [dumps_full(summary)]
@@ -156,6 +164,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sample_rep(args) -> int:
+    import numpy as np
+
+    from . import serialize as Z
+    from . import surface as S
+
     spec = Z.parse_group_string(args.group)
     rng = np.random.default_rng([args.seed, 0])
     rep = S.sample_representation(spec, args.genus, rng, tol=args.tol)
@@ -164,6 +177,9 @@ def cmd_sample_rep(args) -> int:
 
 
 def cmd_dgla_check(args) -> int:
+    from . import dgla as DG
+    from . import serialize as Z
+
     if args.toy:
         spec = Z.parse_group_string(args.toy)
         genus = args.genus if args.genus is not None else 1
@@ -171,7 +187,7 @@ def cmd_dgla_check(args) -> int:
     elif args.input:
         inst = Z.dgla_from_json(_load_json(args.input))
     else:
-        raise Z.SchemaError("dgla-check needs a DGLA file or --toy GROUP")
+        raise SchemaError("dgla-check needs a DGLA file or --toy GROUP")
     report = DG.axioms_residual(inst)
     ok = DG.axioms_pass(report, tol=args.tol)
     d0, d1 = inst.dims
@@ -202,6 +218,17 @@ def _tolerance(text: str) -> float:
     if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
     return value
+
+
+class _SuiteNames:
+    """The names in verify.SUITES as argparse choices.  They are read from
+    verify only when argparse checks or lists a suite, so that the other
+    subcommands never import it."""
+
+    def __iter__(self):
+        from .verify import SUITES
+
+        return iter(SUITES)
 
 
 _OPTIONS = {"--seed": {"type": _count, "default": 0},
@@ -239,7 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("verify", cmd_verify,
                 "--seed --tol --genus --group --trials --out",
                 "run an invariant battery, one JSON line per trial")
-    p.add_argument("suite", choices=V.SUITES)
+    # a metavar keeps argparse from listing the choices while it builds
+    p.add_argument("suite", choices=_SuiteNames(), metavar="suite",
+                   help="one of %(choices)s")
 
     p = command("sample-rep", cmd_sample_rep, "--seed --tol --genus --out",
                 "sample a surface-group representation", genus=1, tol=1e-12)
@@ -258,9 +287,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "verify":
+        from .verify import SUITES
+
         for option in ("genus", "group"):
             if (getattr(args, option) is not None
-                    and not V.SUITES[args.suite].reads(option)):
+                    and not SUITES[args.suite].reads(option)):
                 parser.error(f"verify {args.suite} takes no --{option}")
     # dgla-check FILE reads the genus from the file
     if args.command == "dgla-check" and args.input and (
@@ -274,10 +305,10 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # stdout's reader left; silence the exit flush
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (Z.SchemaError, S.WordError, DG.DglaError) as err:
+    except (SchemaError, WordError, DglaError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except S.RelatorError as err:
+    except RelatorError as err:
         print(f"relator failure: {err}", file=sys.stderr)
         return 4 if args.command == "holonomy" else 3
     except NonFiniteResult as err:

@@ -32,10 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import groups as G
-
-
-class DglaError(ValueError):
-    pass
+from .schema import DglaError
 
 
 @dataclass(frozen=True, eq=False)

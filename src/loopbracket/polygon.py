@@ -30,11 +30,10 @@ endpoints interleave in the cyclic order of perimeter positions
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import random
+from typing import NamedTuple
 
-import numpy as np
-
-from . import surface as S
+from . import words as W
 
 
 def exit_side_for_letter(genus: int, letter: int) -> int:
@@ -52,15 +51,7 @@ def exit_side_for_letter(genus: int, letter: int) -> int:
     return base + (0 if letter > 0 else 2)
 
 
-def letter_for_exit_side(genus: int, side: int) -> int:
-    base, r = 4 * (side // 4), side % 4
-    handle = genus - base // 4
-    a, b = 2 * handle - 1, 2 * handle
-    return {3: a, 1: -a, 0: b, 2: -b}[r]
-
-
-@dataclass
-class PLLoop:
+class PLLoop(NamedTuple):
     """Closed chain of chords realizing a free homotopy class.
 
     chords[j] = (start, end) runs from the re-entry point of crossing j-1
@@ -74,13 +65,8 @@ class PLLoop:
     word: tuple[int, ...]
     chords: list[tuple[int, int]]
 
-    def based_word(self, seg_index: int) -> list[int]:
-        w = list(self.word)
-        return w[seg_index:] + w[:seg_index]
 
-
-@dataclass
-class Crossing:
+class Crossing(NamedTuple):
     sign: int
     seg_first: int
     seg_second: int
@@ -106,6 +92,21 @@ def intersections(first: PLLoop, second: PLLoop) -> list[Crossing]:
     return found
 
 
+def slot_permutation(size: int, seed: int) -> list[int]:
+    """A permutation of range(size) that is a pure function of (size, seed).
+
+    Fisher-Yates over random.Random(seed).random(): Python keeps the
+    random() stream of a seeded generator the same across versions, but
+    not the output of shuffle().
+    """
+    rng = random.Random(seed)
+    out = list(range(size))
+    for i in range(size - 1, 0, -1):
+        j = int(rng.random() * (i + 1))
+        out[i], out[j] = out[j], out[i]
+    return out
+
+
 def realized_pair(genus: int, word1, word2,
                   seed: int) -> tuple[PLLoop, PLLoop, list[Crossing]]:
     """Two loops in mutually generic position plus their crossings.
@@ -116,13 +117,13 @@ def realized_pair(genus: int, word1, word2,
     permutation, so a pair realizes at every seed.
     """
     if genus < 1:
-        raise S.WordError("genus must be >= 1")
-    words = [S.cyclic_reduce(list(w)) for w in (word1, word2)]
+        raise W.WordError("genus must be >= 1")
+    words = [W.cyclic_reduce(list(w)) for w in (word1, word2)]
     for w in words:
-        S.check_word(w, genus)
+        W.check_word(w, genus)
     n = len(words[0]) + len(words[1])
     width = 4 * n + 1
-    slots = iter(np.random.default_rng([seed, 0]).permutation(2 * n).tolist())
+    slots = iter(slot_permutation(2 * n, seed))
     loops = []
     for w in words:
         ends, starts = [], []

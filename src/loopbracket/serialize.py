@@ -6,24 +6,22 @@ Matrices travel as row-major arrays of [re, im] pairs, group specs as
 perturbations as {"a1": matrix, ...}, and DGLA tensors as dense real
 arrays with explicit dimensions.  Every reader validates shape and
 finiteness and raises SchemaError, which the CLI maps to exit code 2;
-representation images must also have finite inverses.
+representation images must also have finite inverses.  Curve files,
+loop sums and SchemaError live in `schema`, on the standard library
+alone, and are re-exported here.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 import numpy as np
 
-from . import bracket as B
 from . import dgla as DG
 from . import groups as G
 from . import surface as S
-
-
-class SchemaError(ValueError):
-    pass
+from .schema import (SchemaError, curves_from_json, loopsum_from_json,  # noqa: F401
+                     loopsum_to_json)
 
 
 def matrix_to_json(m) -> list:
@@ -155,48 +153,6 @@ def rep_from_json(obj) -> S.Representation:
         if not np.all(np.isfinite(rep.image(-k))):
             raise SchemaError(f"image {S.format_word([k])} has no finite inverse")
     return rep
-
-
-def curves_from_json(obj) -> tuple[int, dict]:
-    if not isinstance(obj, dict) or "genus" not in obj or "curves" not in obj:
-        raise SchemaError("curve file needs 'genus' and 'curves'")
-    genus = obj["genus"]
-    if not isinstance(genus, int) or genus < 1:
-        raise SchemaError("'genus' must be a positive integer")
-    curves = obj["curves"]
-    if not isinstance(curves, dict) or not curves:
-        raise SchemaError("'curves' must be a non-empty name -> word map")
-    out = {}
-    for name, text in curves.items():
-        if not isinstance(text, str):
-            raise SchemaError(f"curve {name!r} must be a word string")
-        try:
-            word = S.parse_word(text)
-            S.check_word(word, genus)
-        except S.WordError as err:
-            raise SchemaError(f"curve {name!r}: {err}") from err
-        out[name] = word
-    return genus, out
-
-
-def loopsum_to_json(ls: B.LoopSum) -> list:
-    return [{"coef": str(c), "word": S.format_word(w)} for w, c in ls.items()]
-
-
-def loopsum_from_json(data) -> B.LoopSum:
-    if not isinstance(data, list):
-        raise SchemaError("loop sum must be an array of terms")
-    out = B.LoopSum()
-    for term in data:
-        if not isinstance(term, dict) or set(term) != {"coef", "word"}:
-            raise SchemaError("each term needs exactly 'coef' and 'word'")
-        try:
-            coef = Fraction(term["coef"])
-            word = S.parse_word(term["word"])
-        except (ValueError, ZeroDivisionError, S.WordError) as err:
-            raise SchemaError(f"bad term {term}: {err}") from err
-        out.add(word, coef)
-    return out
 
 
 def perturbation_from_json(obj, genus: int, dim: int) -> dict:

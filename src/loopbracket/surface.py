@@ -1,119 +1,22 @@
-"""Surface group words, holonomy, and representation sampling.
+"""Holonomy, trace functions and representation sampling for surface groups.
 
-Words in the standard genus-g presentation < a_1, b_1, .., a_g, b_g |
-prod [a_i, b_i] > are lists of signed integers: a_k is 2k-1, b_k is 2k,
-and negation is inversion.  The token form is a1 b1 A1 B1 with capitals
-for inverses.
-
-Holonomy follows the path-composition rule hol(u then v) = hol(v) hol(u),
-so the matrix of the later letter sits on the left:
-
->>> free_reduce([1, 2, -2, -1])
-[]
->>> cyclic_reduce([2, 1, -2])
-[1]
->>> parse_word("a1 B2 A1")
-[1, -4, -1]
->>> format_word([1, -4, -1])
-'a1 B2 A1'
+The word algebra lives in `words`, on the standard library alone, and is
+re-exported here.  Holonomy follows the path-composition rule
+hol(u then v) = hol(v) hol(u), so the matrix of the later letter sits on
+the left.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
 
 from . import groups as G
-
-
-class WordError(ValueError):
-    pass
-
-
-class RelatorError(RuntimeError):
-    """Representation sampling failed to satisfy the surface relation."""
-
-
-_TOKEN = re.compile(r"([abAB])([1-9][0-9]*)$")
-
-
-def parse_word(text: str) -> list[int]:
-    """Whitespace-separated tokens a1 b1 A1 B1 -> signed generator list."""
-    word = []
-    for tok in text.split():
-        m = _TOKEN.match(tok)
-        if not m:
-            raise WordError(f"bad token {tok!r}")
-        kind, idx = m.group(1), int(m.group(2))
-        n = 2 * idx - 1 if kind in "aA" else 2 * idx
-        word.append(n if kind.islower() else -n)
-    return word
-
-
-def format_word(word) -> str:
-    out = []
-    for x in word:
-        k = abs(x)
-        idx = (k + 1) // 2
-        tok = ("a" if k % 2 else "b") + str(idx)
-        out.append(tok if x > 0 else tok.upper())
-    return " ".join(out)
-
-
-def check_word(word, genus: int):
-    for x in word:
-        if x == 0 or abs(x) > 2 * genus:
-            raise WordError(f"letter {x} out of range for genus {genus}")
-
-
-def inverse_word(word) -> list[int]:
-    return [-x for x in reversed(word)]
-
-
-def free_reduce(word) -> list[int]:
-    out: list[int] = []
-    for x in word:
-        if out and out[-1] == -x:
-            out.pop()
-        else:
-            out.append(x)
-    return out
-
-
-def cyclic_reduce(word) -> list[int]:
-    w = free_reduce(word)
-    while len(w) >= 2 and w[0] == -w[-1]:
-        w = w[1:-1]
-    return w
-
-
-def canonical_cyclic(word) -> tuple[int, ...]:
-    """Lexicographically least rotation of the cyclically reduced word.
-
-    Canonical form for free homotopy classes of oriented loops; a word
-    and its inverse stay distinct.
-    """
-    return least_rotation(cyclic_reduce(word))
-
-
-def least_rotation(w) -> tuple[int, ...]:
-    """Lexicographically least rotation of a cyclically reduced word."""
-    if not w:
-        return ()
-    # the least rotation starts at an occurrence of the least letter
-    n, first = len(w), min(w)
-    doubled = tuple(w) * 2
-    return min(doubled[i:i + n] for i in range(n) if w[i] == first)
-
-
-def relator(genus: int) -> list[int]:
-    out = []
-    for k in range(1, genus + 1):
-        out += [2 * k - 1, 2 * k, -(2 * k - 1), -(2 * k)]
-    return out
+from .words import (RelatorError, WordError, canonical_cyclic, check_word,  # noqa: F401
+                    cyclic_reduce, format_word, free_reduce, inverse_word,
+                    least_rotation, parse_word, relator)
 
 
 def homotopy_variants(word, genus: int, rng: np.random.Generator, count: int):

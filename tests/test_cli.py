@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import re
@@ -98,6 +99,7 @@ def test_holonomy_relator_violation_exits_4(tmp_path):
     out = run_cli("holonomy", str(path), "a1")
     assert out.returncode == 4
     assert "relator" in out.stderr
+    assert "Traceback" not in out.stderr
 
 
 def _rep_file(tmp_path, name, a1):
@@ -165,7 +167,16 @@ def test_bracket_of_long_torus_word(tmp_path, capsys):
 
 
 def test_unknown_suite_exits_2():
-    assert run_cli("verify", "nope").returncode == 2
+    out = run_cli("verify", "nope")
+    assert out.returncode == 2
+    assert all(suite in out.stderr for suite in V.SUITES), out.stderr
+
+
+def test_verify_help_lists_every_suite():
+    out = run_cli("verify", "--help")
+    assert out.returncode == 0
+    assert len(V.SUITES) == 6
+    assert all(suite in out.stdout for suite in V.SUITES), out.stdout
 
 
 @pytest.mark.parametrize("argv", [
@@ -379,6 +390,14 @@ def test_dgla_check_file_and_failure(tmp_path):
     assert run_cli("dgla-check").returncode == 2
 
 
+def test_dgla_check_bad_file_exits_2(torus_curves):
+    out = run_cli("dgla-check", torus_curves)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "d0" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_dgla_check_file_and_toy_together_exit_2(tmp_path):
     import loopbracket.dgla as DG
     bad = tmp_path / "bad.json"
@@ -450,6 +469,68 @@ def test_cli_runs_without_scipy(torus_curves, diag_rep):
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+_NO_NUMPY = """
+import contextlib, io, sys
+from loopbracket import cli
+curves, bad, out = sys.argv[1:]
+runs = [(["bracket", curves, "a", "b"], 0),
+        (["bracket", curves, "a", "b", "--unoriented"], 0),
+        (["bracket", curves, "a", "b", "--out", out], 0),
+        (["bracket", "-", "a", "b"], 0),
+        (["bracket", bad, "a", "b"], 2),
+        (["bracket", curves, "a", "nope"], 2)]
+for argv, code in runs:
+    sys.stdin, sink = open(curves), io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        assert cli.main(argv) == code, argv
+print(sorted(m for m in sys.modules
+             if m.split(".")[0] == "numpy" or m == "loopbracket.verify"))
+"""
+
+
+def test_bracket_runs_without_numpy(torus_curves, tmp_path):
+    # the bracket is exact combinatorics: none of its paths, the error
+    # exits included, may import numpy or the verify suites
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"genus": 1, "curves": {"a": "a1", "b": "b1 z9"}}))
+    out = subprocess.run([sys.executable, "-c", _NO_NUMPY, torus_curves, str(bad),
+                          str(tmp_path / "out.json")], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+    assert (tmp_path / "out.json").read_text() == '[{"coef":"1","word":"a1 b1"}]\n'
+
+
+def test_cli_import_loads_no_numpy():
+    out = subprocess.run([sys.executable, "-c",
+                          "import sys, loopbracket.cli; print('numpy' in sys.modules)"],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
+# sha256 of the stdout of three brackets, taken when the bracket path still
+# ran on numpy: the standard-library path prints the same bytes
+_PINNED = [
+    ({"genus": 1, "curves": {"a": "a1", "b": "b1"}}, ["a", "b"],
+     "456f63170a2de943d94638aae82c99707449780063fe8c126074b60815a98364"),
+    ({"genus": 2, "curves": {"x": "b2 A1 A2 a1 b1 b1 b2 a1 B1 a1 b1 A2",
+                             "y": "A2 b1 b1 A2 a1 b1 a1 A2 a1 B1 a1 a2"}},
+     ["x", "y", "--unoriented"],
+     "404c8ad508187ca78d680d40275d185bc991e1871bc6cd909fb1e97ac82989e3"),
+    ({"genus": 1, "curves": {"p": " ".join(["a1"] * 300), "q": "b1"}}, ["p", "q"],
+     "f28c56ae91736e641beedb2129412e7dca72f903015d8729e95c24445fa99a5f"),
+]
+
+
+@pytest.mark.parametrize("curves, argv, digest", _PINNED)
+def test_bracket_stdout_is_pinned(curves, argv, digest, tmp_path):
+    path = tmp_path / "curves.json"
+    path.write_text(json.dumps(curves))
+    out = run_cli("bracket", str(path), *argv)
+    assert out.returncode == 0, out.stderr
+    assert hashlib.sha256(out.stdout.encode()).hexdigest() == digest
 
 
 # The flags each subcommand reads, written out here rather than taken

@@ -17,21 +17,33 @@ U2 = G.GroupSpec("U_pq", 2, 2, 0)
 
 
 def test_side_pairing_table():
-    # the side a chord re-enters after letter x is the exit side of x^-1:
-    # glued sides come in (4k, 4k+2), (4k+1, 4k+3) pairs
+    # the 4g letters x exit through the 4g sides, each side once, and the
+    # gluing s_4k ~ s_4k+2, s_4k+1 ~ s_4k+3 pairs the exit sides of x and
+    # x^-1: a chord re-enters after x through the exit side of x^-1
     for genus in range(1, 6):
-        for letter in [x for k in range(1, 2 * genus + 1) for x in (k, -k)]:
-            side = P.exit_side_for_letter(genus, letter)
-            back = P.exit_side_for_letter(genus, -letter)
-            assert side // 4 == back // 4 and abs(side - back) == 2
-    # letter <-> side tables invert each other, genus 1 and 2
-    for genus in (1, 2):
-        for letter in [x for k in range(1, 2 * genus + 1) for x in (k, -k)]:
-            side = P.exit_side_for_letter(genus, letter)
-            assert P.letter_for_exit_side(genus, side) == letter
+        letters = [x for k in range(1, 2 * genus + 1) for x in (k, -k)]
+        sides = {x: P.exit_side_for_letter(genus, x) for x in letters}
+        assert sorted(sides.values()) == list(range(4 * genus))
+        for x in letters:
+            side, back = sides[x], sides[-x]
+            assert side // 4 == back // 4 and {side % 4, back % 4} in ({0, 2}, {1, 3})
     # fixed anchors on the square: a exits the left side, b the bottom
     assert P.exit_side_for_letter(1, 1) == 3
     assert P.exit_side_for_letter(1, 2) == 0
+
+
+def test_slot_permutation_is_a_pure_function_of_the_seed():
+    import random
+    for size in (0, 1, 2, 7, 64):
+        for seed in (0, 1, 12345, 2 ** 31 - 1):
+            perm = P.slot_permutation(size, seed)
+            assert sorted(perm) == list(range(size))
+            random.seed(seed + 1)  # the global generator plays no part
+            random.random()
+            assert P.slot_permutation(size, seed) == perm
+    assert len({tuple(P.slot_permutation(16, s)) for s in range(8)}) == 8
+    # Python keeps the stream of a seeded random.Random across versions
+    assert P.slot_permutation(8, 0) == [0, 3, 4, 7, 1, 2, 5, 6]
 
 
 def _vertices(genus):
@@ -203,13 +215,20 @@ def test_trivial_class_brackets_to_zero():
     assert B.bracket_oriented(2, [1, -2, 2, -1], [3, 4], seed=9).terms == {}
 
 
+def _based(loop, i):
+    """The word of a loop read from a point of its chord i."""
+    w = list(loop.word)
+    return w[i:] + w[:i]
+
+
 def test_antisymmetry_from_shared_realization():
     # same crossing data read both ways cancels exactly
     c1, c2, crossings = P.realized_pair(2, [1, 2, 3], [4, -1], seed=11)
     fwd, bwd = B.LoopSum(), B.LoopSum()
     for x in crossings:
-        fwd.add(c1.based_word(x.seg_first) + c2.based_word(x.seg_second), x.sign)
-        bwd.add(c2.based_word(x.seg_second) + c1.based_word(x.seg_first), -x.sign)
+        g, l = _based(c1, x.seg_first), _based(c2, x.seg_second)
+        fwd.add(g + l, x.sign)
+        bwd.add(l + g, -x.sign)
     assert (fwd + bwd).terms == {}
 
 
@@ -267,8 +286,8 @@ def test_poisson_direct_matches_letter_by_letter_holonomies():
             seed = 73 + trial
             c1, c2, crossings = P.realized_pair(genus, w1, w2, seed)
             terms = [x.sign * G.pairing(
-                G.variation(spec, S.holonomy(rep, c1.based_word(x.seg_first))),
-                G.variation(spec, S.holonomy(rep, c2.based_word(x.seg_second))))
+                G.variation(spec, S.holonomy(rep, _based(c1, x.seg_first))),
+                G.variation(spec, S.holonomy(rep, _based(c2, x.seg_second))))
                 for x in crossings]
             got = B.poisson_direct(rep, w1, w2, seed=seed)
             assert abs(got - sum(terms)) <= 1e-12 * (1 + sum(map(abs, terms))), spec
@@ -315,8 +334,8 @@ def _bracket_by_add(genus, word1, word2, seed, unoriented):
         return out
     c1, c2, crossings = P.realized_pair(genus, word1, word2, seed)
     for x in crossings:
-        g = c1.based_word(x.seg_first)
-        l = c2.based_word(x.seg_second)
+        g = _based(c1, x.seg_first)
+        l = _based(c2, x.seg_second)
         if unoriented:
             out.add(g + l, Fraction(x.sign, 2))
             out.add(g + S.inverse_word(l), Fraction(-x.sign, 2))
