@@ -99,10 +99,10 @@ def slot_permutation(size: int, seed: int) -> list[int]:
     random() stream of a seeded generator the same across versions, but
     not the output of shuffle().
     """
-    rng = random.Random(seed)
+    draw = random.Random(seed).random
     out = list(range(size))
     for i in range(size - 1, 0, -1):
-        j = int(rng.random() * (i + 1))
+        j = int(draw() * (i + 1))
         out[i], out[j] = out[j], out[i]
     return out
 
@@ -118,19 +118,21 @@ def realized_pair(genus: int, word1, word2,
     """
     if genus < 1:
         raise W.WordError("genus must be >= 1")
-    words = [W.cyclic_reduce(list(w)) for w in (word1, word2)]
+    words = [W.cyclic_reduce(w) for w in (word1, word2)]
     for w in words:
         W.check_word(w, genus)
     n = len(words[0]) + len(words[1])
     width = 4 * n + 1
     slots = iter(slot_permutation(2 * n, seed))
+    # the side glued to side s is s ^ 2, the exit side of the inverse letter
+    sides = {x: exit_side_for_letter(genus, x) for x in {*words[0], *words[1]}}
     loops = []
     for w in words:
         ends, starts = [], []
         for x in w:
             m = 2 * next(slots) + 1
-            ends.append(exit_side_for_letter(genus, x) * width + m)
-            starts.append(exit_side_for_letter(genus, -x) * width + width - m)
+            ends.append(sides[x] * width + m)
+            starts.append((sides[x] ^ 2) * width + width - m)
         loops.append(PLLoop(genus, tuple(w),
                             [(starts[j - 1], ends[j]) for j in range(len(w))]))
     return loops[0], loops[1], intersections(*loops)

@@ -24,11 +24,16 @@ class DglaError(ValueError):
     pass
 
 
+def is_integer(value) -> bool:
+    """A JSON integer: true, false and 2.0 are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def curves_from_json(obj) -> tuple[int, dict]:
     if not isinstance(obj, dict) or "genus" not in obj or "curves" not in obj:
         raise SchemaError("curve file needs 'genus' and 'curves'")
     genus = obj["genus"]
-    if not isinstance(genus, int) or genus < 1:
+    if not is_integer(genus) or genus < 1:
         raise SchemaError("'genus' must be a positive integer")
     curves = obj["curves"]
     if not isinstance(curves, dict) or not curves:

@@ -20,8 +20,8 @@ import numpy as np
 from . import dgla as DG
 from . import groups as G
 from . import surface as S
-from .schema import (SchemaError, curves_from_json, loopsum_from_json,  # noqa: F401
-                     loopsum_to_json)
+from .schema import (SchemaError, curves_from_json, is_integer,  # noqa: F401
+                     loopsum_from_json, loopsum_to_json)
 
 
 def matrix_to_json(m) -> list:
@@ -41,7 +41,8 @@ def matrix_from_json(data) -> np.ndarray:
         out = []
         for cell in row:
             if (not isinstance(cell, list) or len(cell) != 2
-                    or not all(isinstance(c, (int, float)) for c in cell)):
+                    or not all(isinstance(c, (int, float)) and not isinstance(c, bool)
+                               for c in cell)):
                 raise SchemaError("matrix entries must be [re, im] pairs")
             out.append(complex(cell[0], cell[1]))
         rows.append(out)
@@ -58,9 +59,11 @@ def group_to_json(spec: G.GroupSpec) -> dict:
 def group_from_json(obj) -> G.GroupSpec:
     if not isinstance(obj, dict) or "kind" not in obj or "n" not in obj:
         raise SchemaError("group spec needs at least 'kind' and 'n'")
+    n, p, q = obj["n"], obj.get("p", 0), obj.get("q", 0)
+    if not all(map(is_integer, (n, p, q))):
+        raise SchemaError("group spec 'n', 'p' and 'q' must be integers")
     try:
-        return G.GroupSpec(obj["kind"], int(obj["n"]),
-                           int(obj.get("p", 0)), int(obj.get("q", 0)))
+        return G.GroupSpec(obj["kind"], n, p, q)
     except (G.GroupError, TypeError, ValueError) as err:
         raise SchemaError(f"bad group spec: {err}") from err
 
@@ -201,7 +204,7 @@ def dgla_from_json(obj) -> DG.CyclicDgla:
     if not isinstance(obj, dict) or "d0" not in obj or "d1" not in obj:
         raise SchemaError("DGLA file needs explicit 'd0' and 'd1'")
     d0, d1 = obj["d0"], obj["d1"]
-    if not isinstance(d0, int) or not isinstance(d1, int) or d0 < 1 or d1 < 1:
+    if not is_integer(d0) or not is_integer(d1) or d0 < 1 or d1 < 1:
         raise SchemaError("'d0' and 'd1' must be positive integers")
     shapes = {"b00": (d0, d0, d0), "b01": (d1, d0, d1), "b11": (d0, d1, d1),
               "d_eo": (d1, d0), "d_oe": (d0, d1),

@@ -90,14 +90,30 @@ def canonical_cyclic(word) -> tuple[int, ...]:
     return least_rotation(cyclic_reduce(word))
 
 
-def least_rotation(w) -> tuple[int, ...]:
-    """Lexicographically least rotation of a cyclically reduced word."""
+def least_rotation(w):
+    """Lexicographically least rotation of a cyclically reduced word.
+
+    w is a sequence of letters, or the byte codes of bracket term keys;
+    the rotation comes back as a tuple, or as bytes for bytes.  It scans
+    every rotation that starts at the least letter at full length, so
+    `bracket` calls it only for the terms its per-pair rotation ranks
+    leave undecided.
+    """
+    if not isinstance(w, bytes):
+        w = tuple(w)
     if not w:
-        return ()
+        return w
     # the least rotation starts at an occurrence of the least letter
     n, first = len(w), min(w)
-    doubled = tuple(w) * 2
-    return min(doubled[i:i + n] for i in range(n) if w[i] == first)
+    doubled = w * 2
+    i = w.index(first)
+    best = doubled[i:i + n]
+    for _ in range(w.count(first) - 1):
+        i = w.index(first, i + 1)
+        other = doubled[i:i + n]
+        if other < best:
+            best = other
+    return best
 
 
 def relator(genus: int) -> list[int]:

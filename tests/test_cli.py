@@ -143,6 +143,50 @@ def test_schema_violations_exit_2(torus_curves, tmp_path):
     assert run_cli("bracket", str(notjson), "a", "b").returncode == 2
 
 
+def _torus_file(genus):
+    return {"genus": genus, "curves": {"a": "a1", "b": "b1"}}
+
+
+def _gl1_rep(n):
+    return {"group": {"kind": "GL_R", "n": n},
+            "images": {"a1": [[[2, 0]]], "b1": [[[3, 0]]]}}
+
+
+def _gl2_rep(cell):
+    return {"group": {"kind": "GL_R", "n": 2},
+            "images": {"a1": [[[cell, 0], [0, 0]], [[0, 0], [1, 0]]],
+                       "b1": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}}
+
+
+def _dgla_1x1(d0):
+    return {"d0": d0, "d1": 1, "b00": [[[0]]], "b01": [[[0]]], "b11": [[[0]]],
+            "d_eo": [[0]], "d_oe": [[0]], "w00": [[1]], "w11": [[1]]}
+
+
+# (command, file maker, argv after the file, the value that fits, values that
+# once passed as an integer: true, a truncated fraction, a numeric string)
+_NOT_INTEGERS = [
+    ("bracket", _torus_file, ["a", "b"], 1, [True]),
+    ("holonomy", _gl1_rep, ["a1"], 1, [True, 1.7, "1"]),
+    ("holonomy", _gl2_rep, ["a1"], 1, [True]),
+    ("dgla-check", _dgla_1x1, [], 1, [True]),
+]
+
+
+@pytest.mark.parametrize("command, make, argv, good, bads", _NOT_INTEGERS,
+                         ids=["curves-genus", "group-n", "matrix-cell", "dgla-d0"])
+def test_json_booleans_and_fractions_are_not_integers(command, make, argv, good, bads,
+                                                       tmp_path):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(make(good)))
+    assert run_cli(command, str(path), *argv).returncode in (0, 1)
+    for bad in bads:
+        path.write_text(json.dumps(make(bad)))
+        out = run_cli(command, str(path), *argv)
+        assert out.returncode == 2, (bad, out.stdout)
+        assert out.stdout == "" and "Traceback" not in out.stderr
+
+
 @pytest.mark.parametrize("argv", [
     # each once failed trials with exit 1: a kind the suite's bracket does
     # not model read as a failed bracket, not as bad input
@@ -510,8 +554,24 @@ def test_cli_import_loads_no_numpy():
     assert out.stdout.strip() == "False"
 
 
-# sha256 of the stdout of three brackets, taken when the bracket path still
-# ran on numpy: the standard-library path prints the same bytes
+# a genus-3 pair of 96 letters each
+_G3_96 = {"genus": 3, "curves": {
+    "x": ("A1 A1 a3 a1 A2 A3 A1 B3 B3 B2 a1 a3 A1 A3 B1 A1 "
+          "A1 B1 B2 a2 B3 b2 b1 a2 b1 b1 A1 A2 b3 A1 a2 a2 "
+          "A1 B3 B2 B3 A3 b1 a2 A1 A3 B2 b3 A3 a2 B1 b2 a3 "
+          "B1 B1 a3 A2 a1 a1 b2 B3 B1 a2 A1 a3 b2 a3 a1 a1 "
+          "A3 b3 b2 b2 A2 b3 b1 A1 A2 B3 b2 B1 B2 A2 b2 B1 "
+          "a1 B3 b1 B2 B2 A3 B3 b1 a3 B3 B2 b3 a3 B3 A1 B2"),
+    "y": ("b3 a3 a2 B1 b3 A2 B2 B2 B3 A3 A2 A1 B1 a3 a2 b3 "
+          "A1 B1 A3 A2 b2 b2 b1 B2 A1 a3 B2 b3 A3 a2 b1 A1 "
+          "B2 B3 A2 B3 a1 a1 a3 B1 a2 b1 a2 B3 a3 B3 a3 a3 "
+          "B2 A2 a1 a2 B1 B2 B1 B3 A1 A2 A2 B1 A1 b1 B2 A3 "
+          "a2 B1 A1 a2 b1 A3 B2 b1 a1 A3 B2 b1 b3 A2 B2 A3 "
+          "A1 a3 b1 a3 a3 a1 B2 A2 b2 b2 b1 a2 b2 a2 a2 A3")}}
+
+# sha256 of bracket stdout.  The first three were taken when the bracket
+# path still ran on numpy, the last two when every term was still scanned
+# as an int tuple: the current path prints the same bytes.
 _PINNED = [
     ({"genus": 1, "curves": {"a": "a1", "b": "b1"}}, ["a", "b"],
      "456f63170a2de943d94638aae82c99707449780063fe8c126074b60815a98364"),
@@ -521,6 +581,11 @@ _PINNED = [
      "404c8ad508187ca78d680d40275d185bc991e1871bc6cd909fb1e97ac82989e3"),
     ({"genus": 1, "curves": {"p": " ".join(["a1"] * 300), "q": "b1"}}, ["p", "q"],
      "f28c56ae91736e641beedb2129412e7dca72f903015d8729e95c24445fa99a5f"),
+    # 96 letters each: most terms come from the rank tables
+    (_G3_96, ["x", "y"],
+     "d4594beff1180456d6ca4ce4785a6298ead30a0e83e5385563c5e7cdf8e158c6"),
+    (_G3_96, ["x", "y", "--unoriented"],
+     "555b4ecdd0eaf1a726bf451206d2e3975123a99d5f0cf25da17b915794342772"),
 ]
 
 

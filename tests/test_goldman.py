@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from fractions import Fraction
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from loopbracket import bracket as B
@@ -213,6 +213,13 @@ def test_trivial_class_brackets_to_zero():
     assert B.bracket_oriented(1, [], [1, 2], seed=7).terms == {}
     assert B.bracket_oriented(1, [1, 2], [], seed=8).terms == {}
     assert B.bracket_oriented(2, [1, -2, 2, -1], [3, 4], seed=9).terms == {}
+    # the words are checked before the trivial class brackets to zero
+    with pytest.raises(S.WordError):
+        B.bracket_oriented(1, [], [7])
+    with pytest.raises(S.WordError):
+        B.bracket_oriented(0, [1, -1], [1])
+    with pytest.raises(S.WordError):
+        B.bracket_unoriented(1, [2, -2], [1, 9])
 
 
 def _based(loop, i):
@@ -316,14 +323,73 @@ def _rotation_pairs(draw):
     return g, l
 
 
+def _naive_class(word):
+    """canonical_cyclic by brute force: the least of all rotations."""
+    w = S.cyclic_reduce(list(word))
+    return min((tuple(w[k:] + w[:k]) for k in range(len(w))), default=())
+
+
+def _assert_splices_canonical(g, l):
+    """The bracket's key for every (i, j) splice of g and l decodes to the
+    class of g_i l_j, with and without rank tables, on int tuple keys and,
+    where the letters fit, on byte keys."""
+    if not g or not l:
+        return
+    codecs = [B._TUPLES] + ([B._BYTES] if max(map(abs, g + l)) < 128 else [])
+    sides = [(codec, B._side(tuple(g), codec[0], ranked), B._side(tuple(l), codec[0], ranked))
+             for codec in codecs for ranked in (False, True)]
+    for i in range(len(g)):
+        for j in range(len(l)):
+            want = _naive_class(g[i:] + g[:i] + l[j:] + l[:j])
+            for (encode, decode), first, second in sides:
+                got = decode(B._splice_key(first, second, i, j, encode))
+                assert got == want, (g, l, i, j, first[3] is not None)
+
+
 @given(_rotation_pairs())
 def test_junction_reduction_matches_canonical_cyclic(pair):
-    g, l = pair
-    for i in range(len(g)):
-        gi = tuple(g[i:] + g[:i])
-        for j in range(len(l)):
-            lj = tuple(l[j:] + l[:j])
-            assert B._joined_class(gi, lj) == S.canonical_cyclic(gi + lj)
+    _assert_splices_canonical(*pair)
+
+
+@st.composite
+def _splice_pairs(draw):
+    """Cyclically reduced g and l: random, periodic u^k, nearly periodic
+    u^k v, or l cancelling into g at the junctions.  Genus 64 and 70 draw
+    from a few letters, some past a signed byte."""
+    genus = draw(st.sampled_from((1, 2, 3, 64, 70)))
+    if genus < 64:
+        letter = st.integers(-2 * genus, 2 * genus).filter(bool)
+    else:
+        letter = st.sampled_from([x for k in (1, 2, 127, 128, 2 * genus) for x in (k, -k)])
+
+    def word():
+        kind = draw(st.sampled_from(("random", "power", "power+tail")))
+        if kind == "random":
+            return S.cyclic_reduce(draw(st.lists(letter, min_size=1, max_size=16)))
+        u = S.cyclic_reduce(draw(st.lists(letter, min_size=1, max_size=4)))
+        power = u * draw(st.integers(2, 5))
+        if kind == "power+tail":
+            power = S.cyclic_reduce(power + draw(st.lists(letter, min_size=1, max_size=3)))
+        return power
+
+    g = word()
+    mode = draw(st.sampled_from(("word", "cancel", "cancel+word")))
+    if mode == "word":
+        return g, word()
+    # l begins with the inverse of a suffix of g, or ends with the
+    # inverse of a prefix: both junctions cancel
+    cut = draw(st.integers(0, len(g)))
+    tail = word() if mode == "cancel+word" else []
+    return g, S.cyclic_reduce(S.inverse_word(g[cut:]) + tail + S.inverse_word(g[:cut // 2]))
+
+
+@given(_splice_pairs())
+@example(([1] * 30 + [2], [2]))
+@example(([1, 2] * 10, [1, 2] * 3))
+@example(([1, 2] * 10, [-2, -1] * 3 + [3]))
+@example(([139, 140, -1] * 5, [140, 1, -139]))
+def test_splice_keys_match_naive_least_rotation(pair):
+    _assert_splices_canonical(*pair)
 
 
 def _bracket_by_add(genus, word1, word2, seed, unoriented):
@@ -361,6 +427,25 @@ def test_bracket_matches_term_by_term_assembly():
             fn = B.bracket_unoriented if unoriented else B.bracket_oriented
             want = _bracket_by_add(genus, w1, w2, seed, unoriented)
             assert fn(genus, w1, w2, seed=seed) == want, (genus, w1, w2, seed)
+
+
+def test_long_brackets_match_term_by_term_assembly():
+    # long pairs take the rank tables; periodic words tie rotations, and
+    # genus 70 has letters past a signed byte
+    rng = np.random.default_rng(89)
+    cases = []
+    for genus, n1, n2 in [(2, 48, 40), (3, 96, 64), (2, 128, 128), (3, 128, 100),
+                          (70, 40, 48)]:
+        letters = [k for k in range(-2 * genus, 2 * genus + 1) if k]
+        cases.append((genus, *([int(x) for x in rng.choice(letters, size=n)]
+                               for n in (n1, n2))))
+    cases.append((2, [1, 2] * 20, [int(x) for x in rng.choice([1, 2, 3, -4], size=60)]))
+    cases.append((2, [1] * 60 + [2], [2, 3] * 30))
+    for genus, w1, w2 in cases:
+        for unoriented in (False, True):
+            fn = B.bracket_unoriented if unoriented else B.bracket_oriented
+            want = _bracket_by_add(genus, w1, w2, 11, unoriented)
+            assert fn(genus, w1, w2, seed=11) == want, (genus, len(w1), len(w2))
 
 
 def test_evaluate_rejects_out_of_range_letter():
