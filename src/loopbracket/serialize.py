@@ -186,6 +186,10 @@ def _real_array_from_json(data, shape, name) -> np.ndarray:
         raise SchemaError(f"{name} must be a dense real array") from err
     if arr.shape != shape:
         raise SchemaError(f"{name} has shape {arr.shape}, expected {shape}")
+    # float() reads true as 1.0 and "1.5" as 1.5: only JSON numbers count
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+               for v in np.array(data, dtype=object).flat):
+        raise SchemaError(f"{name} entries must be numbers")
     if not np.all(np.isfinite(arr)):
         raise SchemaError(f"{name} must be finite")
     return arr

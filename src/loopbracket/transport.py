@@ -12,8 +12,8 @@ the largest on the whole path if that is larger.  A is then resolved
 at half the degree, so each product A T_{k-1} is integrated by the
 panel's integration matrix without aliasing.  A panel still unresolved
 at 65 points is bisected, and the halves' levels are joined by Chen's
-identity, the truncated Cauchy product that perturbed holonomy also
-uses.  Bisection stops at panels of length 2^-12, where a kink or a
+identity, the product of block-Toeplitz jets that perturbed holonomy
+also uses.  Bisection stops at panels of length 2^-12, where a kink or a
 jump is left, and after 5 bisections along a chain of panels that left
 both halves unresolved, where noise is left; the first rule bounds the
 depth, the second the width, and neither depends on where along [0, 1]
@@ -37,17 +37,16 @@ Perturbed holonomy of a word: each letter's arc carries a constant
 algebra-valued perturbation (inverse letters traverse it backwards), the
 current-frame equation is P' = -m B_j P with a crossing jump rho(x_j) at
 each arc end, and the substitution P = psi R with psi the unperturbed
-prefix holonomy turns it into a transport problem whose coefficient is
-constant on each arc, C_j = -psi_j^-1 B_j psi_j integrated over the arc.
-No grid is needed: by Chen's concatenation identity the arc's levels
-are C_j^k / k! and the word's levels are the truncated Cauchy product of
-the arcs' level lists, exact up to rounding.  The perturbed holonomy is
-hol(w) R(1), it is multiplicative for concatenation, and the exposed
-series terms V_k = hol R_k hol^-1 satisfy the concatenation rule tested
-in the suites.  Its remainder_bound covers the returned value: the
-series tail times |hol|_2 plus a stated rounding term (see
-perturbed_holonomy).  An arc-by-arc RK4 integrator in the current frame
-is the independent second route.
+prefix holonomy gives a transport problem whose coefficient C_j =
+-psi_j^-1 B_j psi_j is constant on each arc.  No grid is needed: an arc's
+levels C_j^k / k! are the blocks of its jet exp(N x C_j), N the nilpotent
+shift on n_max + 1 levels, so the series ends by itself, and by Chen's
+identity the word's levels are the product of the arcs' jets.  The
+perturbed holonomy is hol(w) R(1); it is multiplicative, its terms
+V_k = hol R_k hol^-1 obey the concatenation rule the suites test, and its
+remainder_bound covers the returned value (see perturbed_holonomy).  An
+arc-by-arc RK4 integrator in the current frame is the independent second
+route.
 """
 
 from __future__ import annotations
@@ -76,7 +75,7 @@ def series_tail_bound(r_hat: float, n_max: int) -> float:
     """sum_{k > n_max} r^k / k!, or inf when that overflows a double.
 
     The terms grow while k < r and then fall off, so the sum runs past
-    k = r until the terms are negligible (below 1e-300).
+    k = r until a term is below 1e-300 or half an ulp of the sum.
     """
     if not r_hat < math.inf:
         return math.inf
@@ -85,7 +84,7 @@ def series_tail_bound(r_hat: float, n_max: int) -> float:
     except OverflowError:
         return math.inf
     total, k = 0.0, n_max + 1
-    while term > 1e-300 or k < r_hat:
+    while k < r_hat or (term > 1e-300 and term >= math.ulp(total) / 2):
         total += term
         if total == math.inf:
             return math.inf
@@ -165,21 +164,34 @@ def _grids() -> dict:
 
 
 def _arc_levels(c: np.ndarray, n_max: int) -> np.ndarray:
-    """Levels C^k / k!, k = 0..n_max, of a constant coefficient C."""
+    """Levels C^k / k!, k <= n_max, of a stack of constant coefficients C."""
     arc = np.empty((n_max + 1, *c.shape), dtype=complex)
-    arc[0] = np.eye(len(c))
+    arc[0] = np.eye(c.shape[-1])
     for k in range(1, n_max + 1):
         arc[k] = arc[k - 1] @ c / k
-    return arc
+    return np.moveaxis(arc, 0, -3)
+
+
+@lru_cache(maxsize=None)
+def _jet_index(size: int, d: int) -> np.ndarray:
+    """Flat index of each jet entry into its levels followed by a zero
+    level: block (i, j) is level i - j, or the zero level above i = j."""
+    k, r = np.arange(size), np.arange(d)
+    i = np.where(k[:, None] >= k, k[:, None] - k, size)
+    return ((i[:, None, :, None] * d + r[:, None, None]) * d + r).reshape(size * d, -1)
 
 
 def _chen_product(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
-    """Levels of a path followed by another, by Chen's identity: the
-    truncated Cauchy product of their level lists, later on the left."""
-    new = np.zeros_like(earlier)
-    for i in range(len(earlier)):
-        new[i:] += later[:len(earlier) - i] @ earlier[i]
-    return new
+    """Levels of path earlier followed by each path of the stack later, by
+    Chen's identity: a path's jet, block lower-triangular Toeplitz with
+    block T_(i-j) at (i, j), maps the levels before it to those after."""
+    size, d = earlier.shape[0], earlier.shape[-1]
+    later = later.reshape(-1, size * d * d)
+    padded = np.concatenate([later, np.zeros((len(later), d * d))], axis=1)
+    out = earlier.reshape(size * d, d)
+    for jet in np.take(padded, _jet_index(size, d), axis=1):
+        out = jet @ out
+    return out.reshape(size, d, d)
 
 
 class _Samples(dict):
@@ -339,6 +351,12 @@ class PerturbedHolonomy:
     remainder_bound: float         # bounds |value - exact|_2
 
 
+def _arc_perturbations(pert: dict, word, d: int) -> np.ndarray:
+    """B_k on the arc of each letter x_k, -B_k on that of x_k^-1, stacked."""
+    b = np.array([pert[abs(x)] for x in word], dtype=complex).reshape(-1, d, d)
+    return np.where(np.array(word).reshape(-1, 1, 1) < 0, -b, b)
+
+
 def perturbed_holonomy(rep: S.Representation, pert: dict, word,
                        n_max: int = 12) -> PerturbedHolonomy:
     """Perturbed holonomy of a word by Chen concatenation of its arcs.
@@ -346,36 +364,37 @@ def perturbed_holonomy(rep: S.Representation, pert: dict, word,
     pert maps generator index k to a constant algebra element B_k; the
     arc of an inverse letter carries -B_k.  Arc j has the constant
     start-frame coefficient C_j = -psi_j^-1 B_j psi_j over the whole arc
-    (psi_j the prefix holonomy), so its levels are C_j^k / k! and the
-    levels of the word are their truncated Cauchy product, later arcs on
-    the left.
+    (psi_j the prefix holonomy), so its levels C_j^k / k! are the blocks
+    of its jet exp(N x C_j), N the nilpotent shift, and the levels of the
+    word are the product of the arcs' jets, later arcs on the left, with
+    those of the empty path, (I, 0, .., 0).
 
     remainder_bound = |hol|_2 tail(r_hat, n_max)
                       + (m + n_max) d u e^r_hat prod_j |rho(x_j)|_2,
-    with m letters, d the matrix size and u = 2^-53: series truncation
-    plus a Higham gamma_n estimate of the rounding in the m + n_max
-    chained products of d x d matrices.
+    with r_hat = sum_j |C_j|_2, m letters, d the matrix size and
+    u = 2^-53: series truncation plus a Higham gamma_n estimate of the
+    rounding in the m + n_max chained products of d x d matrices.
     """
     S.check_word(word, rep.genus)
     d = rep.spec.matrix_dim
-    eye = np.eye(d, dtype=complex)
-    psi, psi_inv = eye, eye
-    levels = np.zeros((n_max + 1, d, d), dtype=complex)
-    levels[0] = eye
-    r_hat, letters_norm = 0.0, 1.0
+    psis, psi_invs = [np.eye(d, dtype=complex)], [np.eye(d, dtype=complex)]
     for x in word:
-        b = np.asarray(pert[abs(x)], dtype=complex)
-        c = psi_inv @ (b if x < 0 else -b) @ psi
-        levels = _chen_product(_arc_levels(c, n_max), levels)
-        r_hat += float(np.linalg.norm(c, 2))
-        letters_norm *= float(np.linalg.norm(rep.image(x), 2))
-        psi = rep.image(x) @ psi
-        psi_inv = psi_inv @ rep.image(-x)
+        psis.append(rep.image(x) @ psis[-1])
+        psi_invs.append(psi_invs[-1] @ rep.image(-x))
+    psi, psi_inv = psis[-1], psi_invs[-1]
+    c = (np.array(psi_invs)[:-1] @ -_arc_perturbations(pert, word, d)
+         @ np.array(psis)[:-1])
+    norms = np.linalg.norm(np.concatenate([c, [*map(rep.image, word), psi]]), 2,
+                           axis=(1, 2)).tolist()
+    r_hat, letters_norm = 0.0, 1.0
+    for c_norm, x_norm in zip(norms[:len(word)], norms[len(word):-1]):
+        r_hat += c_norm
+        letters_norm *= x_norm
+    levels = _chen_product(_arc_levels(c, n_max), _arc_levels(np.zeros((d, d)), n_max))
     with np.errstate(over="ignore"):  # past r = 709.78 the bound is inf
         rounding = (len(word) + n_max) * d * 2.0 ** -53 * np.exp(r_hat) * letters_norm
-    bound = float(np.linalg.norm(psi, 2) * series_tail_bound(r_hat, n_max)
-                  + rounding)
-    series = [psi @ t @ psi_inv for t in levels]
+    bound = float(norms[-1] * series_tail_bound(r_hat, n_max) + rounding)
+    series = list(psi @ levels @ psi_inv)
     return PerturbedHolonomy(psi, psi @ levels.sum(axis=0), series, r_hat, bound)
 
 
@@ -385,22 +404,18 @@ def rk4_perturbed_holonomy(rep: S.Representation, pert: dict, word,
 
     On a constant arc one classical RK4 step of size h is the fixed
     matrix I + hC + (hC)^2/2 + (hC)^3/6 + (hC)^4/24, so the arc's steps
-    are one matrix power of it.
+    are one matrix power of it, the same for all arcs: one stacked power.
     """
-    w = list(word)
     d = rep.spec.matrix_dim
     p = np.eye(d, dtype=complex)
-    if not w:
+    if not word:
         return p
-    m = len(w)
+    m = len(word)
     steps = max(1, n_steps // m)
     h = 1.0 / (m * steps)
-    for x in w:
-        b = np.asarray(pert[abs(x)], dtype=complex)
-        if x < 0:
-            b = -b
-        hc = h * (-m * b)
-        hc2 = hc @ hc
-        step = np.eye(d) + hc + hc2 / 2 + hc2 @ hc / 6 + hc2 @ hc2 / 24
-        p = rep.image(x) @ np.linalg.matrix_power(step, steps) @ p
+    hc = h * (-m * _arc_perturbations(pert, word, d))
+    hc2 = hc @ hc
+    step = np.eye(d) + hc + hc2 / 2 + hc2 @ hc / 6 + hc2 @ hc2 / 24
+    for x, power in zip(word, np.linalg.matrix_power(step, steps)):
+        p = rep.image(x) @ power @ p
     return p

@@ -163,18 +163,25 @@ def _dgla_1x1(d0):
             "d_eo": [[0]], "d_oe": [[0]], "w00": [[1]], "w11": [[1]]}
 
 
+def _dgla_1x1_cell(w00):
+    return {**_dgla_1x1(1), "w00": [[w00]]}
+
+
 # (command, file maker, argv after the file, the value that fits, values that
-# once passed as an integer: true, a truncated fraction, a numeric string)
+# once passed as an integer or a number: true, a truncated fraction, a
+# numeric string)
 _NOT_INTEGERS = [
     ("bracket", _torus_file, ["a", "b"], 1, [True]),
     ("holonomy", _gl1_rep, ["a1"], 1, [True, 1.7, "1"]),
     ("holonomy", _gl2_rep, ["a1"], 1, [True]),
     ("dgla-check", _dgla_1x1, [], 1, [True]),
+    ("dgla-check", _dgla_1x1_cell, [], 1, [True, "1"]),
 ]
 
 
 @pytest.mark.parametrize("command, make, argv, good, bads", _NOT_INTEGERS,
-                         ids=["curves-genus", "group-n", "matrix-cell", "dgla-d0"])
+                         ids=["curves-genus", "group-n", "matrix-cell", "dgla-d0",
+                              "dgla-cell"])
 def test_json_booleans_and_fractions_are_not_integers(command, make, argv, good, bads,
                                                        tmp_path):
     path = tmp_path / "in.json"
@@ -596,6 +603,55 @@ def test_bracket_stdout_is_pinned(curves, argv, digest, tmp_path):
     out = run_cli("bracket", str(path), *argv)
     assert out.returncode == 0, out.stderr
     assert hashlib.sha256(out.stdout.encode()).hexdigest() == digest
+
+
+# `sample-rep --group "Sp(2,R)" --genus 2 --seed 5`, and README's pert.json
+_SP2_REP = {"group": {"kind": "Sp_R", "n": 2, "p": 0, "q": 0}, "images": {
+    "a1": [[[0.652738611824491, 0.0], [-0.14530568111605655, 0.0]],
+           [[0.4691755150082483, 0.0], [1.4275639825016209, 0.0]]],
+    "a2": [[[0.7753756724463803, 0.0], [-0.0782631894566492, 0.0]],
+           [[0.4539403325451385, 0.0], [1.2438785688349048, 0.0]]],
+    "b1": [[[1.379452343070292, 0.0], [0.06431655887835815, 0.0]],
+           [[-0.2464905518395854, 0.0], [0.7134328205345633, 0.0]]],
+    "b2": [[[1.5584596829016706, 0.0], [0.32714486826062616, 0.0]],
+           [[-1.2569250086512127, 0.0], [0.3778111426886765, 0.0]]]}}
+
+
+def _pert_a1(entries):
+    return {"a1": [[[entries[0], 0], [entries[1], 0]],
+                   [[entries[2], 0], [entries[3], 0]]]}
+
+
+# sha256 of holonomy --perturbation stdout, taken when the series became a
+# product of jet matrices
+@pytest.mark.parametrize("word, digest", [
+    ("a1 b1 A2", "65cff4aff4e4162da21fe52ade8a489471eb654ef95f0e56a5c4cdffb54b7dda"),
+    ("b2 a1 a1 B1 A2 b1 a2 a1",
+     "fc4ae535d6a1e97e083565e20b65673f104f60752e30ba073b89719653ad82e6"),
+])
+def test_holonomy_perturbation_stdout_is_pinned(word, digest, tmp_path):
+    rep, pert = tmp_path / "rep.json", tmp_path / "pert.json"
+    rep.write_text(json.dumps(_SP2_REP))
+    pert.write_text(json.dumps(_pert_a1([0, 0.01, 0.01, 0])))
+    out = run_cli("holonomy", str(rep), word, "--perturbation", str(pert))
+    assert out.returncode == 0, out.stderr
+    assert hashlib.sha256(out.stdout.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("entries, message", [
+    ([0, 1e300, 1e300, 0], "non-finite result: perturbed_holonomy is nan"),
+    ([800, 0, 0, -800], "non-finite result: remainder_bound is inf"),
+    ([-800, 0, 0, 800], "non-finite result: remainder_bound is inf"),
+])
+def test_holonomy_perturbation_overflow_exits_1(entries, message, tmp_path, capsys):
+    # in process, where a RuntimeWarning is an error
+    rep, pert = tmp_path / "rep.json", tmp_path / "pert.json"
+    rep.write_text(json.dumps(_SP2_REP))
+    pert.write_text(json.dumps(_pert_a1(entries)))
+    assert C.main(["holonomy", str(rep), "a1 b1 A2", "--perturbation", str(pert)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(message) and "Traceback" not in out.err
 
 
 # The flags each subcommand reads, written out here rather than taken

@@ -192,6 +192,8 @@ def test_dgla_from_json_rejects():
         lambda o: o.update(d0="2"),
         lambda o: o.update(d_eo=[[1.0, 1.0]]),
         lambda o: o.update(w00=[[float("nan"), 0.0], [0.0, 1.0]]),
+        lambda o: o.update(w00=[[True, 0.0], [0.0, -1.0]]),
+        lambda o: o.update(d_oe=[[0.0, "-1"], [0.0, 1.0]]),
     ]:
         obj = json.loads(json.dumps(good))
         mutate(obj)

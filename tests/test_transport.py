@@ -254,9 +254,76 @@ def test_tail_bound_past_the_peak_term(r_hat):
         assert abs(mpmath.mpf(got) / want - 1) < 1e-12
 
 
+def _tail_bound_to_1e300(r_hat, n_max):
+    """series_tail_bound as it summed before it stopped at half an ulp."""
+    if not r_hat < math.inf:
+        return math.inf
+    try:
+        term = r_hat ** (n_max + 1) / math.factorial(n_max + 1)
+    except OverflowError:
+        return math.inf
+    total, k = 0.0, n_max + 1
+    while term > 1e-300 or k < r_hat:
+        total += term
+        if total == math.inf:
+            return math.inf
+        k += 1
+        term *= r_hat / k
+    return total
+
+
+@pytest.mark.parametrize("n_max", [0, 4, 12])
+@pytest.mark.parametrize("r_hat", [0.0, 1e-3, 0.3, 0.9, 5.0, 50.0, 700.0, 800.0,
+                                   math.inf])
+def test_tail_bound_stops_early_without_changing_a_bit(r_hat, n_max):
+    assert T.series_tail_bound(r_hat, n_max) == _tail_bound_to_1e300(r_hat, n_max)
+
+
 def test_tail_bound_overflow_is_inf():
     assert T.series_tail_bound(800.0, 12) == math.inf
     assert T.series_tail_bound(1e30, 12) == math.inf
+
+
+# --- Chen products ---
+
+
+def _cauchy_product(later, earlier):
+    """Truncated Cauchy product of two level lists, later on the left."""
+    return np.array([sum(later[k - i] @ earlier[i] for i in range(k + 1))
+                     for k in range(len(earlier))])
+
+
+def _random_levels(rng, size, d, cplx):
+    levels = rng.normal(size=(size, d, d))
+    if cplx:
+        levels = levels + 1j * rng.normal(size=(size, d, d))
+    return levels / np.arange(1, size + 1)[:, None, None]
+
+
+@pytest.mark.parametrize("n_max", [0, 4, 12])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("cplx", [False, True])
+def test_chen_product_is_the_cauchy_product(n_max, d, cplx):
+    rng = np.random.default_rng([n_max, d, cplx])
+    later, earlier, third = (_random_levels(rng, n_max + 1, d, cplx) for _ in range(3))
+    want = _cauchy_product(later, earlier)
+    got = T._chen_product(later, earlier)
+    assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+    # a stack of later paths is applied first to last
+    want = _cauchy_product(third, want)
+    got = T._chen_product(np.stack([later, third]), earlier)
+    assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def test_arc_levels_stack_matches_one_arc_at_a_time():
+    rng = np.random.default_rng(7)
+    c = 0.2 * (rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3)))
+    stacked = T._arc_levels(c, 12)
+    assert stacked.shape == (5, 13, 3, 3)
+    for j in range(5):
+        assert np.array_equal(stacked[j], T._arc_levels(c[j], 12))
+        err = np.linalg.norm(stacked[j].sum(axis=0) - expm(c[j]), 2)
+        assert err <= T.series_tail_bound(np.linalg.norm(c[j], 2), 12) + 1e-14
 
 
 # --- perturbed holonomy ---
@@ -282,6 +349,78 @@ def _expm_perturbed_holonomy(rep, pert, word):
     return p
 
 
+_GROUPS = ["GL(2,R)", "GL(2,C)", "O(2,1)", "O(2,C)", "U(1,1)", "Sp(2,R)", "Sp(1,1)"]
+
+
+def _random_word(rng, genus, length):
+    word = []
+    while len(word) < length:
+        x = int(rng.integers(1, 2 * genus + 1)) * (1 if rng.integers(2) else -1)
+        if not word or word[-1] != -x:
+            word.append(x)
+    return word
+
+
+def _group_cases(group, count=8):
+    """A genus-2 representation, a perturbation at r_hat about 0.1-0.6 per
+    word, and words of 0 to 12 letters, the empty word first."""
+    spec = Z.parse_group_string(group)
+    rng = np.random.default_rng([83, *group.encode()])
+    rep = S.sample_representation(spec, 2, rng)
+    for length in [0, *rng.integers(1, 13, size=count - 1)]:
+        word = _random_word(rng, 2, length)
+        scale = rng.uniform(0.02, 0.15)
+        pert = {k + 1: scale * G.random_algebra_element(spec, rng) for k in range(4)}
+        yield rep, pert, word
+
+
+def _rk4_per_letter(rep, pert, word, n_steps=2000):
+    """rk4_perturbed_holonomy one letter at a time."""
+    d = rep.spec.matrix_dim
+    p = np.eye(d, dtype=complex)
+    if not word:
+        return p
+    m = len(word)
+    steps = max(1, n_steps // m)
+    h = 1.0 / (m * steps)
+    for x in word:
+        b = np.asarray(pert[abs(x)], dtype=complex)
+        if x < 0:
+            b = -b
+        hc = h * (-m * b)
+        hc2 = hc @ hc
+        step = np.eye(d) + hc + hc2 / 2 + hc2 @ hc / 6 + hc2 @ hc2 / 24
+        p = rep.image(x) @ np.linalg.matrix_power(step, steps) @ p
+    return p
+
+
+def _certificate_per_letter(rep, pert, word, n_max=12):
+    """(r_hat, remainder_bound) of perturbed_holonomy, one letter at a time."""
+    d = rep.spec.matrix_dim
+    psi = psi_inv = np.eye(d, dtype=complex)
+    r_hat, letters_norm = 0.0, 1.0
+    for x in word:
+        b = np.asarray(pert[abs(x)], dtype=complex)
+        c = psi_inv @ (b if x < 0 else -b) @ psi
+        r_hat += float(np.linalg.norm(c, 2))
+        letters_norm *= float(np.linalg.norm(rep.image(x), 2))
+        psi = rep.image(x) @ psi
+        psi_inv = psi_inv @ rep.image(-x)
+    rounding = (len(word) + n_max) * d * 2.0 ** -53 * np.exp(r_hat) * letters_norm
+    return r_hat, float(np.linalg.norm(psi, 2) * T.series_tail_bound(r_hat, n_max)
+                        + rounding)
+
+
+@pytest.mark.parametrize("group", _GROUPS)
+def test_stacked_routes_match_the_per_letter_formulas_bit_for_bit(group):
+    for rep, pert, word in _group_cases(group):
+        assert np.array_equal(T.rk4_perturbed_holonomy(rep, pert, word),
+                              _rk4_per_letter(rep, pert, word)), word
+        out = T.perturbed_holonomy(rep, pert, word)
+        assert (out.r_hat, out.remainder_bound) == _certificate_per_letter(
+            rep, pert, word), word
+
+
 def test_zero_perturbation_reproduces_holonomy_exactly():
     rep, _ = _rep_and_pert("GL_R", 2, 5, 0.0)
     d = rep.spec.matrix_dim
@@ -291,6 +430,19 @@ def test_zero_perturbation_reproduces_holonomy_exactly():
     assert np.array_equal(out.value, S.holonomy(rep, word))
     for k in range(1, 7):
         assert np.all(out.series[k] == 0)
+
+
+@pytest.mark.parametrize("group", _GROUPS)
+def test_zero_perturbation_is_exact_for_every_kind(group):
+    for rep, pert, word in _group_cases(group, count=4):
+        zeros = {k: np.zeros_like(b) for k, b in pert.items()}
+        for n_max in (4, 12):
+            out = T.perturbed_holonomy(rep, zeros, word, n_max=n_max)
+            assert np.array_equal(out.value, S.holonomy(rep, word)), word
+            assert np.array_equal(out.hol, S.holonomy(rep, word))
+            assert len(out.series) == n_max + 1
+            for k in range(1, n_max + 1):
+                assert np.all(out.series[k] == 0)
 
 
 @pytest.mark.parametrize("kind,genus", [("GL_R", 1), ("GL_R", 2), ("U_pq", 2)])
