@@ -167,7 +167,7 @@ def chen_trial(seed: int, idx: int, *, tol: float) -> dict:
     if sub == "transport":
         path = _chen_random_path(rng)
         res = T.picard_transport(path, n_max=12)
-        gap = float(np.linalg.norm(res.transport - T.rk4_transport(path, 2000)))
+        gap = float(np.linalg.norm(res.transport - T.rk4_transport(path)))
         rho = _norm_integral(path)
         norm_ok = res.r_hat >= rho and all(
             np.linalg.norm(term, 2) <= rho ** k / factorial(k) * (1 + 1e-6)
