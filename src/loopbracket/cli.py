@@ -37,7 +37,7 @@ import sys
 
 from .bracket import bracket_oriented, bracket_unoriented
 from .schema import DglaError, SchemaError, curves_from_json, loopsum_to_json
-from .words import RelatorError, WordError
+from .words import RelatorError, WordError, check_word, format_word, parse_word
 
 TAU_REP = 1e-9
 
@@ -85,20 +85,17 @@ def _load_json(path: str):
         raise SchemaError(f"cannot read {path}: {err}") from err
 
 
-def _write_out(path, text: str):
-    if path:
+def _emit(args, *docs):
+    """Print the report of each document, one line each, after writing
+    them at full precision to --out; a non-finite output raises before
+    either is written."""
+    text = "\n".join(map(dumps, docs))
+    if args.out:
         try:
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
+            with open(args.out, "w") as fh:
+                fh.write("\n".join(map(dumps_full, docs)) + "\n")
         except OSError as err:
-            raise SchemaError(f"cannot write {path}: {err}") from err
-
-
-def _emit(args, obj):
-    """Print the report of obj, after writing it at full precision to
-    --out; a non-finite output raises before either is written."""
-    text = dumps(obj)
-    _write_out(args.out, dumps_full(obj))
+            raise SchemaError(f"cannot write {args.out}: {err}") from err
     print(text)
 
 
@@ -122,14 +119,14 @@ def cmd_holonomy(args) -> int:
 
     with np.errstate(over="ignore", invalid="ignore"):  # reported by NonFiniteResult
         rep = Z.rep_from_json(_load_json(args.input))
-        word = S.parse_word(args.word)
-        S.check_word(word, rep.genus)
+        word = parse_word(args.word)
+        check_word(word, rep.genus)
         resid = S.relator_residual(rep)
         if not resid <= args.tol:  # a NaN residual fails too
             raise RelatorError(
                 f"relator residual {resid:.3e} exceeds {args.tol:.3e}")
         hol = S.holonomy(rep, word)
-        out = {"word": S.format_word(word),
+        out = {"word": format_word(word),
                "trace": G.invariant_f(rep.spec, hol),
                "holonomy": Z.matrix_to_json(hol)}
         if args.perturbation:
@@ -155,11 +152,7 @@ def cmd_verify(args) -> int:
 
     records, summary = run_suite(args.suite, args.seed, args.trials,
                                  args.genus, args.group, args.tol)
-    lines = [dumps(r) for r in records] + [dumps(summary)]
-    if args.out:
-        full = [dumps_full(r) for r in records] + [dumps_full(summary)]
-        _write_out(args.out, "\n".join(full))
-    print("\n".join(lines))
+    _emit(args, *records, summary)
     return 0 if summary["pass"] else 1
 
 

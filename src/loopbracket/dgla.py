@@ -216,18 +216,12 @@ def axioms_pass(report: dict, tol: float = 1e-12,
 
 
 def structure_constants(spec: G.GroupSpec) -> np.ndarray:
-    """c[k,i,j] of the algebra in its pairing-orthonormal basis."""
+    """c[k,i,j] = sign_k <[u_i, u_j], u_k> of the algebra in its
+    pairing-orthonormal basis u, so that [u_i, u_j] = sum_k c[k,i,j] u_k."""
     basis, signs = G.pairing_orthonormal_basis(spec)
-    m = len(basis)
-    c = np.zeros((m, m, m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            comm = basis[i] @ basis[j] - basis[j] @ basis[i]
-            for k in range(m):
-                v = signs[k] * G.pairing(comm, basis[k])
-                c[k, i, j] = v
-                c[k, j, i] = -v
-    return c
+    u = np.array(basis)
+    t = np.einsum("iab,jbc,kca->kij", u, u, u, optimize=True).real
+    return np.asarray(signs)[:, None, None] * (t - t.transpose(0, 2, 1))
 
 
 def surface_toy_instance(genus: int, spec: G.GroupSpec) -> CyclicDgla:

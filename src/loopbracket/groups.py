@@ -6,7 +6,10 @@ algebra, random samples, membership residuals, and the variation F of the
 invariant function f(g) = Re tr(g).
 
 Conventions.  The pairing is <x, y> = Re tr(xy): R-bilinear, symmetric,
-and nondegenerate (indefinite in general) on each algebra below.  The
+and nondegenerate (indefinite in general) on each algebra below, since
+each is closed under conjugate transpose and <x, x^*> = |x|_F^2 > 0 for
+x != 0.  So its Gram matrix on any basis has no zero eigenvalue, and one
+eigendecomposition of it gives a pairing-orthonormal basis.  The
 variation F(g) is the pairing-dual of the right differential of f,
 
     d/dt f(g exp(t x)) |_{t=0} = <F(g), x>   for every algebra element x,
@@ -342,49 +345,27 @@ def f_hat(spec: GroupSpec, g: np.ndarray, xs=(), r: float = 1.0) -> float:
 
 @cache
 def pairing_orthonormal_basis(spec: GroupSpec):
-    """Basis u_i of the algebra with <u_i, u_j> = sign_i delta_ij.
+    """Basis u_k of the algebra with <u_k, u_l> = sign_k delta_kl.
 
-    Indefinite Gram-Schmidt with largest-|self-pairing| pivoting; when
-    every remaining vector is null the pair with the largest mutual
-    pairing is replaced by its sum and difference, which are not.
+    One eigendecomposition V diag(lam) V^T of the Gram matrix
+    G_ij = <b_i, b_j> on algebra_basis gives u_k = sum_i b_i V_ik /
+    sqrt|lam_k| and sign_k = sign(lam_k).  No lam_k is 0: each algebra is
+    closed under conjugate transpose and <x, x^*> = |x|_F^2, so no nonzero
+    x pairs to 0 with the whole algebra.
     """
-    work = [np.asarray(b, dtype=complex) for b in algebra_basis(spec)]
-    out: list[np.ndarray] = []
-    signs: list[float] = []
-    while work:
-        selfs = [pairing(v, v) for v in work]
-        k = int(np.argmax(np.abs(selfs)))
-        scale = max(_fro(work[k]) ** 2, 1e-30)
-        if abs(selfs[k]) > 1e-10 * scale:
-            v = work.pop(k)
-            s = 1.0 if selfs[k] > 0 else -1.0
-            u = v / np.sqrt(abs(selfs[k]))
-            out.append(u)
-            signs.append(s)
-            work = [w - s * pairing(w, u) * u for w in work]
-            continue
-        # all remaining vectors are null for <, >; mix the best pair
-        best, bi, bj = 0.0, -1, -1
-        for i in range(len(work)):
-            for j in range(i + 1, len(work)):
-                p = abs(pairing(work[i], work[j]))
-                if p > best:
-                    best, bi, bj = p, i, j
-        if bi < 0 or best < 1e-12 * scale:
-            raise GroupError("degenerate pairing on algebra basis")
-        vi, vj = work[bi], work[bj]
-        work[bi], work[bj] = vi + vj, vi - vj
-    return tuple(out), tuple(signs)
+    b = algebra_basis(spec)
+    lam, v = np.linalg.eigh(np.einsum("iab,jba->ij", b, b).real)
+    u = np.tensordot(v / np.sqrt(np.abs(lam)), b, axes=(0, 0))
+    u.flags.writeable = False  # cached and shared
+    return tuple(u), tuple(np.sign(lam).tolist())
 
 
 def project_to_algebra(spec: GroupSpec, v: np.ndarray) -> np.ndarray:
     """Pairing-orthogonal projection of a gl matrix onto the algebra."""
     basis, signs = pairing_orthonormal_basis(spec)
-    v = np.asarray(v, dtype=complex)
-    acc = np.zeros_like(v)
-    for u, s in zip(basis, signs):
-        acc = acc + s * pairing(v, u) * u
-    return acc
+    u = np.array(basis)
+    coef = np.multiply(signs, np.einsum("ab,kba->k", v, u).real)
+    return np.tensordot(coef, u, axes=1)
 
 
 def variation_generic(spec: GroupSpec, g: np.ndarray) -> np.ndarray:

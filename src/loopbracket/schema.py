@@ -1,8 +1,8 @@
 """The JSON schemas of the bracket path, on the standard library alone.
 
 Curve files are {"genus": g, "curves": {name: "a1 b1 ..", ..}} and loop
-sums are [{"coef": "1/2", "word": "a1 b1"}, ..].  `serialize`, which
-holds the numeric schemas, re-exports everything here.  SchemaError and
+sums are [{"coef": "1/2", "word": "a1 b1"}, ..]; `serialize` holds the
+numeric schemas.  SchemaError and
 DglaError are the two kinds of malformed input, a file or flag that does
 not fit its schema and a DGLA whose tensors do not fit together; the CLI
 maps both to exit code 2.

@@ -8,7 +8,7 @@ arrays with explicit dimensions.  Every reader validates shape and
 finiteness and raises SchemaError, which the CLI maps to exit code 2;
 representation images must also have finite inverses.  Curve files,
 loop sums and SchemaError live in `schema`, on the standard library
-alone, and are re-exported here.
+alone.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ import numpy as np
 from . import dgla as DG
 from . import groups as G
 from . import surface as S
-from .schema import (SchemaError, curves_from_json, is_integer,  # noqa: F401
-                     loopsum_from_json, loopsum_to_json)
+from . import words as W
+from .schema import SchemaError, is_integer
 
 
 def matrix_to_json(m) -> list:
@@ -126,7 +126,7 @@ def format_group_string(spec: G.GroupSpec) -> str:
 def rep_to_json(rep: S.Representation) -> dict:
     images = {}
     for k, mat in enumerate(rep.images):
-        images[S.format_word([k + 1])] = matrix_to_json(mat)
+        images[W.format_word([k + 1])] = matrix_to_json(mat)
     return {"group": group_to_json(rep.spec), "images": images}
 
 
@@ -140,7 +140,7 @@ def rep_from_json(obj) -> S.Representation:
     genus = len(images) // 2
     mats = []
     for k in range(1, 2 * genus + 1):
-        name = S.format_word([k])
+        name = W.format_word([k])
         if name not in images:
             raise SchemaError(f"missing image for generator {name}")
         m = matrix_from_json(images[name])
@@ -154,7 +154,7 @@ def rep_from_json(obj) -> S.Representation:
         raise SchemaError(f"images must be invertible: {err}") from err
     for k in range(1, 2 * genus + 1):
         if not np.all(np.isfinite(rep.image(-k))):
-            raise SchemaError(f"image {S.format_word([k])} has no finite inverse")
+            raise SchemaError(f"image {W.format_word([k])} has no finite inverse")
     return rep
 
 
@@ -166,8 +166,8 @@ def perturbation_from_json(obj, genus: int, dim: int) -> dict:
             for k in range(1, 2 * genus + 1)}
     for name, data in obj.items():
         try:
-            word = S.parse_word(name)
-        except S.WordError as err:
+            word = W.parse_word(name)
+        except W.WordError as err:
             raise SchemaError(f"bad perturbation key {name!r}") from err
         if len(word) != 1 or word[0] < 0 or word[0] > 2 * genus:
             raise SchemaError(f"perturbation key {name!r} must be a single "

@@ -1,9 +1,8 @@
 """Holonomy, trace functions and representation sampling for surface groups.
 
-The word algebra lives in `words`, on the standard library alone, and is
-re-exported here.  Holonomy follows the path-composition rule
-hol(u then v) = hol(v) hol(u), so the matrix of the later letter sits on
-the left.
+The word algebra lives in `words`, on the standard library alone.
+Holonomy follows the path-composition rule hol(u then v) = hol(v) hol(u),
+so the matrix of the later letter sits on the left.
 """
 
 from __future__ import annotations
@@ -14,9 +13,7 @@ from itertools import chain
 import numpy as np
 
 from . import groups as G
-from .words import (RelatorError, WordError, canonical_cyclic, check_word,  # noqa: F401
-                    cyclic_reduce, format_word, free_reduce, inverse_word,
-                    least_rotation, parse_word, relator)
+from .words import RelatorError, WordError, check_word, inverse_word, relator
 
 
 def homotopy_variants(word, genus: int, rng: np.random.Generator, count: int):

@@ -1,6 +1,6 @@
 """Parallel transport as an iterated-integral series, plus perturbed holonomy.
 
-picard_transport solves dR/dt = sign * A(t) R, R(0) = I, by the Picard
+picard_transport solves dR/dt = A(t) R, R(0) = I, by the Picard
 iteration: R = sum of T_k with T_0 = I and T_k(t) = int_0^t A T_{k-1},
 so the kth term is the k-fold time-ordered integral with the largest time
 leftmost.  Every level is integrated spectrally (Greengard, SIAM J.
@@ -61,6 +61,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import surface as S
+from . import words as W
 
 
 @dataclass
@@ -198,14 +199,14 @@ def _chen_product(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
 
 
 class _Samples(dict):
-    """sign * A(t), sampled once per distinct t."""
+    """A(t), sampled once per distinct t."""
 
-    def __init__(self, fn, sign: int):
+    def __init__(self, fn):
         super().__init__()
-        self.fn, self.sign = fn, sign
+        self.fn = fn
 
     def __missing__(self, t):
-        value = self[t] = self.sign * np.asarray(self.fn(t))
+        value = self[t] = np.asarray(self.fn(t))
         return value
 
 
@@ -276,9 +277,9 @@ def _panel(samples: _Samples, a: float, b: float, fit, scale: float,
     return levels, r_hat, length * tail + (n_max + size) * d * _U
 
 
-def picard_transport(path: MatrixPath, n_max: int = 12, n_steps: int | None = None,
-                     sign: int = 1) -> TransportResult:
-    """Truncated time-ordered exponential of sign * A along the path.
+def picard_transport(path: MatrixPath, n_max: int = 12,
+                     n_steps: int | None = None) -> TransportResult:
+    """Truncated time-ordered exponential of A along the path.
 
     Adaptive Chebyshev panels (see the module docstring).  The result's
     remainder_bound is tail(r_hat, n_max) plus, summed over panels,
@@ -288,7 +289,7 @@ def picard_transport(path: MatrixPath, n_max: int = 12, n_steps: int | None = No
     with callers of the former fixed-grid version and ignored: the
     panels choose their own nodes.
     """
-    samples = _Samples(path.fn, sign)
+    samples = _Samples(path.fn)
     fit = _fit(samples, 0.0, 1.0, 0.0)
     levels, r_hat, estimate = _panel(samples, 0.0, 1.0, fit, float(fit[1].max()),
                                      n_max, 0, 0)
@@ -340,8 +341,8 @@ def _rk4_product(a: np.ndarray, n_steps: int, h: float) -> np.ndarray:
     return _tree_product(np.stack(blocks))
 
 
-def rk4_transport(path: MatrixPath, n_steps: int = 768, sign: int = 1) -> np.ndarray:
-    """Richardson-extrapolated RK4 for dR/dt = sign * A(t) R on [0, 1].
+def rk4_transport(path: MatrixPath, n_steps: int = 768) -> np.ndarray:
+    """Richardson-extrapolated RK4 for dR/dt = A(t) R on [0, 1].
 
     The path is sampled once at each of the 2 n_steps + 1 nodes and
     midpoints of n_steps uniform steps.  R_n is classical RK4 over all of
@@ -360,7 +361,6 @@ def rk4_transport(path: MatrixPath, n_steps: int = 768, sign: int = 1) -> np.nda
     a = np.empty((2 * n_steps + 1, d, d), dtype=complex)
     for i, t in enumerate(np.linspace(0.0, 1.0, 2 * n_steps + 1).tolist()):
         a[i] = path.fn(t)
-    a *= sign
     fine = _rk4_product(a, n_steps, 1.0 / n_steps)
     coarse = _rk4_product(a[::2], n_steps // 2, 2.0 / n_steps)
     return (16 * fine - coarse) / 15
@@ -399,7 +399,7 @@ def perturbed_holonomy(rep: S.Representation, pert: dict, word,
     u = 2^-53: series truncation plus a Higham gamma_n estimate of the
     rounding in the m + n_max chained products of d x d matrices.
     """
-    S.check_word(word, rep.genus)
+    W.check_word(word, rep.genus)
     d = rep.spec.matrix_dim
     psis, psi_invs = [np.eye(d, dtype=complex)], [np.eye(d, dtype=complex)]
     for x in word:

@@ -31,6 +31,8 @@ from . import groups as G
 from . import serialize as Z
 from . import surface as S
 from . import transport as T
+from . import words as W
+from .schema import SchemaError
 
 _GL_GROUPS = ("GL(2,R)", "GL(2,C)")
 _FORM_GROUPS = ("O(2)", "O(1,1)", "U(2)", "Sp(2,R)")
@@ -45,7 +47,7 @@ def random_reduced_word(rng: np.random.Generator, genus: int,
     while True:
         length = int(rng.integers(1, max_len + 1))
         draw = [letters[int(rng.integers(len(letters)))] for _ in range(length)]
-        word = S.cyclic_reduce(draw)
+        word = W.cyclic_reduce(draw)
         if word:
             return word
 
@@ -59,7 +61,7 @@ def _goldman_record(seed: int, idx: int, *, tol: float, unoriented: bool,
     spec = Z.parse_group_string(gname)
     if (spec.kind in ("GL_R", "GL_C")) == unoriented:
         models = "form" if unoriented else "GL"
-        raise Z.SchemaError(f"this bracket models {models} kinds, not {gname}")
+        raise SchemaError(f"this bracket models {models} kinds, not {gname}")
     rep = S.sample_representation(spec, g, rng)
     w1 = random_reduced_word(rng, g)
     w2 = random_reduced_word(rng, g)
@@ -72,7 +74,7 @@ def _goldman_record(seed: int, idx: int, *, tol: float, unoriented: bool,
     resid = abs(value - direct)
     rel = resid / (1.0 + abs(value))
     return {"trial": idx, "genus": g, "group": gname,
-            "word1": S.format_word(w1), "word2": S.format_word(w2),
+            "word1": W.format_word(w1), "word2": W.format_word(w2),
             "value": value, "direct": direct, "residual": resid,
             "relative": rel, "pass": bool(rel <= tol)}
 
@@ -104,7 +106,7 @@ def jacobi_trial(seed: int, idx: int, *, tol: float, genus=None,
     resid = max(anti_resid, jac_resid)
     return {"trial": idx, "genus": g, "group": gname,
             "unoriented": unoriented,
-            "words": [S.format_word(w) for w in words],
+            "words": [W.format_word(w) for w in words],
             "antisymmetry": anti_resid, "jacobi": jac_resid,
             "residual": resid, "pass": bool(resid <= tol)}
 
@@ -203,7 +205,7 @@ def chen_trial(seed: int, idx: int, *, tol: float) -> dict:
             want = sum(out_v.series[n - i] @ hv @ out_u.series[i] @ hv_inv
                        for i in range(n + 1))
             worst = max(worst, float(np.linalg.norm(out_uv.series[n] - want)))
-        rec.update({"word_u": S.format_word(u), "word_v": S.format_word(v),
+        rec.update({"word_u": W.format_word(u), "word_v": W.format_word(v),
                     "residual": worst, "pass": bool(worst <= tol)})
     elif sub == "perturbed":
         rep, pert = _word_rep_pert(rng, 0.05)
@@ -211,7 +213,7 @@ def chen_trial(seed: int, idx: int, *, tol: float) -> dict:
         out = T.perturbed_holonomy(rep, pert, word)
         gap = float(np.linalg.norm(
             out.value - T.rk4_perturbed_holonomy(rep, pert, word)))
-        rec.update({"word": S.format_word(word), "gap": gap,
+        rec.update({"word": W.format_word(word), "gap": gap,
                     "residual": gap, "pass": bool(gap <= 1e-6)})
     else:
         rep, _ = _word_rep_pert(rng, 0.0)
@@ -220,7 +222,7 @@ def chen_trial(seed: int, idx: int, *, tol: float) -> dict:
         word = random_reduced_word(rng, 2, max_len=6)
         out = T.perturbed_holonomy(rep, zeros, word, n_max=4)
         exact = bool(np.array_equal(out.value, S.holonomy(rep, word)))
-        rec.update({"word": S.format_word(word),
+        rec.update({"word": W.format_word(word),
                     "residual": 0.0 if exact else 1.0, "pass": exact})
     return rec
 

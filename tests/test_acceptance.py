@@ -13,6 +13,7 @@ import pytest
 
 import loopbracket.bracket as B
 import loopbracket.cli as C
+import loopbracket.schema as SC
 import loopbracket.serialize as Z
 import loopbracket.surface as S
 import loopbracket.verify as V
@@ -205,7 +206,7 @@ def test_C10_determinism():
         for r, s in itertools.product(range(-3, 4), repeat=2):
             ls = B.bracket_oriented(1, [1], B.torus_class_word(r, s),
                                     seed=17)
-            rows.append(C.dumps(Z.loopsum_to_json(ls))
+            rows.append(C.dumps(SC.loopsum_to_json(ls))
                         + C.dumps([ls.evaluate(rep) for rep in reps]))
         probes.append("\n".join(rows))
     assert probes[0] == probes[1]

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import loopbracket.bracket as B
 import loopbracket.cli as C
 import loopbracket.groups as G
+import loopbracket.schema as SC
 import loopbracket.serialize as Z
 import loopbracket.surface as S
 import loopbracket.verify as V
@@ -213,7 +214,7 @@ def test_bracket_of_long_torus_word(tmp_path, capsys):
     path.write_text(json.dumps(
         {"genus": 1, "curves": {"u": "a1 " * 300, "v": "b1"}}))
     assert C.main(["bracket", str(path), "u", "v"]) == 0
-    want = C.dumps(Z.loopsum_to_json(B.torus_closed_form(300, 0, 0, 1)))
+    want = C.dumps(SC.loopsum_to_json(B.torus_closed_form(300, 0, 0, 1)))
     assert capsys.readouterr().out == want + "\n"
 
 

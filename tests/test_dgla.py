@@ -5,6 +5,7 @@ import pytest
 
 from loopbracket import dgla as D
 from loopbracket import groups as G
+from test_groups import SPECS
 
 GL2R = G.GroupSpec("GL_R", 2)
 
@@ -65,6 +66,8 @@ def test_minimal_instance_frozen_moment_numbers():
     G.GroupSpec("U_pq", 2, 2, 0),
     G.GroupSpec("Sp_R", 2),
     G.GroupSpec("O_pq", 2, 1, 1),
+    G.GroupSpec("O_C", 3),
+    G.GroupSpec("Sp_pq", 2, 1, 1),
 ])
 def test_toy_instance_axioms(spec):
     dgla = D.surface_toy_instance(1, spec)
@@ -74,6 +77,22 @@ def test_toy_instance_axioms(spec):
     assert D.axioms_pass(rep, tol=1e-12), rep
     assert rep["sigma_min_even"] >= 1 - 1e-12
     assert rep["sigma_min_odd"] >= 1 - 1e-12
+
+
+@pytest.mark.parametrize("spec", SPECS + [G.GroupSpec("GL_C", 3)], ids=str)
+def test_structure_constants_match_naive_loops(spec):
+    basis, signs = G.pairing_orthonormal_basis(spec)
+    c = D.structure_constants(spec)
+    m = len(basis)
+    assert c.shape == (m, m, m)
+    for i in range(m):
+        for j in range(m):
+            comm = basis[i] @ basis[j] - basis[j] @ basis[i]
+            want = [s * G.pairing(comm, u) for u, s in zip(basis, signs)]
+            assert np.max(np.abs(c[:, i, j] - want)) < 1e-12
+            # the algebra is closed under [, ], so c[:, i, j] rebuilds it
+            rebuilt = sum(ck * u for ck, u in zip(c[:, i, j], basis))
+            assert np.linalg.norm(rebuilt - comm) < 1e-12
 
 
 def test_toy_instance_dimensions_scale_with_genus():

@@ -6,6 +6,7 @@ import pytest
 import loopbracket.bracket as B
 import loopbracket.dgla as DG
 import loopbracket.groups as G
+import loopbracket.schema as SC
 import loopbracket.serialize as Z
 import loopbracket.surface as S
 
@@ -35,7 +36,7 @@ def test_matrix_round_trip_real_rectangular():
     [[[1.0, "x"]]],
 ])
 def test_matrix_from_json_rejects(data):
-    with pytest.raises(Z.SchemaError):
+    with pytest.raises(SC.SchemaError):
         Z.matrix_from_json(data)
 
 
@@ -66,18 +67,18 @@ def test_group_string_table(text, spec):
     "O(1)", "O(0,1)", "O(1,C)",
 ])
 def test_parse_group_string_rejects(text):
-    with pytest.raises(Z.SchemaError):
+    with pytest.raises(SC.SchemaError):
         Z.parse_group_string(text)
 
 
 def test_group_json_round_trip():
     for _, spec in GROUP_TABLE:
         assert Z.group_from_json(Z.group_to_json(spec)) == spec
-    with pytest.raises(Z.SchemaError):
+    with pytest.raises(SC.SchemaError):
         Z.group_from_json({"kind": "GL_R"})
-    with pytest.raises(Z.SchemaError):
+    with pytest.raises(SC.SchemaError):
         Z.group_from_json({"kind": "XL", "n": 2})
-    with pytest.raises(Z.SchemaError):
+    with pytest.raises(SC.SchemaError):
         Z.group_from_json([1, 2])
 
 
@@ -98,25 +99,25 @@ def test_rep_from_json_rejects():
     rep = S.sample_representation(spec, 1, np.random.default_rng(0))
     good = Z.rep_to_json(rep)
     bad = dict(good, images={"a1": good["images"]["a1"]})
-    with pytest.raises(Z.SchemaError):
+    with pytest.raises(SC.SchemaError):
         Z.rep_from_json(bad)
     bad = dict(good, images={"a1": good["images"]["a1"],
                              "b2": good["images"]["b1"]})
-    with pytest.raises(Z.SchemaError):
+    with pytest.raises(SC.SchemaError):
         Z.rep_from_json(bad)
     wrong_shape = dict(good, group=Z.group_to_json(G.GroupSpec("GL_R", 3)))
-    with pytest.raises(Z.SchemaError):
+    with pytest.raises(SC.SchemaError):
         Z.rep_from_json(wrong_shape)
-    with pytest.raises(Z.SchemaError):
+    with pytest.raises(SC.SchemaError):
         Z.rep_from_json({"images": good["images"]})
     for a1 in (np.zeros((2, 2)), np.diag([1e-310, 1.0])):  # no (finite) inverse
         bad = dict(good, images=dict(good["images"], a1=Z.matrix_to_json(a1)))
-        with pytest.raises(Z.SchemaError):
+        with pytest.raises(SC.SchemaError):
             Z.rep_from_json(bad)
 
 
 def test_curves_from_json():
-    genus, curves = Z.curves_from_json(
+    genus, curves = SC.curves_from_json(
         {"genus": 2, "curves": {"x": "a1 b1 A2", "y": ""}})
     assert genus == 2
     assert curves["x"] == [1, 2, -3]
@@ -128,17 +129,17 @@ def test_curves_from_json():
         {"genus": 1, "curves": {}},
         {"curves": {"x": "a1"}},
     ]:
-        with pytest.raises(Z.SchemaError):
-            Z.curves_from_json(bad)
+        with pytest.raises(SC.SchemaError):
+            SC.curves_from_json(bad)
 
 
 def test_loopsum_round_trip():
     ls = B.LoopSum([([1, 2], "1/2"), ([-1], -2), ([], 1)])
-    data = Z.loopsum_to_json(ls)
-    back = Z.loopsum_from_json(json.loads(json.dumps(data)))
+    data = SC.loopsum_to_json(ls)
+    back = SC.loopsum_from_json(json.loads(json.dumps(data)))
     assert back == ls
     # cyclic rotations of the same class merge on load
-    merged = Z.loopsum_from_json([{"coef": "1/2", "word": "a1 b1"},
+    merged = SC.loopsum_from_json([{"coef": "1/2", "word": "a1 b1"},
                                   {"coef": "1/2", "word": "b1 a1"}])
     assert merged == B.LoopSum([([1, 2], 1)])
 
@@ -152,8 +153,8 @@ def test_loopsum_from_json_rejects():
         [{"coef": "one", "word": "a1"}],
         [{"coef": "1", "word": "a0"}],
     ]:
-        with pytest.raises(Z.SchemaError):
-            Z.loopsum_from_json(bad)
+        with pytest.raises(SC.SchemaError):
+            SC.loopsum_from_json(bad)
 
 
 def test_perturbation_zero_fill():
@@ -167,11 +168,11 @@ def test_perturbation_zero_fill():
 def test_perturbation_rejects():
     m = Z.matrix_to_json(np.eye(2))
     for bad_key in ("A1", "a1 b1", "a3", "x"):
-        with pytest.raises(Z.SchemaError):
+        with pytest.raises(SC.SchemaError):
             Z.perturbation_from_json({bad_key: m}, 1, 2)
-    with pytest.raises(Z.SchemaError):
+    with pytest.raises(SC.SchemaError):
         Z.perturbation_from_json({"a1": Z.matrix_to_json(np.eye(3))}, 1, 2)
-    with pytest.raises(Z.SchemaError):
+    with pytest.raises(SC.SchemaError):
         Z.perturbation_from_json(["a1"], 1, 2)
 
 
@@ -197,5 +198,5 @@ def test_dgla_from_json_rejects():
     ]:
         obj = json.loads(json.dumps(good))
         mutate(obj)
-        with pytest.raises(Z.SchemaError):
+        with pytest.raises(SC.SchemaError):
             Z.dgla_from_json(obj)

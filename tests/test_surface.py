@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from loopbracket import groups as G
 from loopbracket import serialize as Z
 from loopbracket import surface as S
+from loopbracket import words as W
 
 GL2R = G.GroupSpec("GL_R", 2)
 GL2C = G.GroupSpec("GL_C", 2)
@@ -22,23 +23,23 @@ words = st.lists(letters, max_size=10)
 
 def test_word_round_trip():
     w = [1, 2, -1, -2, 3, -4]
-    assert S.parse_word(S.format_word(w)) == w
-    assert S.parse_word("a1 b2 A10") == [1, 4, -19]
-    with pytest.raises(S.WordError):
-        S.parse_word("c1")
-    with pytest.raises(S.WordError):
-        S.parse_word("a0")
+    assert W.parse_word(W.format_word(w)) == w
+    assert W.parse_word("a1 b2 A10") == [1, 4, -19]
+    with pytest.raises(W.WordError):
+        W.parse_word("c1")
+    with pytest.raises(W.WordError):
+        W.parse_word("a0")
 
 
 @given(words)
 def test_free_reduce_is_reduced(w):
-    r = S.free_reduce(w)
+    r = W.free_reduce(w)
     assert all(r[i] != -r[i + 1] for i in range(len(r) - 1))
 
 
 @given(words)
 def test_cyclic_reduce_is_cyclically_reduced(w):
-    r = S.cyclic_reduce(w)
+    r = W.cyclic_reduce(w)
     assert all(r[i] != -r[i + 1] for i in range(len(r) - 1))
     if len(r) >= 2:
         assert r[0] != -r[-1]
@@ -46,20 +47,20 @@ def test_cyclic_reduce_is_cyclically_reduced(w):
 
 @given(words)
 def test_canonical_cyclic_rotation_invariant(w):
-    c = S.canonical_cyclic(w)
+    c = W.canonical_cyclic(w)
     for k in range(1, max(len(w), 1)):
-        assert S.canonical_cyclic(w[k:] + w[:k]) == c
+        assert W.canonical_cyclic(w[k:] + w[:k]) == c
 
 
 @given(words, words)
 def test_canonical_cyclic_respects_concat_cancel(u, v):
     # u v and v u are conjugate, hence share a canonical form
-    assert S.canonical_cyclic(u + v) == S.canonical_cyclic(v + u)
+    assert W.canonical_cyclic(u + v) == W.canonical_cyclic(v + u)
 
 
 def test_relator():
-    assert S.relator(1) == [1, 2, -1, -2]
-    assert S.relator(2) == [1, 2, -1, -2, 3, 4, -3, -4]
+    assert W.relator(1) == [1, 2, -1, -2]
+    assert W.relator(2) == [1, 2, -1, -2, 3, 4, -3, -4]
 
 
 @settings(deadline=None)
@@ -68,7 +69,7 @@ def test_word_inverse_cancels(seed):
     rng = np.random.default_rng(seed)
     w = list(rng.integers(1, 5, size=6) * np.where(rng.integers(0, 2, size=6), 1, -1))
     w = [int(x) for x in w]
-    assert S.free_reduce(w + S.inverse_word(w)) == []
+    assert W.free_reduce(w + W.inverse_word(w)) == []
 
 
 @pytest.mark.parametrize("spec", [GL2R, GL2C, O2, O11, U2, SP2], ids=str)
@@ -116,7 +117,7 @@ def test_pade_solve_failure_starts_a_fresh_try(monkeypatch):
         return lone_expm(a)
 
     monkeypatch.setattr(G, "expm", failing_stack)
-    with pytest.raises(S.RelatorError):
+    with pytest.raises(W.RelatorError):
         S.sample_representation(GL2R, 2, np.random.default_rng(3), max_tries=3)
 
 
@@ -159,7 +160,7 @@ def test_sampler_survey(group, genus):
         rng = np.random.default_rng([seed, genus])
         try:
             rep = S.sample_representation(spec, genus, rng)
-        except S.RelatorError:
+        except W.RelatorError:
             continue
         assert S.relator_residual(rep) <= 1e-11, seed
         for m in rep.images:
@@ -224,11 +225,11 @@ def test_trace_functions_match_word_by_word():
             assert np.all(abs(got - want) <= 1e-13 * (1 + size)), group
             assert S.trace_functions(rep, [[], []]) == [spec.matrix_dim] * 2
     assert S.trace_functions(rep, []) == []
-    with pytest.raises(S.WordError):
+    with pytest.raises(W.WordError):
         S.trace_functions(rep, [[1], [1, 2 * genus + 1]])
-    with pytest.raises(S.WordError):
+    with pytest.raises(W.WordError):
         S.trace_functions(rep, [[0]])
-    with pytest.raises(S.WordError):
+    with pytest.raises(W.WordError):
         S.trace_functions(rep, [[2, 1], [-(2 * genus + 1)]])
 
 
@@ -243,12 +244,12 @@ def test_trace_functions_overflow_is_non_finite_not_an_error():
 def test_holonomy_of_relator_is_identity():
     rng = np.random.default_rng(41)
     rep = S.sample_representation(U2, 2, rng)
-    h = S.holonomy(rep, S.relator(2))
+    h = S.holonomy(rep, W.relator(2))
     assert np.linalg.norm(h - np.eye(2)) < 1e-10
 
 
 def test_word_range_checked():
     rng = np.random.default_rng(43)
     rep = S.sample_representation(GL2R, 1, rng)
-    with pytest.raises(S.WordError):
+    with pytest.raises(W.WordError):
         S.holonomy(rep, [3])

@@ -1,9 +1,9 @@
 """Transport series against closed forms, RK4, and its own error certificate."""
 
 import math
+from decimal import Decimal, localcontext
 from math import factorial
 
-import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -72,15 +72,15 @@ def test_remainder_certificate_covers_rk4_gap():
         assert gap <= res.remainder_bound + 1e-12
 
 
-def test_sign_flag_inverts_constant_transport():
+def test_negated_path_inverts_constant_transport():
     rng = np.random.default_rng(11)
     m = rng.normal(size=(2, 2)) * 0.4
-    path = T.MatrixPath(lambda t: m, 2)
-    plus = T.picard_transport(path, n_max=14, sign=1).transport
-    minus = T.picard_transport(path, n_max=14, sign=-1).transport
+    negated = T.MatrixPath(lambda t: -m, 2)
+    plus = T.picard_transport(T.MatrixPath(lambda t: m, 2), n_max=14).transport
+    minus = T.picard_transport(negated, n_max=14).transport
     assert np.linalg.norm(plus @ minus - np.eye(2)) < 1e-12
     assert np.linalg.norm(minus - expm(-m)) < 1e-12
-    assert np.linalg.norm(T.rk4_transport(path, 500, sign=-1) - expm(-m)) < 1e-9
+    assert np.linalg.norm(T.rk4_transport(negated, 500) - expm(-m)) < 1e-9
 
 
 def test_concat_composes_transports():
@@ -159,10 +159,11 @@ def test_rk4_blocks_do_not_change_the_result(n_steps, monkeypatch):
     # power-of-two blocks are subtrees of the pairwise reduction over all
     # steps, so the block size leaves every bit of the product alone
     path = _smooth_path(np.random.default_rng(n_steps), d=3, amp=0.3)
-    want = T.rk4_transport(path, n_steps, sign=-1)
+    negated = T.MatrixPath(lambda t: -path(t), 3)
+    want = T.rk4_transport(negated, n_steps)
     for block in (1, 2, 64, 4096):
         monkeypatch.setattr(T, "_RK4_BLOCK", block)
-        assert np.array_equal(T.rk4_transport(path, n_steps, sign=-1), want)
+        assert np.array_equal(T.rk4_transport(negated, n_steps), want)
 
 
 @pytest.mark.parametrize("n_steps", [-2, 0, 1, 7, 769])
@@ -291,11 +292,11 @@ def test_tail_bound_frozen_values():
 def test_tail_bound_past_the_peak_term(r_hat):
     # terms r^k / k! still grow for k < r: the sum must run past them
     got = T.series_tail_bound(r_hat, 12)
-    with mpmath.workdps(40):
-        r = mpmath.mpf(r_hat)
-        want = mpmath.exp(r) - mpmath.fsum(r ** k / mpmath.factorial(k)
-                                           for k in range(13))
-        assert abs(mpmath.mpf(got) / want - 1) < 1e-12
+    with localcontext() as ctx:  # prec=40 as a keyword needs Python 3.11
+        ctx.prec = 40
+        r = Decimal(r_hat)
+        want = r.exp() - sum(r ** k / math.factorial(k) for k in range(13))
+        assert abs(Decimal(got) / want - 1) < Decimal("1e-12")
 
 
 def _tail_bound_to_1e300(r_hat, n_max):
