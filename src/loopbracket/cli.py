@@ -79,7 +79,9 @@ def _load_json(path: str):
             return json.load(sys.stdin)
         with open(path) as fh:
             return json.load(fh)
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:
+        # ValueError also covers an integer literal of more digits than
+        # Python converts, RecursionError arrays nested too deep to decode
         raise SchemaError(f"{path}: invalid JSON: {err}") from err
     except OSError as err:
         raise SchemaError(f"cannot read {path}: {err}") from err

@@ -27,7 +27,7 @@ instance with a nonzero differential; see minimal_differential_instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,22 +35,26 @@ from . import groups as G
 from .schema import DglaError
 
 
+def shapes(d0: int, d1: int) -> dict:
+    """The shape of each tensor of a DGLA with even and odd dimensions
+    d0, d1, in field order."""
+    return {"b00": (d0, d0, d0), "b01": (d1, d0, d1), "b11": (d0, d1, d1),
+            "d_eo": (d1, d0), "d_oe": (d0, d1),
+            "w00": (d0, d0), "w11": (d1, d1)}
+
+
 @dataclass(frozen=True, eq=False)
 class CyclicDgla:
-    b00: np.ndarray   # (d0, d0, d0)  out, even, even
-    b01: np.ndarray   # (d1, d0, d1)  out, even, odd
-    b11: np.ndarray   # (d0, d1, d1)  out, odd, odd
-    d_eo: np.ndarray  # (d1, d0)  even -> odd
-    d_oe: np.ndarray  # (d0, d1)  odd -> even
-    w00: np.ndarray   # (d0, d0)
-    w11: np.ndarray   # (d1, d1)
+    b00: np.ndarray   # out, even, even
+    b01: np.ndarray   # out, even, odd
+    b11: np.ndarray   # out, odd, odd
+    d_eo: np.ndarray  # even -> odd
+    d_oe: np.ndarray  # odd -> even
+    w00: np.ndarray
+    w11: np.ndarray
 
     def __post_init__(self):
-        d0, d1 = self.dims
-        want = {"b00": (d0, d0, d0), "b01": (d1, d0, d1), "b11": (d0, d1, d1),
-                "d_eo": (d1, d0), "d_oe": (d0, d1),
-                "w00": (d0, d0), "w11": (d1, d1)}
-        for name, shape in want.items():
+        for name, shape in shapes(*self.dims).items():
             got = getattr(self, name).shape
             if got != shape:
                 raise DglaError(f"{name} has shape {got}, expected {shape}")
@@ -92,10 +96,6 @@ def gauge_field(dgla: CyclicDgla, a: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def moment(dgla: CyclicDgla, x: np.ndarray, a: np.ndarray) -> float:
     return float(mc_residual(dgla, x) @ dgla.w00 @ a)
-
-
-def moment_covector(dgla: CyclicDgla, x: np.ndarray) -> np.ndarray:
-    return dgla.w00.T @ mc_residual(dgla, x)
 
 
 def linearized_mc(dgla: CyclicDgla, x: np.ndarray) -> np.ndarray:
@@ -274,19 +274,6 @@ def surface_toy_instance(genus: int, spec: G.GroupSpec) -> CyclicDgla:
                       w00, w11)
 
 
-def abelian_instance(d0: int, d1: int) -> CyclicDgla:
-    """Zero bracket, zero differential, standard pairings."""
-    if d1 % 2:
-        raise DglaError("odd part needs even dimension for a symplectic form")
-    h = d1 // 2
-    w11 = np.zeros((d1, d1))
-    w11[:h, h:] = np.eye(h)
-    w11[h:, :h] = -np.eye(h)
-    return CyclicDgla(np.zeros((d0, d0, d0)), np.zeros((d1, d0, d1)),
-                      np.zeros((d0, d1, d1)), np.zeros((d1, d0)),
-                      np.zeros((d0, d1)), np.eye(d0), w11)
-
-
 def minimal_differential_instance() -> CyclicDgla:
     """Abelian 2+2 instance with a nonzero differential.
 
@@ -300,10 +287,3 @@ def minimal_differential_instance() -> CyclicDgla:
     w11 = np.array([[0.0, 1.0], [-1.0, 0.0]])
     return CyclicDgla(np.zeros((2, 2, 2)), np.zeros((2, 2, 2)),
                       np.zeros((2, 2, 2)), d_eo, d_oe, w00, w11)
-
-
-def corrupt(dgla: CyclicDgla, tensor: str, index: tuple, delta: float) -> CyclicDgla:
-    """Copy with one structure entry shifted; for fault-injection tests."""
-    arr = getattr(dgla, tensor).copy()
-    arr[index] += delta
-    return replace(dgla, **{tensor: arr})

@@ -15,8 +15,8 @@ variation F(g) is the pairing-dual of the right differential of f,
     d/dt f(g exp(t x)) |_{t=0} = <F(g), x>   for every algebra element x,
 
 which comes out as F(g) = g for the two GL kinds and F(g) = (g - g^-1)/2
-for the kinds cut out by a form.  Decorated versions Fhat/fhat insert a
-word of algebra elements after g and satisfy the chain rule
+for the kinds cut out by a form.  The decorated variation Fhat inserts a
+word of algebra elements after g and satisfies the chain rule
 
     <Fhat(g; x_1..x_k), y> = fhat(g; x_1..x_k, y) = Re tr(g x_1 .. x_k y).
 
@@ -333,14 +333,6 @@ def variation_hat(spec: GroupSpec, g: np.ndarray, xs=()) -> np.ndarray:
     for x in xs:
         rev = np.asarray(x) @ rev
     return (acc + (-1.0) ** (len(xs) + 1) * rev) / 2.0
-
-
-def f_hat(spec: GroupSpec, g: np.ndarray, xs=(), r: float = 1.0) -> float:
-    """Decorated trace fhat(g; x_1..x_k) = r Re tr(g x_1 .. x_k)."""
-    acc = np.asarray(g, dtype=complex)
-    for x in xs:
-        acc = acc @ x
-    return r * float(np.trace(acc).real)
 
 
 @cache

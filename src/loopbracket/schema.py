@@ -1,16 +1,14 @@
 """The JSON schemas of the bracket path, on the standard library alone.
 
-Curve files are {"genus": g, "curves": {name: "a1 b1 ..", ..}} and loop
-sums are [{"coef": "1/2", "word": "a1 b1"}, ..]; `serialize` holds the
-numeric schemas.  SchemaError and
-DglaError are the two kinds of malformed input, a file or flag that does
-not fit its schema and a DGLA whose tensors do not fit together; the CLI
-maps both to exit code 2.
+Curve files are {"genus": g, "curves": {name: "a1 b1 ..", ..}} and are
+read; loop sums are [{"coef": "1/2", "word": "a1 b1"}, ..] and are only
+written, since no command reads one.  `serialize` holds the numeric
+schemas.  SchemaError and DglaError are the two kinds of malformed
+input, a file or flag that does not fit its schema and a DGLA whose
+tensors do not fit together; the CLI maps both to exit code 2.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from . import bracket as B
 from . import words as W
@@ -54,18 +52,3 @@ def curves_from_json(obj) -> tuple[int, dict]:
 def loopsum_to_json(ls: B.LoopSum) -> list:
     return [{"coef": str(c), "word": W.format_word(w)} for w, c in ls.items()]
 
-
-def loopsum_from_json(data) -> B.LoopSum:
-    if not isinstance(data, list):
-        raise SchemaError("loop sum must be an array of terms")
-    out = B.LoopSum()
-    for term in data:
-        if not isinstance(term, dict) or set(term) != {"coef", "word"}:
-            raise SchemaError("each term needs exactly 'coef' and 'word'")
-        try:
-            coef = Fraction(term["coef"])
-            word = W.parse_word(term["word"])
-        except (ValueError, ZeroDivisionError, W.WordError) as err:
-            raise SchemaError(f"bad term {term}: {err}") from err
-        out.add(word, coef)
-    return out

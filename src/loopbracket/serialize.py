@@ -2,13 +2,13 @@
 
 Matrices travel as row-major arrays of [re, im] pairs, group specs as
 {"kind", "n", "p", "q"}, representations as {"group": ..., "images":
-{"a1": matrix, ...}}, loop sums as [{"coef": "1/2", "word": "a1 b1"}],
-perturbations as {"a1": matrix, ...}, and DGLA tensors as dense real
-arrays with explicit dimensions.  Every reader validates shape and
-finiteness and raises SchemaError, which the CLI maps to exit code 2;
-representation images must also have finite inverses.  Curve files,
-loop sums and SchemaError live in `schema`, on the standard library
-alone.
+{"a1": matrix, ...}}, perturbations as {"a1": matrix, ...}, and DGLA
+tensors as dense real arrays with explicit dimensions.  Every numeric
+entry goes through one reader, `_numbers`: it must be a JSON number
+that fits a double and is finite.  Every reader raises SchemaError,
+which the CLI maps to exit code 2; representation images must also
+have finite inverses.  Curve files, loop sums and SchemaError live in
+`schema`, on the standard library alone.
 """
 
 from __future__ import annotations
@@ -24,32 +24,33 @@ from . import words as W
 from .schema import SchemaError, is_integer
 
 
+def _numbers(data, name) -> np.ndarray:
+    """A dense float array of JSON numbers, each finite in double precision."""
+    try:
+        arr = np.array(data, dtype=float)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise SchemaError(f"{name} must be a dense array of numbers "
+                          "that fit a double") from err
+    # float() reads true as 1.0, "1.5" as 1.5 and null as nan
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+               for v in np.array(data, dtype=object).flat):
+        raise SchemaError(f"{name} entries must be numbers")
+    if not np.all(np.isfinite(arr)):
+        raise SchemaError(f"{name} must be finite")
+    return arr
+
+
 def matrix_to_json(m) -> list:
     m = np.asarray(m, dtype=complex)
     return [[[float(v.real), float(v.imag)] for v in row] for row in m]
 
 
 def matrix_from_json(data) -> np.ndarray:
-    if not isinstance(data, list) or not data:
-        raise SchemaError("matrix must be a non-empty array of rows")
-    width = None
-    rows = []
-    for row in data:
-        if not isinstance(row, list) or (width is not None and len(row) != width):
-            raise SchemaError("matrix rows must be arrays of equal length")
-        width = len(row)
-        out = []
-        for cell in row:
-            if (not isinstance(cell, list) or len(cell) != 2
-                    or not all(isinstance(c, (int, float)) and not isinstance(c, bool)
-                               for c in cell)):
-                raise SchemaError("matrix entries must be [re, im] pairs")
-            out.append(complex(cell[0], cell[1]))
-        rows.append(out)
-    m = np.array(rows, dtype=complex)
-    if not np.all(np.isfinite(m)):
-        raise SchemaError("matrix entries must be finite")
-    return m
+    arr = _numbers(data, "matrix")
+    if arr.ndim != 3 or arr.shape[2] != 2:
+        raise SchemaError("matrix must be an array of rows of [re, im] pairs")
+    # the same bits as complex(re, im), a -0.0 imaginary part included
+    return arr.view(complex)[..., 0]
 
 
 def group_to_json(spec: G.GroupSpec) -> dict:
@@ -68,59 +69,29 @@ def group_from_json(obj) -> G.GroupSpec:
         raise SchemaError(f"bad group spec: {err}") from err
 
 
-_GROUP_RE = re.compile(r"^(GL|O|U|Sp)\(([0-9]+)(?:,([0-9]+|[RC]))?\)$")
+_GROUP_RE = re.compile(r"(GL|O|U|Sp)\(([0-9]+)(?:,([0-9]+|[RC]))?\)")
+# GL(n,R), GL(n,C), O(n,C), Sp(n,R): a family and a field
+_FIELD_KINDS = {("GL", "R"): "GL_R", ("GL", "C"): "GL_C",
+                ("O", "C"): "O_C", ("Sp", "R"): "Sp_R"}
+# O(p,q), U(p,q), Sp(p,q), with O(n) and U(n) for q = 0; a bare Sp(n)
+# would be ambiguous with Sp(n,R)
+_SIGNED_KINDS = {"O": "O_pq", "U": "U_pq", "Sp": "Sp_pq"}
 
 
 def parse_group_string(text: str) -> G.GroupSpec:
     """Names like GL(2,R), O(1,1), O(2,C), U(2), Sp(2,R), Sp(1,1)."""
-    m = _GROUP_RE.match(text.strip())
-    if not m:
-        raise SchemaError(f"cannot parse group name {text!r}")
-    fam, first, second = m.group(1), int(m.group(2)), m.group(3)
+    m = _GROUP_RE.fullmatch(text.strip())
+    fam, first, second = m.groups() if m else (None, None, None)
     try:
-        if fam == "GL":
-            if second not in ("R", "C"):
-                raise SchemaError(f"GL needs a field: {text!r}")
-            return G.GroupSpec("GL_R" if second == "R" else "GL_C", first)
-        if fam == "O":
-            if second == "C":
-                return G.GroupSpec("O_C", first)
-            if second == "R":
-                raise SchemaError(f"bad signature in {text!r}")
-            if second is None:
-                return G.GroupSpec("O_pq", first, first, 0)
-            q = int(second)
-            return G.GroupSpec("O_pq", first + q, first, q)
-        if fam == "U":
-            if second in ("R", "C"):
-                raise SchemaError(f"bad signature in {text!r}")
-            if second is None:
-                return G.GroupSpec("U_pq", first, first, 0)
-            q = int(second)
-            return G.GroupSpec("U_pq", first + q, first, q)
-        if second == "R":
-            return G.GroupSpec("Sp_R", first)
-        if second is None or second == "C":
-            raise SchemaError(f"Sp needs R or a signature: {text!r}")
-        q = int(second)
-        return G.GroupSpec("Sp_pq", first + q, first, q)
-    except G.GroupError as err:
+        if (fam, second) in _FIELD_KINDS:
+            return G.GroupSpec(_FIELD_KINDS[fam, second], int(first))
+        if fam in _SIGNED_KINDS and second not in ("R", "C") and (
+                second or fam != "Sp"):
+            p, q = int(first), int(second or 0)
+            return G.GroupSpec(_SIGNED_KINDS[fam], p + q, p, q)
+    except ValueError as err:  # GroupError, or more digits than int() reads
         raise SchemaError(f"bad group {text!r}: {err}") from err
-
-
-def format_group_string(spec: G.GroupSpec) -> str:
-    if spec.kind == "GL_R":
-        return f"GL({spec.n},R)"
-    if spec.kind == "GL_C":
-        return f"GL({spec.n},C)"
-    if spec.kind == "O_C":
-        return f"O({spec.n},C)"
-    if spec.kind == "Sp_R":
-        return f"Sp({spec.n},R)"
-    fam = {"O_pq": "O", "U_pq": "U", "Sp_pq": "Sp"}[spec.kind]
-    if spec.q == 0:
-        return f"{fam}({spec.p})"
-    return f"{fam}({spec.p},{spec.q})"
+    raise SchemaError(f"cannot parse group name {text!r}")
 
 
 def rep_to_json(rep: S.Representation) -> dict:
@@ -179,29 +150,10 @@ def perturbation_from_json(obj, genus: int, dim: int) -> dict:
     return pert
 
 
-def _real_array_from_json(data, shape, name) -> np.ndarray:
-    try:
-        arr = np.array(data, dtype=float)
-    except (TypeError, ValueError) as err:
-        raise SchemaError(f"{name} must be a dense real array") from err
-    if arr.shape != shape:
-        raise SchemaError(f"{name} has shape {arr.shape}, expected {shape}")
-    # float() reads true as 1.0 and "1.5" as 1.5: only JSON numbers count
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-               for v in np.array(data, dtype=object).flat):
-        raise SchemaError(f"{name} entries must be numbers")
-    if not np.all(np.isfinite(arr)):
-        raise SchemaError(f"{name} must be finite")
-    return arr
-
-
 def dgla_to_json(dgla: DG.CyclicDgla) -> dict:
     d0, d1 = dgla.dims
     return {"d0": d0, "d1": d1,
-            "b00": dgla.b00.tolist(), "b01": dgla.b01.tolist(),
-            "b11": dgla.b11.tolist(), "d_eo": dgla.d_eo.tolist(),
-            "d_oe": dgla.d_oe.tolist(), "w00": dgla.w00.tolist(),
-            "w11": dgla.w11.tolist()}
+            **{name: getattr(dgla, name).tolist() for name in DG.shapes(d0, d1)}}
 
 
 def dgla_from_json(obj) -> DG.CyclicDgla:
@@ -210,15 +162,11 @@ def dgla_from_json(obj) -> DG.CyclicDgla:
     d0, d1 = obj["d0"], obj["d1"]
     if not is_integer(d0) or not is_integer(d1) or d0 < 1 or d1 < 1:
         raise SchemaError("'d0' and 'd1' must be positive integers")
-    shapes = {"b00": (d0, d0, d0), "b01": (d1, d0, d1), "b11": (d0, d1, d1),
-              "d_eo": (d1, d0), "d_oe": (d0, d1),
-              "w00": (d0, d0), "w11": (d1, d1)}
     fields = {}
-    for name, shape in shapes.items():
+    for name, shape in DG.shapes(d0, d1).items():
         if name not in obj:
             raise SchemaError(f"DGLA file is missing {name!r}")
-        fields[name] = _real_array_from_json(obj[name], shape, name)
-    try:
-        return DG.CyclicDgla(**fields)
-    except DG.DglaError as err:
-        raise SchemaError(str(err)) from err
+        arr = fields[name] = _numbers(obj[name], name)
+        if arr.shape != shape:
+            raise SchemaError(f"{name} has shape {arr.shape}, expected {shape}")
+    return DG.CyclicDgla(**fields)

@@ -13,42 +13,7 @@ from itertools import chain
 import numpy as np
 
 from . import groups as G
-from .words import RelatorError, WordError, check_word, inverse_word, relator
-
-
-def homotopy_variants(word, genus: int, rng: np.random.Generator, count: int):
-    """Words in the same free homotopy class on the closed surface.
-
-    Random compositions of cyclic rotation, conjugation, cancelling-pair
-    insertion, and insertion of a conjugated surface relator.
-    """
-    rel = relator(genus)
-    out = []
-    for _ in range(count):
-        w = list(word)
-        for _ in range(int(rng.integers(1, 4))):
-            move = int(rng.integers(0, 4))
-            if move == 0 and w:
-                k = int(rng.integers(0, len(w)))
-                w = w[k:] + w[:k]
-            elif move == 1:
-                c = int(rng.integers(1, 2 * genus + 1))
-                if rng.integers(0, 2):
-                    c = -c
-                w = [c] + w + [-c]
-            elif move == 2:
-                x = int(rng.integers(1, 2 * genus + 1))
-                if rng.integers(0, 2):
-                    x = -x
-                k = int(rng.integers(0, len(w) + 1))
-                w = w[:k] + [x, -x] + w[k:]
-            else:
-                r = list(rel) if rng.integers(0, 2) else inverse_word(rel)
-                c = int(rng.integers(1, 2 * genus + 1))
-                k = int(rng.integers(0, len(w) + 1))
-                w = w[:k] + [c] + r + [-c] + w[k:]
-        out.append(w)
-    return out
+from .words import RelatorError, WordError, check_word, relator
 
 
 @dataclass

@@ -17,6 +17,7 @@ import loopbracket.schema as SC
 import loopbracket.serialize as Z
 import loopbracket.surface as S
 import loopbracket.verify as V
+from test_surface import homotopy_variants
 
 SUITE_SIZES = {"goldman-gl": 50, "goldman-unoriented": 50, "jacobi": 30,
                "chen": 101, "dgla": 8, "variation": 700}
@@ -110,7 +111,7 @@ def test_C05_representative_independence():
                                       np.random.default_rng([7, pi]))
         base = B.bracket_oriented(genus, w1, w2, seed=0).evaluate(rep)
         rng = np.random.default_rng([8, pi])
-        for k, v in enumerate(S.homotopy_variants(w1, genus, rng, 20)):
+        for k, v in enumerate(homotopy_variants(w1, genus, rng, 20)):
             for s in range(5):
                 val = B.bracket_oriented(
                     genus, v, w2, seed=101 + 13 * k + s).evaluate(rep)

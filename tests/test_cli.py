@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 
 import loopbracket.bracket as B
 import loopbracket.cli as C
+import loopbracket.dgla as DG
 import loopbracket.groups as G
 import loopbracket.schema as SC
 import loopbracket.serialize as Z
 import loopbracket.surface as S
 import loopbracket.verify as V
+from test_dgla import corrupt
 
 
 def run_cli(*args, **kw):
@@ -118,6 +120,30 @@ def test_holonomy_singular_image_exits_2(tmp_path):
     assert out.returncode == 2
     assert "invertible" in out.stderr
     assert "Traceback" not in out.stderr
+
+
+def test_holonomy_oversized_integer_exits_2(tmp_path):
+    # float() of this integer raises OverflowError: it once ended in a traceback
+    path = _rep_file(tmp_path, "oversized.json",
+                     [[[10**400, 0], [0, 0]], [[0, 0], [1, 0]]])
+    out = run_cli("holonomy", path, "a1")
+    assert out.returncode == 2
+    assert out.stdout == "" and "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("text", ["1" + "0" * 5000, "[" * 100000],
+                         ids=["5000-digits", "deep-nesting"])
+@pytest.mark.parametrize("argv", [["bracket", "IN", "a", "b"],
+                                  ["holonomy", "IN", "a1"],
+                                  ["dgla-check", "IN"]])
+def test_json_that_python_cannot_decode_exits_2(text, argv, tmp_path, capsys):
+    # json.load raises ValueError or RecursionError, not JSONDecodeError;
+    # both once ended in a traceback
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    assert C.main([str(path) if a == "IN" else a for a in argv]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "invalid JSON" in out.err
 
 
 def test_holonomy_non_finite_result_exits_1(tmp_path):
@@ -295,7 +321,6 @@ def test_genus_below_1_or_unused_exits_2(argv, capsys):
 ])
 def test_genus_from_input_file_rejects_genus_flag(argv, torus_curves, diag_rep,
                                                   tmp_path, capsys):
-    import loopbracket.dgla as DG
     dgla = tmp_path / "dgla.json"
     dgla.write_text(json.dumps(Z.dgla_to_json(DG.minimal_differential_instance())))
     files = {"CURVES": torus_curves, "REP": diag_rep, "DGLA": str(dgla)}
@@ -426,13 +451,12 @@ def test_dgla_check_toy_passes():
 
 
 def test_dgla_check_file_and_failure(tmp_path):
-    import loopbracket.dgla as DG
     inst = DG.minimal_differential_instance()
     good = tmp_path / "good.json"
     good.write_text(json.dumps(Z.dgla_to_json(inst)))
     assert run_cli("dgla-check", str(good)).returncode == 0
 
-    broken = DG.corrupt(inst, "d_oe", (0, 0), 0.5)  # breaks d*d = 0
+    broken = corrupt(inst, "d_oe", (0, 0), 0.5)  # breaks d*d = 0
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(Z.dgla_to_json(broken)))
     out = run_cli("dgla-check", str(bad))
@@ -451,9 +475,8 @@ def test_dgla_check_bad_file_exits_2(torus_curves):
 
 
 def test_dgla_check_file_and_toy_together_exit_2(tmp_path):
-    import loopbracket.dgla as DG
     bad = tmp_path / "bad.json"
-    broken = DG.corrupt(DG.minimal_differential_instance(), "d_oe", (0, 0), 0.5)
+    broken = corrupt(DG.minimal_differential_instance(), "d_oe", (0, 0), 0.5)
     bad.write_text(json.dumps(Z.dgla_to_json(broken)))
     out = run_cli("dgla-check", str(bad), "--toy", "GL(2,R)")
     assert out.returncode == 2
@@ -673,7 +696,7 @@ _VALUES = {"--seed": (["0", "3"], ["-1", "x"]),
            "--trials": (["1"], ["0", "-1", "x"]),
            "--toy": (["GL(2,R)", "Sp(1,1)"], ["O(1,C)", "x"]),
            "--out": (["OUT"], ["DIR"]),
-           "--perturbation": (["PERT"], ["MISSING"]),
+           "--perturbation": (["PERT"], ["MISSING", "PGEN"]),
            "--unoriented": ([None], [])}
 
 
@@ -684,7 +707,6 @@ def _value(flag):
 
 @pytest.fixture(scope="module")
 def fuzz_files(tmp_path_factory, torus_curves, diag_rep):
-    import loopbracket.dgla as DG
     root = tmp_path_factory.mktemp("fuzz")
     (root / "pert.json").write_text(json.dumps(
         {"a1": Z.matrix_to_json(0.01 * np.array([[0.0, 1.0], [1.0, 0.0]]))}))
@@ -693,6 +715,7 @@ def fuzz_files(tmp_path_factory, torus_curves, diag_rep):
     return {"CURVES": torus_curves, "REP": diag_rep, "OUT": str(root / "out"),
             "DIR": str(root), "PERT": str(root / "pert.json"),
             "DGLA": str(root / "dgla.json"), "GEN": str(root / "gen.json"),
+            "PGEN": str(root / "pgen.json"),
             "MISSING": str(root / "missing.json")}
 
 
@@ -713,28 +736,77 @@ def _curve_files(draw):
                                        "v": " ".join(words[1])}}
 
 
+# Valid numeric files that _mangled breaks: representations at genus 1
+# and 2, a perturbation that fits both, and a DGLA.
+_NUMERIC_DOCS = {"rep": [_gl2_rep(2.0), _SP2_REP],
+                 "pert": [_pert_a1([0.0, 0.01, 0.01, 0.0])],
+                 "dgla": [Z.dgla_to_json(DG.minimal_differential_instance())]}
+# json.dumps cannot write an integer of more digits than Python converts
+# to a string, so this marker is replaced by one in the file's text
+_DIGITS = "<5000 digits>"
+# values that are not finite JSON numbers that fit a double, and two that
+# are but overflow what is computed from them
+_NOT_DOUBLES = [10**400, -10**400, _DIGITS, float("nan"), float("inf"),
+                float("-inf"), True, False, "1.5", None, [], {}, 1e300, 1e-300]
+
+
+def _paths(node, path=()):
+    """The path of every entry below the root of a JSON document."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def _mangled(draw, kind):
+    """The text of a valid numeric file with one entry broken: replaced by
+    one of _NOT_DOUBLES, dropped (a missing key, a ragged row, a wrong
+    shape), or grown (a repeated last element, a number wrapped in a
+    list)."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(_NUMERIC_DOCS[kind]))))
+    *head, key = draw(st.sampled_from(list(_paths(doc))))
+    parent = doc
+    for step in head:
+        parent = parent[step]
+    node, how = parent[key], draw(st.sampled_from(["replace", "drop", "grow"]))
+    if how == "replace":
+        parent[key] = draw(st.sampled_from(_NOT_DOUBLES))
+    elif how == "drop":
+        del parent[key]
+    else:
+        parent[key] = node + node[-1:] if isinstance(node, list) else [node]
+    return json.dumps(doc).replace(json.dumps(_DIGITS), "1" + "0" * 5000)
+
+
 @st.composite
 def _invocations(draw):
-    """(argv with placeholders, flags the command does not read, the
-    contents of the generated curve file GEN or None)."""
+    """(argv with placeholders, flags the command does not read, the text
+    of each generated file GEN or PGEN it names)."""
     command = draw(st.sampled_from(sorted(_READS)))
     reads = set(_READS[command])
-    curves = None
+    files = {}
     if command == "bracket" and draw(st.booleans()):
-        curves = draw(_curve_files())
+        files["GEN"] = json.dumps(draw(_curve_files()))
         head = ["GEN", "u", "v"]
     elif command == "bracket":
         head = ["CURVES", "a", draw(st.sampled_from(["b", "nope"]))]
     elif command == "holonomy":
-        head = ["REP", draw(st.sampled_from(["a1 b1", "", "a3"]))]
+        head = [draw(st.sampled_from(["REP", "GEN"])),
+                draw(st.sampled_from(["a1 b1", "", "a3"]))]
+        if head[0] == "GEN":
+            files["GEN"] = draw(_mangled("rep"))
     elif command == "verify":
         suite = draw(st.sampled_from(sorted(V.SUITES) + ["nope"]))
         # a suite's default trial count would cost seconds per example
         head = [suite, "--trials", draw(_value("--trials"))]
         reads -= _UNREAD.get(suite, set())
     elif command == "dgla-check":
-        head = draw(st.sampled_from([[], ["DGLA"], ["MISSING"]]))
-        reads -= _UNREAD["DGLA"] if head == ["DGLA"] else set()
+        head = draw(st.sampled_from([[], ["DGLA"], ["GEN"], ["MISSING"]]))
+        reads -= _UNREAD["DGLA"] if head in (["DGLA"], ["GEN"]) else set()
+        if head == ["GEN"]:
+            files["GEN"] = draw(_mangled("dgla"))
     else:
         head = []
     free = set(_VALUES) - set(head)
@@ -745,16 +817,18 @@ def _invocations(draw):
     for flag in sorted(flags):
         value = draw(_value(flag))
         argv += [flag] if value is None else [flag, value]
-    return argv, flags - reads, curves
+    if "PGEN" in argv:
+        files["PGEN"] = draw(_mangled("pert"))
+    return argv, flags - reads, files
 
 
 @settings(max_examples=400, deadline=None)
 @given(_invocations())
 def test_cli_fuzz_ends_in_a_documented_exit_code(fuzz_files, invocation):
-    template, unread, curves = invocation
-    if curves is not None:
-        with open(fuzz_files["GEN"], "w") as fh:
-            json.dump(curves, fh)
+    template, unread, files = invocation
+    for name, text in files.items():
+        with open(fuzz_files[name], "w") as fh:
+            fh.write(text)
     argv = [fuzz_files.get(a, a) for a in template]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -764,7 +838,7 @@ def test_cli_fuzz_ends_in_a_documented_exit_code(fuzz_files, invocation):
             code = stop.code
     assert code in range(5), (template, code)
     if template[0] == "bracket":  # every pair of valid curves realizes
-        assert code in (0, 2), (template, curves, code)
+        assert code in (0, 2), (template, files, code)
     assert "Traceback" not in err.getvalue()
     if code == 0:
         assert not re.search(r"(?i)\b(nan|inf|infinity)\b", out.getvalue())

@@ -1,5 +1,7 @@
 """Cyclic DGLA axioms, moment map, gauge fields, and MC solving."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -28,8 +30,32 @@ def naive_gauge(dgla, a, x):
     return out
 
 
+def moment_covector(dgla, x):
+    return dgla.w00.T @ D.mc_residual(dgla, x)
+
+
+def abelian_instance(d0, d1):
+    """Zero bracket, zero differential, standard pairings."""
+    if d1 % 2:
+        raise D.DglaError("odd part needs even dimension for a symplectic form")
+    h = d1 // 2
+    w11 = np.zeros((d1, d1))
+    w11[:h, h:] = np.eye(h)
+    w11[h:, :h] = -np.eye(h)
+    return D.CyclicDgla(np.zeros((d0, d0, d0)), np.zeros((d1, d0, d1)),
+                        np.zeros((d0, d1, d1)), np.zeros((d1, d0)),
+                        np.zeros((d0, d1)), np.eye(d0), w11)
+
+
+def corrupt(dgla, tensor, index, delta):
+    """Copy with one structure entry shifted, for fault injection."""
+    arr = getattr(dgla, tensor).copy()
+    arr[index] += delta
+    return replace(dgla, **{tensor: arr})
+
+
 def test_abelian_instance_all_residuals_zero():
-    dgla = D.abelian_instance(3, 4)
+    dgla = abelian_instance(3, 4)
     rep = D.axioms_residual(dgla)
     for key, val in rep.items():
         if key.startswith("sigma"):
@@ -52,7 +78,7 @@ def test_minimal_instance_frozen_moment_numbers():
     v = np.array([3.0, -1.0])
     a = np.array([2.0, 1.0])
     assert D.moment(dgla, x, a) == -6.0
-    assert D.moment_covector(dgla, x) @ a == -6.0
+    assert moment_covector(dgla, x) @ a == -6.0
     h = 1e-4
     fd = (D.moment(dgla, x + h * v, a) - D.moment(dgla, x - h * v, a)) / (2 * h)
     lhs = D.omega(dgla, 1, D.gauge_field(dgla, a, x), v)
@@ -211,11 +237,11 @@ def test_gauge_linear_part_preserves_pairing():
 
 
 def test_corrupted_bracket_breaks_axioms():
-    broken = D.corrupt(D.minimal_differential_instance(),
-                       "b01", (1, 0, 0), 0.5)
+    broken = corrupt(D.minimal_differential_instance(),
+                     "b01", (1, 0, 0), 0.5)
     assert D.axioms_residual(broken)["leibniz"] > 0.1
     toy = D.surface_toy_instance(1, GL2R)
-    broken = D.corrupt(toy, "b11", (4, 0, 4), 0.5)
+    broken = corrupt(toy, "b11", (4, 0, 4), 0.5)
     rep = D.axioms_residual(broken)
     assert max(rep["jacobi"], rep["cyclicity"],
                rep["bracket_antisymmetry"]) > 0.1
@@ -228,6 +254,6 @@ def test_shape_validation():
                      np.zeros((2, 2, 2)), np.zeros((3, 2)),  # bad d_eo
                      np.zeros((2, 2)), np.eye(2), np.eye(2))
     with pytest.raises(D.DglaError):
-        D.abelian_instance(2, 3)
+        abelian_instance(2, 3)
     with pytest.raises(D.DglaError):
         D.surface_toy_instance(0, GL2R)

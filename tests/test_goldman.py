@@ -10,6 +10,7 @@ from loopbracket import polygon as P
 from loopbracket import serialize as Z
 from loopbracket import surface as S
 from loopbracket import words as W
+from test_surface import homotopy_variants
 
 GL2R = G.GroupSpec("GL_R", 2)
 GL2C = G.GroupSpec("GL_C", 2)
@@ -460,8 +461,8 @@ def test_representative_independence_small():
     rep = S.sample_representation(GL2C, 2, rng)
     w1, w2 = [1, 2], [3, -1]
     base = B.bracket_oriented(2, w1, w2, seed=47).evaluate(rep)
-    for v1, v2 in zip(S.homotopy_variants(w1, 2, rng, 4),
-                      S.homotopy_variants(w2, 2, rng, 4)):
+    for v1, v2 in zip(homotopy_variants(w1, 2, rng, 4),
+                      homotopy_variants(w2, 2, rng, 4)):
         for seed in (1, 2):
             got = B.bracket_oriented(2, v1, v2, seed=seed).evaluate(rep)
             assert abs(got - base) < 1e-8 * (1 + abs(base))
