@@ -57,13 +57,6 @@ class LoopSum:
             out._add_key(key, coef)
         return out
 
-    def scale(self, factor):
-        f = Fraction(factor)
-        out = LoopSum()
-        if f:
-            out.terms = {key: f * coef for key, coef in self.terms.items()}
-        return out
-
     def items(self):
         return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
 

@@ -1,17 +1,26 @@
 """Finite-dimensional cyclic differential graded Lie algebras.
 
-The grading is two-part: even and odd coefficient vectors are plain
-arrays, and the structure lives in dense tensors.  b00, b01, b11 hold
-the bracket on (even,even), (even,odd), (odd,odd) inputs; the missing
-(odd,even) case is dispatched through graded antisymmetry.  d_eo and
-d_oe are the two parity-exchanging blocks of the differential, and
-w00/w11 the two diagonal blocks of the pairing (the mixed block is
-zero by fiat, so that axiom holds structurally).
+The grading is mod 2: V = V_0 + V_1, with |x| = p for x in V_p.  Vectors
+are plain arrays and the structure is one dense block per parity: the
+bracket [V_p, V_q] -> V_{p+q} is b00, b01 or b11 (out, x, y), with
+[V_1, V_0] read from b01 by graded antisymmetry; the differential
+V_p -> V_{1-p} is d_eo or d_oe; the pairing omega on V_p is w00 or w11
+(the mixed block is zero by fiat, so that axiom holds structurally).
+_blocks is this parity table, and bracket, omega and axioms_residual
+read it alone.  axioms_residual writes each identity once, over the
+parity blocks of its basis arguments, with signs from the parities:
 
-axioms_residual sweeps every axiom over the whole basis at once via
-tensor contractions and reports one max-abs residual per axiom, plus
-d^2 = 0 and the two smallest pairing singular values; nondegeneracy is
-a lower bound on those, not a residual.
+    Jacobi      (-1)^{|x||z|} [x,[y,z]] + cyclic = 0     |x| <= |y| <= |z|
+    Leibniz     d[x,y] = [dx,y] + (-1)^{|x|} [x,dy]
+    cyclicity   omega([x,y], z) = omega(x, [y,z])
+    d-pairing   omega(dx, y) + (-1)^{|x|} omega(x, dy) = 0
+    symmetry    omega(x, y) = (-1)^{|x||y|} omega(y, x)
+
+plus [x,y] = -(-1)^{|x||y|} [y,x] and d^2 = 0, one max-abs residual
+each, and the two smallest pairing singular values (nondegeneracy is a
+lower bound on those, not a residual).  The toy instance is
+H*(Sigma_g) tensor a matrix Lie algebra g, the formal model of the
+deformations of flat connections on a surface (Goldman-Millson 1988).
 
 The Maurer-Cartan locus, gauge fields xi_a(x) = [a,x] - da, and the
 moment x |-> omega(dx + 1/2 [x,x], .) are the pieces the verification
@@ -64,26 +73,27 @@ class CyclicDgla:
         return self.w00.shape[0], self.w11.shape[0]
 
 
+def _blocks(dgla: CyclicDgla):
+    """The parity table (br, d, w): br(p, q) = (sign, tensor) is [V_p, V_q]
+    as sign * tensor[out, x, y], parities mod 2; d[p] is the differential
+    on V_p and w[p] the pairing on V_p.  Views only: nothing is copied."""
+    table = {(0, 0): (1, dgla.b00), (0, 1): (1, dgla.b01),
+             (1, 0): (-1, dgla.b01.transpose(0, 2, 1)),  # graded antisymmetry
+             (1, 1): (1, dgla.b11)}
+    return (lambda p, q: table[p % 2, q % 2],
+            (dgla.d_eo, dgla.d_oe), (dgla.w00, dgla.w11))
+
+
 def bracket(dgla: CyclicDgla, px: int, x: np.ndarray, py: int,
             y: np.ndarray) -> np.ndarray:
     """[x, y] for homogeneous x, y of parities px, py."""
-    if px == 0 and py == 0:
-        return np.einsum("kij,i,j->k", dgla.b00, x, y)
-    if px == 0 and py == 1:
-        return np.einsum("cib,i,b->c", dgla.b01, x, y)
-    if px == 1 and py == 0:
-        return -np.einsum("cib,i,b->c", dgla.b01, y, x)
-    return np.einsum("kab,a,b->k", dgla.b11, x, y)
-
-
-def differential(dgla: CyclicDgla, parity: int, x: np.ndarray) -> np.ndarray:
-    return (dgla.d_eo if parity == 0 else dgla.d_oe) @ x
+    sign, t = _blocks(dgla)[0](px, py)
+    return sign * np.einsum("kij,i,j->k", t, x, y)
 
 
 def omega(dgla: CyclicDgla, parity: int, x: np.ndarray, y: np.ndarray) -> float:
     """Pairing of two vectors of the same parity; mixed pairs give 0."""
-    w = dgla.w00 if parity == 0 else dgla.w11
-    return float(x @ w @ y)
+    return float(x @ _blocks(dgla)[2][parity] @ y)
 
 
 def mc_residual(dgla: CyclicDgla, x: np.ndarray) -> np.ndarray:
@@ -141,69 +151,58 @@ def mc_solve(dgla: CyclicDgla, rng: np.random.Generator,
     return McResult(x, float(np.linalg.norm(res)), ok, it)
 
 
-def _maxabs(t) -> float:
-    return float(np.max(np.abs(t))) if t.size else 0.0
+def _largest(blocks) -> float:
+    """Max |entry| over the arrays, taken in order (max keeps a NaN only
+    when it comes first); 0 for empty ones."""
+    return max(float(np.max(np.abs(t))) if t.size else 0.0 for t in blocks)
 
 
 def axioms_residual(dgla: CyclicDgla) -> dict:
-    """Max residual per axiom over the full basis, via contractions."""
-    b00, b01, b11 = dgla.b00, dgla.b01, dgla.b11
-    deo, doe, w00, w11 = dgla.d_eo, dgla.d_oe, dgla.w00, dgla.w11
+    """Max residual per identity over the full basis, via contractions."""
+    br, d, w = _blocks(dgla)
 
-    anti = max(_maxabs(b00 + b00.transpose(0, 2, 1)),
-               _maxabs(b11 - b11.transpose(0, 2, 1)))
+    def term(spec, first, second, sign=1):  # negated in place, not copied
+        (s1, t1), (s2, t2) = first, second
+        out = np.einsum(spec, t1, t2)
+        return out if sign * s1 * s2 > 0 else np.negative(out, out=out)
 
-    j_eee = (np.einsum("wiu,ujk->wijk", b00, b00)
-             + np.einsum("wju,uki->wijk", b00, b00)
-             + np.einsum("wku,uij->wijk", b00, b00))
-    j_eeo = (np.einsum("wiu,ujc->wijc", b01, b01)
-             - np.einsum("wju,uic->wijc", b01, b01)
-             - np.einsum("wuc,uij->wijc", b01, b00))
-    j_eoo = (np.einsum("wiu,uab->wiab", b00, b11)
-             - np.einsum("wau,uib->wiab", b11, b01)
-             - np.einsum("wbu,uia->wiab", b11, b01))
-    j_ooo = (np.einsum("wua,ubc->wabc", b01, b11)
-             + np.einsum("wub,uca->wabc", b01, b11)
-             + np.einsum("wuc,uab->wabc", b01, b11))
-    jacobi = max(map(_maxabs, (j_eee, j_eeo, j_eoo, j_ooo)))
-
-    l_ee = (np.einsum("cu,uij->cij", deo, b00)
-            + np.einsum("cju,ui->cij", b01, deo)
-            - np.einsum("ciu,uj->cij", b01, deo))
-    l_eo = (np.einsum("kc,cib->kib", doe, b01)
-            - np.einsum("kub,ui->kib", b11, deo)
-            - np.einsum("kiu,ub->kib", b00, doe))
-    l_oo = (np.einsum("ck,kab->cab", deo, b11)
-            - np.einsum("cub,ua->cab", b01, doe)
-            - np.einsum("cua,ub->cab", b01, doe))
-    leibniz = max(map(_maxabs, (l_ee, l_eo, l_oo)))
-
-    c_eee = (np.einsum("uij,uk->ijk", b00, w00)
-             - np.einsum("iu,ujk->ijk", w00, b00))
-    c_eoo = (np.einsum("uia,ub->iab", b01, w11)
-             - np.einsum("iu,uab->iab", w00, b11))
-    c_oeo = (-np.einsum("uia,ub->aib", b01, w11)
-             - np.einsum("au,uib->aib", w11, b01))
-    c_ooe = (np.einsum("uab,ui->abi", b11, w00)
-             + np.einsum("au,uib->abi", w11, b01))
-    cyclicity = max(map(_maxabs, (c_eee, c_eoo, c_oeo, c_ooe)))
-
-    p_eo = np.einsum("ai,ab->ib", deo, w11) + w00 @ doe
-    p_oe = np.einsum("ua,uj->aj", doe, w00) - w11 @ deo
-    d_pairing = max(_maxabs(p_eo), _maxabs(p_oe))
+    # [x,y] + (-1)^p [y,x] = 0 on V_p x V_p
+    anti = _largest(br(p, p)[1] + (-1) ** p * br(p, p)[1].transpose(0, 2, 1)
+                    for p in (0, 1))
+    # (-1)^{pr} [x,[y,z]] + (-1)^{qp} [y,[z,x]] + (-1)^{rq} [z,[x,y]] = 0
+    jacobi = _largest(
+        term("wiu,ujk->wijk", br(p, q + r), br(q, r), (-1) ** (p * r))
+        + term("wju,uki->wijk", br(q, r + p), br(r, p), (-1) ** (q * p))
+        + term("wku,uij->wijk", br(r, p + q), br(p, q), (-1) ** (r * q))
+        for p, q, r in ((0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)))
+    # d[x,y] - [dx,y] - (-1)^p [x,dy] = 0
+    leibniz = _largest(
+        term("cu,uij->cij", (1, d[(p + q) % 2]), br(p, q))
+        - term("cuj,ui->cij", br(p + 1, q), (1, d[p]))
+        - term("ciu,uj->cij", br(p, q + 1), (1, d[q]), (-1) ** p)
+        for p, q in ((0, 0), (0, 1), (1, 1)))
+    # w([x,y], z) - w(x, [y,z]) = 0, for p + q + r even
+    cyclicity = _largest(
+        term("uij,uk->ijk", br(p, q), (1, w[r]))
+        - term("iu,ujk->ijk", (1, w[p]), br(q, r))
+        for p, q, r in ((0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)))
+    # w(dx, y) + (-1)^p w(x, dy) = 0
+    d_pairing = _largest(np.einsum("ui,uj->ij", d[p], w[1 - p])
+                         + (-1) ** p * (w[p] @ d[1 - p]) for p in (0, 1))
 
     return {
         "parity_exchange": 0.0,   # structural: d blocks swap parts
         "leibniz": leibniz,
         "cyclicity": cyclicity,
         "d_pairing": d_pairing,
-        "graded_symmetry": max(_maxabs(w00 - w00.T), _maxabs(w11 + w11.T)),
-        "sigma_min_even": float(np.linalg.svd(w00, compute_uv=False)[-1]),
-        "sigma_min_odd": float(np.linalg.svd(w11, compute_uv=False)[-1]),
+        # w(x, y) = (-1)^p w(y, x)
+        "graded_symmetry": _largest(w[p] - (-1) ** p * w[p].T for p in (0, 1)),
+        "sigma_min_even": float(np.linalg.svd(w[0], compute_uv=False)[-1]),
+        "sigma_min_odd": float(np.linalg.svd(w[1], compute_uv=False)[-1]),
         "mixed_pairing": 0.0,     # structural: no mixed block exists
         "bracket_antisymmetry": anti,
         "jacobi": jacobi,
-        "d_squared": max(_maxabs(doe @ deo), _maxabs(deo @ doe)),
+        "d_squared": _largest(d[1 - p] @ d[p] for p in (0, 1)),
     }
 
 
@@ -225,53 +224,29 @@ def structure_constants(spec: G.GroupSpec) -> np.ndarray:
 
 
 def surface_toy_instance(genus: int, spec: G.GroupSpec) -> CyclicDgla:
-    """Cohomology of a genus-g surface tensored with a matrix algebra.
+    """H*(Sigma_g) tensor the Lie algebra of spec, with d = 0.
 
-    Even part: unit class and top class, each with one algebra factor;
-    odd part: the 2g degree-one classes.  Cup product pairs the i-th
-    dual classes into the top class with opposite signs, the pairing
-    integrates the top component against the algebra pairing, and the
-    differential is zero.  MC for x = sum(alpha_i ox x_i + beta_i ox y_i)
-    reduces to sum_i [x_i, y_i] = 0.
+    Classes 1, top (even) and alpha_1..alpha_g, beta_1..beta_g (odd); the
+    cup product has 1 u c = c and alpha_i u beta_i = top = -beta_i u
+    alpha_i, and integration reads the top component.  [a x, b y] =
+    (a u b) [x, y] and omega(a x, b y) = int(a u b) <x, y>, so each tensor
+    is a Kronecker product, indexed class-major.  MC for x =
+    sum(alpha_i x_i + beta_i y_i) reduces to sum_i [x_i, y_i] = 0.
     """
     if genus < 1:
         raise DglaError("genus must be >= 1")
     c = structure_constants(spec)
-    _, signs = G.pairing_orthonormal_basis(spec)
-    m = c.shape[0]
-    g = genus
-    d0, d1 = 2 * m, 2 * g * m
-
-    b00 = np.zeros((d0, d0, d0))
-    b00[:m, :m, :m] = c                      # [e x, e y] = e [x,y]
-    b00[m:, :m, m:] = c                      # [e x, f y] = f [x,y]
-    b00[m:, m:, :m] = c                      # [f x, e y] = f [x,y]
-
-    b01 = np.zeros((d1, d0, d1))
-    for i in range(2 * g):                   # e acts on every odd block
-        sl = slice(i * m, (i + 1) * m)
-        b01[sl, :m, sl] = c
-
-    b11 = np.zeros((d0, d1, d1))
-    for i in range(g):                       # alpha_i beta_i -> top class
-        a = slice(i * m, (i + 1) * m)
-        b = slice((g + i) * m, (g + i + 1) * m)
-        b11[m:, a, b] = c
-        b11[m:, b, a] = -c
-
-    sig = np.diag(signs)
-    w00 = np.zeros((d0, d0))
-    w00[:m, m:] = sig
-    w00[m:, :m] = sig
-    w11 = np.zeros((d1, d1))
-    for i in range(g):
-        a = slice(i * m, (i + 1) * m)
-        b = slice((g + i) * m, (g + i + 1) * m)
-        w11[a, b] = sig
-        w11[b, a] = -sig
-
-    return CyclicDgla(b00, b01, b11, np.zeros((d1, d0)), np.zeros((d0, d1)),
-                      w00, w11)
+    sig = np.diag(G.pairing_orthonormal_basis(spec)[1])
+    m, n = c.shape[0], 2 * genus
+    cup00 = np.zeros((2, 2, 2))                  # (out, even, even)
+    cup00[0, 0, 0] = cup00[1, 0, 1] = cup00[1, 1, 0] = 1
+    cup01 = np.zeros((n, 2, n))                  # (out, even, odd)
+    cup01[:, 0, :] = np.eye(n)
+    cup11 = np.zeros((2, n, n))                  # (out, odd, odd)
+    cup11[1] = np.kron([[0, 1], [-1, 0]], np.eye(genus))
+    return CyclicDgla(np.kron(cup00, c), np.kron(cup01, c), np.kron(cup11, c),
+                      np.zeros((n * m, 2 * m)), np.zeros((2 * m, n * m)),
+                      np.kron(cup00[1], sig), np.kron(cup11[1], sig))
 
 
 def minimal_differential_instance() -> CyclicDgla:

@@ -84,71 +84,58 @@ def _signature_matrix(p: int, q: int) -> np.ndarray:
     return np.diag(np.r_[np.ones(p), -np.ones(q)]).astype(complex)
 
 
-def form_matrices(spec: GroupSpec) -> tuple[np.ndarray, ...]:
-    """Defining form(s) of the group; () for the GL kinds.
+def form_matrices(spec: GroupSpec):
+    """The group's defining equations besides reality, as (F, conj, J).
 
-    O_pq/U_pq: diag(I_p, -I_q).  O_C: identity.  Sp_R: the standard
-    symplectic form.  Sp_pq: the Hermitian form H = diag(D, D) together
-    with the quaternionic structure J = [[0, -I], [I, 0]].
+    adj(g) F g = F, where adj is the transpose, or the conjugate
+    transpose when conj; F is None for the GL kinds.  O_pq/U_pq:
+    F = diag(I_p, -I_q).  O_C: the identity.  Sp_R: the standard
+    symplectic form.  Sp_pq: the Hermitian form F = diag(D, D), and
+    g J = J conj(g) for the quaternionic structure J = [[0, -I], [I, 0]];
+    J is None for the other kinds.
     """
-    if spec.kind in _GL_KINDS:
-        return ()
-    if spec.kind in ("O_pq", "U_pq"):
-        return (_signature_matrix(spec.p, spec.q),)
-    if spec.kind == "O_C":
-        return (np.eye(spec.n, dtype=complex),)
     n = spec.n
+    if spec.kind in _GL_KINDS:
+        return None, False, None
+    if spec.kind == "O_C":
+        return np.eye(n, dtype=complex), False, None
     if spec.kind == "Sp_R":
-        m = n // 2
-        z, i = np.zeros((m, m)), np.eye(m)
-        return (np.block([[z, i], [-i, z]]).astype(complex),)
+        z, i = np.zeros((n // 2, n // 2)), np.eye(n // 2)
+        return np.block([[z, i], [-i, z]]).astype(complex), False, None
     d = _signature_matrix(spec.p, spec.q)
-    h = np.block([[d, np.zeros_like(d)], [np.zeros_like(d), d]])
+    if spec.kind != "Sp_pq":
+        return d, spec.kind == "U_pq", None
     z, i = np.zeros((n, n)), np.eye(n)
-    j = np.block([[z, -i], [i, z]]).astype(complex)
-    return (h, j)
+    return (np.block([[d, np.zeros_like(d)], [np.zeros_like(d), d]]), True,
+            np.block([[z, -i], [i, z]]).astype(complex))
 
 
 def _fro(x) -> float:
     return float(np.linalg.norm(x))
 
 
+def _residual(spec: GroupSpec, g: np.ndarray, linearized: bool) -> float:
+    """Sum of the Frobenius norms of the defining equations at g: reality,
+    adj(g) F g - F (or adj(g) F + F g, linearized at 1) and g J - J conj(g)."""
+    g = np.asarray(g, dtype=complex)
+    f, conj, j = form_matrices(spec)
+    r = _fro(g.imag) if spec.is_real else 0.0
+    if f is not None:
+        adj = g.conj().T if conj else g.T
+        r += _fro(adj @ f + f @ g if linearized else adj @ f @ g - f)
+    if j is not None:
+        r += _fro(g @ j - j @ g.conj())
+    return r
+
+
 def membership_residual(spec: GroupSpec, g: np.ndarray) -> float:
     """Frobenius-norm distance of g from the defining group equations."""
-    g = np.asarray(g, dtype=complex)
-    r = _fro(g.imag) if spec.is_real else 0.0
-    if spec.kind in _GL_KINDS:
-        return r
-    if spec.kind in ("O_pq", "O_C"):
-        (j,) = form_matrices(spec)
-        return r + _fro(g.T @ j @ g - j)
-    if spec.kind == "U_pq":
-        (j,) = form_matrices(spec)
-        return r + _fro(g.conj().T @ j @ g - j)
-    if spec.kind == "Sp_R":
-        (om,) = form_matrices(spec)
-        return r + _fro(g.T @ om @ g - om)
-    h, j = form_matrices(spec)
-    return _fro(g.conj().T @ h @ g - h) + _fro(g @ j - j @ g.conj())
+    return _residual(spec, g, linearized=False)
 
 
 def algebra_residual(spec: GroupSpec, x: np.ndarray) -> float:
     """Frobenius-norm distance of x from the linearized group equations."""
-    x = np.asarray(x, dtype=complex)
-    r = _fro(x.imag) if spec.is_real else 0.0
-    if spec.kind in _GL_KINDS:
-        return r
-    if spec.kind in ("O_pq", "O_C"):
-        (j,) = form_matrices(spec)
-        return r + _fro(x.T @ j + j @ x)
-    if spec.kind == "U_pq":
-        (j,) = form_matrices(spec)
-        return r + _fro(x.conj().T @ j + j @ x)
-    if spec.kind == "Sp_R":
-        (om,) = form_matrices(spec)
-        return r + _fro(x.T @ om + om @ x)
-    h, j = form_matrices(spec)
-    return _fro(x.conj().T @ h + h @ x) + _fro(x @ j - j @ x.conj())
+    return _residual(spec, x, linearized=True)
 
 
 def algebra_dim(spec: GroupSpec) -> int:
@@ -188,7 +175,7 @@ def algebra_basis(spec: GroupSpec) -> np.ndarray:
                 basis.append(_eij(n, i, j))
                 basis.append(1j * _eij(n, i, j))
     elif spec.kind == "O_pq":
-        (j,) = form_matrices(spec)
+        j = form_matrices(spec)[0]
         for a in range(n):
             for b in range(a + 1, n):
                 basis.append(j @ (_eij(n, a, b) - _eij(n, b, a)))
@@ -198,7 +185,7 @@ def algebra_basis(spec: GroupSpec) -> np.ndarray:
                 e = _eij(n, a, b) - _eij(n, b, a)
                 basis.extend([e, 1j * e])
     elif spec.kind == "U_pq":
-        (j,) = form_matrices(spec)
+        j = form_matrices(spec)[0]
         herm = [_eij(n, a, a) for a in range(n)]
         for a in range(n):
             for b in range(a + 1, n):
@@ -206,7 +193,7 @@ def algebra_basis(spec: GroupSpec) -> np.ndarray:
                 herm.append(1j * (_eij(n, a, b) - _eij(n, b, a)))
         basis = [1j * j @ h for h in herm]
     elif spec.kind == "Sp_R":
-        (om,) = form_matrices(spec)
+        om = form_matrices(spec)[0]
         for a in range(n):
             for b in range(a, n):
                 s = _eij(n, a, b) + _eij(n, b, a)
@@ -222,7 +209,7 @@ def algebra_basis(spec: GroupSpec) -> np.ndarray:
 
 
 def _sp_pq_basis(spec: GroupSpec) -> list[np.ndarray]:
-    h, j = form_matrices(spec)
+    h, _, j = form_matrices(spec)
     d = spec.matrix_dim
 
     def project(x):

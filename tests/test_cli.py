@@ -466,6 +466,26 @@ def test_dgla_check_file_and_failure(tmp_path):
     assert run_cli("dgla-check").returncode == 2
 
 
+@pytest.mark.parametrize("entries", [
+    {"w11": [[0, 1e308], [-1e308, 1e308]]},          # w11 + w11^T overflows
+    {"d_eo": [[1e300] * 2] * 2, "d_oe": [[1e300] * 2] * 2},  # so does d d
+], ids=["pairing", "differential"])
+def test_dgla_check_overflow_is_a_non_finite_result(tmp_path, capsys, entries):
+    # finite entries whose sums or products overflow end in exit 1 with a
+    # one-line message, not a numpy RuntimeWarning
+    path = tmp_path / "dgla.json"
+    path.write_text(json.dumps(
+        {**Z.dgla_to_json(DG.minimal_differential_instance()), **entries}))
+    out = run_cli("dgla-check", str(path))
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert "non-finite result" in out.stderr
+    assert "RuntimeWarning" not in out.stderr
+    # in process, under the suite's error::RuntimeWarning filter
+    assert C.main(["dgla-check", str(path)]) == 1
+    assert "non-finite result" in capsys.readouterr().err
+
+
 def test_dgla_check_bad_file_exits_2(torus_curves):
     out = run_cli("dgla-check", torus_curves)
     assert out.returncode == 2

@@ -1,6 +1,7 @@
 """Cyclic DGLA axioms, moment map, gauge fields, and MC solving."""
 
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -234,6 +235,85 @@ def test_gauge_linear_part_preserves_pairing():
         s = (D.omega(dgla, 1, D.bracket(dgla, 0, a, 1, u), v)
              + D.omega(dgla, 1, u, D.bracket(dgla, 0, a, 1, v)))
         assert abs(s) < 1e-12
+
+
+def twisted(dgla, x):
+    """dgla with d = [x, .], a differential and a derivation if [x, x] = 0."""
+    d_eo, d_oe = (np.array([D.bracket(dgla, 1, x, q, e) for e in np.eye(n)]).T
+                  for q, n in zip((0, 1), dgla.dims))
+    return replace(dgla, d_eo=d_eo, d_oe=d_oe)
+
+
+def mc_point(d1, first, second, p):
+    """x = u_first p + u_second 2.5 p over odd classes u with u u = 0,
+    so that [x, x] = 0."""
+    m = len(p)
+    x = np.zeros(d1)
+    x[first * m:(first + 1) * m], x[second * m:(second + 1) * m] = p, 2.5 * p
+    return x
+
+
+def exterior_instance(spec, k=4):
+    """Lambda(theta_1..theta_k) tensor the algebra of spec, for even k,
+    graded by form degree mod 2, with d = 0 and omega(a x, b y) =
+    int(a b) <x, y>, int reading the theta_1..theta_k coefficient.  Unlike
+    H*(Sigma_g), three odd classes can have a nonzero product."""
+    forms = [frozenset(c) for r in range(k + 1) for c in combinations(range(k), r)]
+    even, odd = ([s for s in forms if len(s) % 2 == p] for p in (0, 1))
+
+    def wedge(out, left, right):  # the product tensor (out, left, right)
+        t = np.zeros((len(out), len(left), len(right)))
+        for i, s in enumerate(left):
+            for j, u in enumerate(right):
+                if not s & u and s | u in out:
+                    t[out.index(s | u), i, j] = (-1) ** sum(
+                        a > b for a in s for b in u)
+        return t
+
+    c = D.structure_constants(spec)
+    sig = np.diag(G.pairing_orthonormal_basis(spec)[1])
+    top, m = [frozenset(range(k))], len(sig)
+    return D.CyclicDgla(
+        np.kron(wedge(even, even, even), c), np.kron(wedge(odd, even, odd), c),
+        np.kron(wedge(even, odd, odd), c), np.zeros((len(odd) * m, len(even) * m)),
+        np.zeros((len(even) * m, len(odd) * m)),
+        np.kron(wedge(top, even, even)[0], sig), np.kron(wedge(top, odd, odd)[0], sig))
+
+
+def assert_negated_differential_breaks(dgla):
+    for block in ("d_eo", "d_oe"):
+        rep = D.axioms_residual(replace(dgla, **{block: -getattr(dgla, block)}))
+        assert rep["leibniz"] > 1e-3 and rep["d_pairing"] > 1e-3, (block, rep)
+
+
+@pytest.mark.parametrize("genus", [1, 2])
+@pytest.mark.parametrize("spec", [
+    GL2R, G.GroupSpec("U_pq", 2, 1, 1), G.GroupSpec("Sp_pq", 2, 1, 1),
+    G.GroupSpec("O_pq", 3, 2, 1)], ids=str)
+def test_twisted_toy_pins_leibniz_and_d_pairing_signs(spec, genus):
+    # the toy with d = [x, .] at x = alpha_1 p + beta_1 2.5 p: both its
+    # bracket and its differential are nonzero
+    toy = D.surface_toy_instance(genus, spec)
+    p = np.random.default_rng(0).normal(size=G.algebra_dim(spec))
+    dgla = twisted(toy, mc_point(toy.dims[1], 0, genus, p))
+    assert np.max(np.abs(dgla.d_eo)) > 0.5 and np.max(np.abs(dgla.d_oe)) > 0.5
+    assert D.axioms_pass(D.axioms_residual(dgla), tol=1e-12)
+    assert_negated_differential_breaks(dgla)
+
+
+def test_twisted_exterior_instance_pins_odd_jacobi_and_leibniz_signs():
+    # in H*(Sigma_g) tensor g, [odd, [odd, odd]] and [odd, d odd] vanish,
+    # so the signs (-1)^{|x||z|} of Jacobi and (-1)^{|x|} of Leibniz, -1
+    # only there, go unchecked; in Lambda(theta_1..theta_4) they do not
+    spec = G.GroupSpec("O_pq", 3, 2, 1)
+    plain = exterior_instance(spec)
+    odd3 = np.einsum("wua,ubc->wabc", plain.b01, plain.b11)
+    assert np.max(np.abs(odd3)) > 0.1
+    p = np.random.default_rng(0).normal(size=G.algebra_dim(spec))
+    dgla = twisted(plain, mc_point(plain.dims[1], 0, 1, p))
+    for inst in (plain, dgla):
+        assert D.axioms_pass(D.axioms_residual(inst), tol=1e-12)
+    assert_negated_differential_breaks(dgla)
 
 
 def test_corrupted_bracket_breaks_axioms():

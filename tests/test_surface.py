@@ -1,3 +1,4 @@
+import doctest
 import warnings
 
 import numpy as np
@@ -54,6 +55,12 @@ def homotopy_variants(word, genus, rng, count):
                 w = w[:k] + [c] + r + [-c] + w[k:]
         out.append(w)
     return out
+
+
+def test_words_doctests():
+    # the module docstring's examples are part of its contract
+    result = doctest.testmod(W)
+    assert result.attempted >= 4 and result.failed == 0, result
 
 
 def test_word_round_trip():
