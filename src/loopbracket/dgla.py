@@ -152,9 +152,9 @@ def mc_solve(dgla: CyclicDgla, rng: np.random.Generator,
 
 
 def _largest(blocks) -> float:
-    """Max |entry| over the arrays, taken in order (max keeps a NaN only
-    when it comes first); 0 for empty ones."""
-    return max(float(np.max(np.abs(t))) if t.size else 0.0 for t in blocks)
+    """Max |entry| over the arrays, NaN if any entry is NaN; 0 for none."""
+    return float(np.max([np.max(np.abs(t), initial=0.0) for t in blocks],
+                        initial=0.0))
 
 
 def axioms_residual(dgla: CyclicDgla) -> dict:
@@ -166,15 +166,20 @@ def axioms_residual(dgla: CyclicDgla) -> dict:
         out = np.einsum(spec, t1, t2)
         return out if sign * s1 * s2 > 0 else np.negative(out, out=out)
 
+    def sliced(block, w):  # the [w] slice of an (out, x, y) bracket block
+        return block[0], block[1][w]
+
     # [x,y] + (-1)^p [y,x] = 0 on V_p x V_p
     anti = _largest(br(p, p)[1] + (-1) ** p * br(p, p)[1].transpose(0, 2, 1)
                     for p in (0, 1))
-    # (-1)^{pr} [x,[y,z]] + (-1)^{qp} [y,[z,x]] + (-1)^{rq} [z,[x,y]] = 0
+    # (-1)^{pr} [x,[y,z]] + (-1)^{qp} [y,[z,x]] + (-1)^{rq} [z,[x,y]] = 0,
+    # one output basis vector w at a time
     jacobi = _largest(
-        term("wiu,ujk->wijk", br(p, q + r), br(q, r), (-1) ** (p * r))
-        + term("wju,uki->wijk", br(q, r + p), br(r, p), (-1) ** (q * p))
-        + term("wku,uij->wijk", br(r, p + q), br(p, q), (-1) ** (r * q))
-        for p, q, r in ((0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)))
+        term("iu,ujk->ijk", sliced(br(p, q + r), w), br(q, r), (-1) ** (p * r))
+        + term("ju,uki->ijk", sliced(br(q, r + p), w), br(r, p), (-1) ** (q * p))
+        + term("ku,uij->ijk", sliced(br(r, p + q), w), br(p, q), (-1) ** (r * q))
+        for p, q, r in ((0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1))
+        for w in range(len(br(p, q + r)[1])))
     # d[x,y] - [dx,y] - (-1)^p [x,dy] = 0
     leibniz = _largest(
         term("cu,uij->cij", (1, d[(p + q) % 2]), br(p, q))
@@ -206,12 +211,13 @@ def axioms_residual(dgla: CyclicDgla) -> dict:
     }
 
 
-def axioms_pass(report: dict, tol: float = 1e-12,
-                sigma_floor: float = 1e-8) -> bool:
+def axioms_pass(report: dict, tol: float = 1e-12) -> bool:
+    """Every residual at most tol (a NaN one fails) and both pairing
+    singular values at least 1e-8."""
     sigmas = {"sigma_min_even", "sigma_min_odd"}
-    if any(report[k] > tol for k in report if k not in sigmas):
+    if any(not report[k] <= tol for k in report if k not in sigmas):
         return False
-    return all(report[k] >= sigma_floor for k in sigmas)
+    return all(report[k] >= 1e-8 for k in sigmas)
 
 
 def structure_constants(spec: G.GroupSpec) -> np.ndarray:

@@ -5,20 +5,24 @@ the kind and signature, and this module hands out real bases of the Lie
 algebra, random samples, membership residuals, and the variation F of the
 invariant function f(g) = Re tr(g).
 
+Bases.  Six kinds have the closed-form basis x = F s: s runs over one of
+four unit-matrix families (all, antisymmetric, symmetric, Hermitian), times
+each of the kind's multipliers (1, i or both), and F is the kind's form
+where it is not the identity.  sp(p, q) is cut out by projection.
+
 Conventions.  The pairing is <x, y> = Re tr(xy): R-bilinear, symmetric,
 and nondegenerate (indefinite in general) on each algebra below, since
 each is closed under conjugate transpose and <x, x^*> = |x|_F^2 > 0 for
 x != 0.  So its Gram matrix on any basis has no zero eigenvalue, and one
 eigendecomposition of it gives a pairing-orthonormal basis.  The
-variation F(g) is the pairing-dual of the right differential of f,
+decorated variation Fhat(g; x_1..x_k) is the pairing-dual of
 
-    d/dt f(g exp(t x)) |_{t=0} = <F(g), x>   for every algebra element x,
+    <Fhat(g; x_1..x_k), y> = fhat(g; x_1..x_k, y) = Re tr(g x_1 .. x_k y)
 
-which comes out as F(g) = g for the two GL kinds and F(g) = (g - g^-1)/2
-for the kinds cut out by a form.  The decorated variation Fhat inserts a
-word of algebra elements after g and satisfies the chain rule
-
-    <Fhat(g; x_1..x_k), y> = fhat(g; x_1..x_k, y) = Re tr(g x_1 .. x_k y).
+over algebra elements y.  At k = 0 it is the variation F(g), the dual of
+d/dt f(g exp(t y)) |_{t=0} = <g, y>: the projection of g onto the
+algebra, which is g for the two GL kinds and (g - g^-1)/2 for the kinds
+cut out by a form.
 
 All matrices are complex128 internally; the real kinds keep zero imaginary
 part and their membership residuals include a reality term.
@@ -33,9 +37,9 @@ from functools import cache
 import numpy as np
 
 KINDS = ("GL_R", "GL_C", "O_pq", "O_C", "U_pq", "Sp_R", "Sp_pq")
+GL_KINDS = {"GL_R", "GL_C"}  # the two kinds that no form cuts out
 
 _REAL_KINDS = {"GL_R", "O_pq", "Sp_R"}
-_GL_KINDS = {"GL_R", "GL_C"}
 _SIGNED_KINDS = {"O_pq", "U_pq", "Sp_pq"}
 
 
@@ -80,10 +84,6 @@ class GroupSpec:
         return self.kind in _REAL_KINDS
 
 
-def _signature_matrix(p: int, q: int) -> np.ndarray:
-    return np.diag(np.r_[np.ones(p), -np.ones(q)]).astype(complex)
-
-
 def form_matrices(spec: GroupSpec):
     """The group's defining equations besides reality, as (F, conj, J).
 
@@ -95,14 +95,14 @@ def form_matrices(spec: GroupSpec):
     J is None for the other kinds.
     """
     n = spec.n
-    if spec.kind in _GL_KINDS:
+    if spec.kind in GL_KINDS:
         return None, False, None
     if spec.kind == "O_C":
         return np.eye(n, dtype=complex), False, None
     if spec.kind == "Sp_R":
         z, i = np.zeros((n // 2, n // 2)), np.eye(n // 2)
         return np.block([[z, i], [-i, z]]).astype(complex), False, None
-    d = _signature_matrix(spec.p, spec.q)
+    d = np.diag(np.r_[np.ones(spec.p), -np.ones(spec.q)]).astype(complex)
     if spec.kind != "Sp_pq":
         return d, spec.kind == "U_pq", None
     z, i = np.zeros((n, n)), np.eye(n)
@@ -151,55 +151,43 @@ def algebra_dim(spec: GroupSpec) -> int:
     }[spec.kind]
 
 
-def _eij(n, i, j):
-    e = np.zeros((n, n), dtype=complex)
-    e[i, j] = 1.0
-    return e
+def _family(name: str, n: int) -> list[np.ndarray]:
+    """The n x n matrices s of one family, in basis order."""
+    e = np.eye(n * n, dtype=complex).reshape(n, n, n, n)   # e[i, j] = E_ij
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    if name == "all":
+        return list(e.reshape(-1, n, n))
+    if name == "anti":
+        return [e[a, b] - e[b, a] for a, b in pairs]
+    if name == "sym":
+        return [e[a, b] + e[b, a] for a in range(n) for b in range(a, n)]
+    return [e[a, a] for a in range(n)] + [  # herm
+        h for a, b in pairs for h in (e[a, b] + e[b, a], 1j * (e[a, b] - e[b, a]))]
+
+
+# kind: (family of s, multipliers m, whether x = (m F) s or m s)
+_BASIS_RULES = {"GL_R": ("all", (1,), False), "GL_C": ("all", (1, 1j), False),
+                "O_pq": ("anti", (1,), True), "O_C": ("anti", (1, 1j), False),
+                "U_pq": ("herm", (1j,), True), "Sp_R": ("sym", (1,), True)}
 
 
 @cache
 def algebra_basis(spec: GroupSpec) -> np.ndarray:
     """Real basis of the Lie algebra, as a read-only complex stack (m, d, d).
 
-    Closed-form bases for six kinds; sp(p, q) is cut out by projecting a
-    gl basis onto the joint fixed space of its two commuting involutions
-    and orthonormalizing the result.
+    x = F s for six kinds (see the module docstring); F is skipped for
+    O_C, whose form is the identity, since multiplying by it flips the
+    sign of some zeros.  sp(p, q) is cut out by projecting a gl basis
+    onto the joint fixed space of its two commuting involutions and
+    orthonormalizing the result.
     """
-    n = spec.n
-    basis: list[np.ndarray] = []
-    if spec.kind == "GL_R":
-        basis = [_eij(n, i, j) for i in range(n) for j in range(n)]
-    elif spec.kind == "GL_C":
-        for i in range(n):
-            for j in range(n):
-                basis.append(_eij(n, i, j))
-                basis.append(1j * _eij(n, i, j))
-    elif spec.kind == "O_pq":
-        j = form_matrices(spec)[0]
-        for a in range(n):
-            for b in range(a + 1, n):
-                basis.append(j @ (_eij(n, a, b) - _eij(n, b, a)))
-    elif spec.kind == "O_C":
-        for a in range(n):
-            for b in range(a + 1, n):
-                e = _eij(n, a, b) - _eij(n, b, a)
-                basis.extend([e, 1j * e])
-    elif spec.kind == "U_pq":
-        j = form_matrices(spec)[0]
-        herm = [_eij(n, a, a) for a in range(n)]
-        for a in range(n):
-            for b in range(a + 1, n):
-                herm.append(_eij(n, a, b) + _eij(n, b, a))
-                herm.append(1j * (_eij(n, a, b) - _eij(n, b, a)))
-        basis = [1j * j @ h for h in herm]
-    elif spec.kind == "Sp_R":
-        om = form_matrices(spec)[0]
-        for a in range(n):
-            for b in range(a, n):
-                s = _eij(n, a, b) + _eij(n, b, a)
-                basis.append(om @ s)
-    else:
+    if spec.kind == "Sp_pq":
         basis = _sp_pq_basis(spec)
+    else:
+        family, mults, under_form = _BASIS_RULES[spec.kind]
+        f = form_matrices(spec)[0]
+        basis = [(m * f) @ s if under_form else m * s
+                 for s in _family(family, spec.n) for m in mults]
     out = np.array(basis, dtype=complex)
     out.flags.writeable = False  # cached and shared
     assert len(out) == algebra_dim(spec)
@@ -218,12 +206,8 @@ def _sp_pq_basis(spec: GroupSpec) -> list[np.ndarray]:
         t12 = -h @ t2.conj().T @ h
         return (x + t1 + t2 + t12) / 4.0
 
-    cols = []
-    for a in range(d):
-        for b in range(d):
-            for e in (_eij(d, a, b), 1j * _eij(d, a, b)):
-                v = project(e)
-                cols.append(np.r_[v.real.ravel(), v.imag.ravel()])
+    vs = [project(e) for s in _family("all", d) for e in (s, 1j * s)]
+    cols = [np.r_[v.real.ravel(), v.imag.ravel()] for v in vs]
     u, s, _ = np.linalg.svd(np.array(cols).T)
     w = u[:, :int(np.sum(s > 1e-8 * s[0]))].T
     return list((w[:, :d * d] + 1j * w[:, d * d:]).reshape(-1, d, d))
@@ -279,10 +263,10 @@ def expm(a) -> np.ndarray:
     return r
 
 
-def random_element(spec: GroupSpec, rng: np.random.Generator,
-                   scale: float = 0.5) -> np.ndarray:
-    """exp of a random algebra element; stays in the identity component."""
-    return expm(random_algebra_element(spec, rng, scale))
+def random_element(spec: GroupSpec, rng: np.random.Generator) -> np.ndarray:
+    """exp of a random algebra element of scale 1/2; stays in the
+    identity component."""
+    return expm(random_algebra_element(spec, rng, 0.5))
 
 
 def invariant_f(spec: GroupSpec, g: np.ndarray) -> float:
@@ -295,31 +279,23 @@ def pairing(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.trace(np.asarray(x) @ np.asarray(y)).real)
 
 
-def variation(spec: GroupSpec, g: np.ndarray) -> np.ndarray:
-    """F(g): dual of d/dt f(g e^{tx}) with respect to <, > on the algebra."""
-    g = np.asarray(g, dtype=complex)
-    if spec.kind in _GL_KINDS:
-        return g
-    return (g - np.linalg.inv(g)) / 2.0
-
-
-def variation_hat(spec: GroupSpec, g: np.ndarray, xs=()) -> np.ndarray:
-    """Decorated variation Fhat(g; x_1..x_k); k = 0 reduces to F(g).
+def variation(spec: GroupSpec, g: np.ndarray, xs=()) -> np.ndarray:
+    """Decorated variation Fhat(g; x_1..x_k); with no x it is F(g).
 
     GL kinds: g x_1 .. x_k.  Form kinds: the symmetrized combination
     (g x_1 .. x_k + (-1)^{k+1} x_k .. x_1 g^-1) / 2, which lands back in
-    the algebra and keeps the chain rule exact.
+    the algebra and keeps the chain rule exact.  g may be a stack.
     """
     g = np.asarray(g, dtype=complex)
-    acc = g.copy()
+    acc = g
     for x in xs:
         acc = acc @ x
-    if spec.kind in _GL_KINDS:
+    if spec.kind in GL_KINDS:
         return acc
     rev = np.linalg.inv(g)
     for x in xs:
         rev = np.asarray(x) @ rev
-    return (acc + (-1.0) ** (len(xs) + 1) * rev) / 2.0
+    return (acc + rev if len(xs) % 2 else acc - rev) / 2.0
 
 
 @cache
@@ -340,17 +316,9 @@ def pairing_orthonormal_basis(spec: GroupSpec):
 
 
 def project_to_algebra(spec: GroupSpec, v: np.ndarray) -> np.ndarray:
-    """Pairing-orthogonal projection of a gl matrix onto the algebra."""
+    """Pairing-orthogonal projection of a gl matrix onto the algebra; of
+    g it is F(g) (see the module docstring)."""
     basis, signs = pairing_orthonormal_basis(spec)
     u = np.array(basis)
     coef = np.multiply(signs, np.einsum("ab,kba->k", v, u).real)
     return np.tensordot(coef, u, axes=1)
-
-
-def variation_generic(spec: GroupSpec, g: np.ndarray) -> np.ndarray:
-    """Generic route to F(g): project g onto the algebra.
-
-    Works because d/dt f(g e^{tx}) = <g, x> on all of gl and the pairing
-    is nondegenerate on the algebra; agrees with the closed forms.
-    """
-    return project_to_algebra(spec, np.asarray(g, dtype=complex))

@@ -115,7 +115,6 @@ _MAX_DEPTH = 12                    # bisections down to the shortest panel
 _MAX_FORKS = 5                     # bisections along a chain of panels that
                                    # leave both halves unresolved
 _TRAP = 32                         # trapezoid cells of the r_hat bound
-_RK4_BLOCK = 256                   # steps per block of rk4_transport
 
 
 def _chebyshev(size: int):
@@ -313,32 +312,24 @@ def _rk4_product(a: np.ndarray, n_steps: int, h: float) -> np.ndarray:
 
     The ODE is linear, so each step is the matrix
     I + h/6 (K1 + 2 K2 + 2 K3 + K4) with K1 = A0, K2 = Am (I + h/2 K1),
-    K3 = Am (I + h/2 K2), K4 = A1 (I + h K3).  The steps are built and
-    multiplied by pairwise tree reduction in blocks of _RK4_BLOCK steps.
-    The block size is a power of two, so the blocks are subtrees of the
-    reduction over all steps and the result does not depend on it; it
-    keeps each temporary a few tens of kB instead of a few MB allocated
-    afresh on every call.
+    K3 = Am (I + h/2 K2), K4 = A1 (I + h K3).  All steps are built at
+    once and multiplied by pairwise tree reduction.
     """
     eye = np.eye(a.shape[-1])
-    blocks = []
-    for start in range(0, n_steps, _RK4_BLOCK):
-        stop = min(start + _RK4_BLOCK, n_steps)
-        a0, am, a1 = (a[2 * start + j:2 * stop + j:2] for j in range(3))
-        x = a0 * (h / 2) + eye
-        k2 = am @ x
-        np.multiply(k2, h / 2, out=x)
-        k3 = am @ (x + eye)
-        np.multiply(k3, h, out=x)
-        k4 = a1 @ (x + eye)
-        steps = np.add(k2, k3, out=k2)
-        steps *= 2
-        steps += a0
-        steps += k4
-        steps *= h / 6
-        steps += eye
-        blocks.append(_tree_product(steps))
-    return _tree_product(np.stack(blocks))
+    a0, am, a1 = (a[j:2 * n_steps + j:2] for j in range(3))
+    x = a0 * (h / 2) + eye
+    k2 = am @ x
+    np.multiply(k2, h / 2, out=x)
+    k3 = am @ (x + eye)
+    np.multiply(k3, h, out=x)
+    k4 = a1 @ (x + eye)
+    steps = np.add(k2, k3, out=k2)
+    steps *= 2
+    steps += a0
+    steps += k4
+    steps *= h / 6
+    steps += eye
+    return _tree_product(steps)
 
 
 def rk4_transport(path: MatrixPath, n_steps: int = 768) -> np.ndarray:
@@ -424,20 +415,21 @@ def perturbed_holonomy(rep: S.Representation, pert: dict, word,
     return PerturbedHolonomy(psi, psi @ levels.sum(axis=0), series, r_hat, bound)
 
 
-def rk4_perturbed_holonomy(rep: S.Representation, pert: dict, word,
-                           n_steps: int = 2000) -> np.ndarray:
+def rk4_perturbed_holonomy(rep: S.Representation, pert: dict,
+                           word) -> np.ndarray:
     """Current-frame route: integrate each arc, then apply the crossing.
 
-    On a constant arc one classical RK4 step of size h is the fixed
-    matrix I + hC + (hC)^2/2 + (hC)^3/6 + (hC)^4/24, so the arc's steps
-    are one matrix power of it, the same for all arcs: one stacked power.
+    Each of the word's m arcs takes max(1, 2000 // m) classical RK4
+    steps.  On a constant arc one step of size h is the fixed matrix
+    I + hC + (hC)^2/2 + (hC)^3/6 + (hC)^4/24, so the arc's steps are one
+    matrix power of it, the same for all arcs: one stacked power.
     """
     d = rep.spec.matrix_dim
     p = np.eye(d, dtype=complex)
     if not word:
         return p
     m = len(word)
-    steps = max(1, n_steps // m)
+    steps = max(1, 2000 // m)
     h = 1.0 / (m * steps)
     hc = h * (-m * _arc_perturbations(pert, word, d))
     hc2 = hc @ hc

@@ -59,7 +59,7 @@ def _goldman_record(seed: int, idx: int, *, tol: float, unoriented: bool,
     gname = group if group else groups[idx % len(groups)]
     g = genus if genus is not None else 1 + (idx // len(groups)) % 2
     spec = Z.parse_group_string(gname)
-    if (spec.kind in ("GL_R", "GL_C")) == unoriented:
+    if (spec.kind in G.GL_KINDS) == unoriented:
         models = "form" if unoriented else "GL"
         raise SchemaError(f"this bracket models {models} kinds, not {gname}")
     rep = S.sample_representation(spec, g, rng)
@@ -82,14 +82,16 @@ def _goldman_record(seed: int, idx: int, *, tol: float, unoriented: bool,
 def jacobi_trial(seed: int, idx: int, *, tol: float, genus=None,
                  group=None) -> dict:
     rng = np.random.default_rng([seed, idx])
-    unoriented = bool(idx % 2)
+    odd = bool(idx % 2)
     if group:
         gname = group
     else:
-        gname = ("U(2)" if unoriented else "GL(2,R)") if idx % 4 < 2 \
-            else ("O(1,1)" if unoriented else "GL(2,C)")
+        gname = ("U(2)" if odd else "GL(2,R)") if idx % 4 < 2 \
+            else ("O(1,1)" if odd else "GL(2,C)")
     g = genus if genus is not None else 1 + (idx // 4) % 2
     spec = Z.parse_group_string(gname)
+    # traces evaluate the unoriented bracket only under a form kind
+    unoriented = odd and spec.kind not in G.GL_KINDS
     rep = S.sample_representation(spec, g, rng)
     words = [random_reduced_word(rng, g, max_len=3) for _ in range(3)]
     sums = [B.LoopSum([(w, 1)]) for w in words]
@@ -122,12 +124,12 @@ def _chen_random_path(rng: np.random.Generator) -> T.MatrixPath:
     return T.MatrixPath(lambda t: m0 + np.cos(2 * np.pi * t + phase) * m1, 2)
 
 
-def _norm_integral(path: T.MatrixPath, n: int = 64) -> float:
-    """int_0^1 |A(t)|_2 dt for a 1-periodic path by the n-point periodic
+def _norm_integral(path: T.MatrixPath) -> float:
+    """int_0^1 |A(t)|_2 dt for a 1-periodic path by the 64-point periodic
     trapezoid rule, exact to rounding on the trigonometric chen paths.
     The term checks compare against it, not against r_hat: r_hat is an
     upper bound, padded by up to 3e-3 of the integral on these paths."""
-    return float(np.mean([np.linalg.norm(path(t), 2) for t in np.arange(n) / n]))
+    return float(np.mean([np.linalg.norm(path(t), 2) for t in np.arange(64) / 64]))
 
 
 def _chen_ratio_path(rng: np.random.Generator) -> T.MatrixPath:
@@ -299,7 +301,7 @@ def variation_trial(seed: int, idx: int, *, tol: float, group=None) -> dict:
     fd = (f_along(h) - f_along(-h)) / (2 * h)
     fd_resid = abs(fd - G.pairing(G.variation(spec, g), x))
     proj_resid = float(np.linalg.norm(
-        G.variation(spec, g) - G.variation_generic(spec, g)))
+        G.variation(spec, g) - G.project_to_algebra(spec, g)))
     rec = {"trial": idx, "group": gname, "fd_residual": fd_resid,
            "projection_residual": proj_resid}
     ok = fd_resid <= tol and proj_resid <= 1e-9
@@ -311,7 +313,7 @@ def variation_trial(seed: int, idx: int, *, tol: float, group=None) -> dict:
             return G.invariant_f(spec, g @ G.expm(s * xs[0]) @ G.expm(t * y))
 
         mixed = (f2(h, h) - f2(h, -h) - f2(-h, h) + f2(-h, -h)) / (4 * h * h)
-        k1 = abs(mixed - G.pairing(G.variation_hat(spec, g, xs), y))
+        k1 = abs(mixed - G.pairing(G.variation(spec, g, xs), y))
         xs2 = xs + [G.random_algebra_element(spec, rng)]
 
         def f3(s1, s2, t):
@@ -323,7 +325,7 @@ def variation_trial(seed: int, idx: int, *, tol: float, group=None) -> dict:
         h3 = 1e-3
         m3 = sum(a * b * c * f3(a * h3, b * h3, c * h3)
                  for a in (1, -1) for b in (1, -1) for c in (1, -1)) / (8 * h3 ** 3)
-        k2 = abs(m3 - G.pairing(G.variation_hat(spec, g, xs2), y))
+        k2 = abs(m3 - G.pairing(G.variation(spec, g, xs2), y))
         rec.update({"khat1_residual": k1, "khat2_residual": k2})
         ok = ok and k1 <= 1e-4 and k2 <= 1e-4
     rec.update({"residual": fd_resid, "pass": bool(ok)})

@@ -19,7 +19,7 @@ import loopbracket.schema as SC
 import loopbracket.serialize as Z
 import loopbracket.surface as S
 import loopbracket.verify as V
-from test_dgla import corrupt
+from test_dgla import corrupt, overflowing_toy
 
 
 def run_cli(*args, **kw):
@@ -232,6 +232,17 @@ def test_goldman_suite_rejects_a_kind_its_bracket_does_not_model(argv, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert "models" in out.err
+
+
+@pytest.mark.parametrize("group", ["GL(2,R)", "GL(2,C)", "U(2)"])
+def test_verify_jacobi_passes_under_any_group(group, capsys):
+    # under a GL representation traces do not evaluate the unoriented
+    # bracket, so its odd trials once failed with exit 1; they now run the
+    # oriented one, and only form kinds alternate the two brackets
+    assert C.main(["verify", "jacobi", "--trials", "30", "--group", group]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()[:-1]]
+    kinds = {r["unoriented"] for r in records}
+    assert kinds == ({False, True} if group == "U(2)" else {False})
 
 
 def test_bracket_of_long_torus_word(tmp_path, capsys):
@@ -484,6 +495,16 @@ def test_dgla_check_overflow_is_a_non_finite_result(tmp_path, capsys, entries):
     # in process, under the suite's error::RuntimeWarning filter
     assert C.main(["dgla-check", str(path)]) == 1
     assert "non-finite result" in capsys.readouterr().err
+
+
+def test_dgla_check_nan_residual_is_a_non_finite_result(tmp_path):
+    # a Jacobi residual that overflows to NaN once read as 0 and passed
+    path = tmp_path / "dgla.json"
+    path.write_text(json.dumps(Z.dgla_to_json(overflowing_toy())))
+    out = run_cli("dgla-check", str(path))
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert "non-finite result: jacobi is nan" in out.stderr
 
 
 def test_dgla_check_bad_file_exits_2(torus_curves):

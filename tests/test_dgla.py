@@ -1,5 +1,6 @@
 """Cyclic DGLA axioms, moment map, gauge fields, and MC solving."""
 
+import tracemalloc
 from dataclasses import replace
 from itertools import combinations
 
@@ -326,6 +327,38 @@ def test_corrupted_bracket_breaks_axioms():
     assert max(rep["jacobi"], rep["cyclicity"],
                rep["bracket_antisymmetry"]) > 0.1
     assert not D.axioms_pass(rep)
+
+
+def overflowing_toy():
+    """The GL(2,R) genus-1 toy without b00 and with b01, b11 scaled by
+    1e160: not a DGLA, and its Jacobi sums overflow to inf - inf."""
+    toy = D.surface_toy_instance(1, GL2R)
+    return replace(toy, b00=0 * toy.b00, b01=1e160 * toy.b01, b11=1e160 * toy.b11)
+
+
+def test_overflowing_jacobi_residual_is_nan_and_fails():
+    toy = D.surface_toy_instance(1, GL2R)
+    assert D.axioms_residual(replace(toy, b00=0 * toy.b00))["jacobi"] > 1  # not a DGLA
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = D.axioms_residual(overflowing_toy())
+    assert np.isnan(report["jacobi"])
+    assert not D.axioms_pass(report)
+    clean = D.axioms_residual(toy)
+    for key in ("leibniz", "d_squared"):
+        assert not D.axioms_pass({**clean, key: float("nan")})
+
+
+def test_jacobi_battery_memory_is_one_output_slice_at_a_time():
+    # the GL(2,C) genus-3 toy has 48 odd and 16 even dimensions: one dense
+    # 4-index odd Jacobi block alone is 48^4 doubles, 42 MB
+    inst = D.surface_toy_instance(3, G.GroupSpec("GL_C", 2))
+    tracemalloc.start()
+    try:
+        D.axioms_residual(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6
 
 
 def test_shape_validation():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from fractions import Fraction
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loopbracket import bracket as B
@@ -448,6 +448,27 @@ def test_long_brackets_match_term_by_term_assembly():
             fn = B.bracket_unoriented if unoriented else B.bracket_oriented
             want = _bracket_by_add(genus, w1, w2, 11, unoriented)
             assert fn(genus, w1, w2, seed=11) == want, (genus, len(w1), len(w2))
+
+
+@st.composite
+def _word_pairs(draw):
+    """Genus 1-3 and two nonempty cyclically reduced words of <= 12 letters."""
+    genus = draw(st.integers(1, 3))
+    letter = st.integers(-2 * genus, 2 * genus).filter(bool)
+    word = st.lists(letter, min_size=1, max_size=12).map(W.cyclic_reduce).filter(bool)
+    return genus, draw(word), draw(word), draw(st.integers(0, 2 ** 31 - 1))
+
+
+@settings(deadline=None)
+@given(_word_pairs())
+def test_unoriented_is_the_mean_of_two_oriented_brackets(case):
+    # sign(p)/2 [(g_p l_p) - (g_p l_p^-1)] summed over crossings is half of
+    # [u, v] + [u, v^-1]: reversing v flips each crossing's sign
+    genus, u, v, seed = case
+    twice = B.LoopSum([(w, 2 * c) for w, c in
+                       B.bracket_unoriented(genus, u, v, seed=seed).items()])
+    assert twice == (B.bracket_oriented(genus, u, v, seed=seed)
+                     + B.bracket_oriented(genus, u, W.inverse_word(v), seed=seed + 1))
 
 
 def test_evaluate_rejects_out_of_range_letter():

@@ -154,18 +154,6 @@ def test_batched_rk4_matches_step_loop(n_steps):
     assert np.linalg.norm(got - want, 2) <= 1e-14 * np.linalg.norm(want, 2)
 
 
-@pytest.mark.parametrize("n_steps", [6, 700, 2000])
-def test_rk4_blocks_do_not_change_the_result(n_steps, monkeypatch):
-    # power-of-two blocks are subtrees of the pairwise reduction over all
-    # steps, so the block size leaves every bit of the product alone
-    path = _smooth_path(np.random.default_rng(n_steps), d=3, amp=0.3)
-    negated = T.MatrixPath(lambda t: -path(t), 3)
-    want = T.rk4_transport(negated, n_steps)
-    for block in (1, 2, 64, 4096):
-        monkeypatch.setattr(T, "_RK4_BLOCK", block)
-        assert np.array_equal(T.rk4_transport(negated, n_steps), want)
-
-
 @pytest.mark.parametrize("n_steps", [-2, 0, 1, 7, 769])
 def test_rk4_rejects_odd_or_too_few_steps(n_steps):
     path = T.MatrixPath(lambda t: np.eye(2), 2)
