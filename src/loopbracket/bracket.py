@@ -231,16 +231,12 @@ def bracket_sums(genus: int, sum1: LoopSum, sum2: LoopSum, seed: int = 0,
     """Bilinear extension of the bracket to LoopSums."""
     fn = bracket_unoriented if unoriented else bracket_oriented
     out = LoopSum()
-    for i, (w1, c1) in enumerate(sum1.items()):
-        for j, (w2, c2) in enumerate(sum2.items()):
-            part = fn(genus, list(w1), list(w2), seed=_mix(seed, i, j))
+    for w1, c1 in sum1.items():
+        for w2, c2 in sum2.items():
+            part = fn(genus, list(w1), list(w2), seed=seed)
             for key, coef in part.terms.items():
                 out._add_key(key, c1 * c2 * coef)
     return out
-
-
-def _mix(seed: int, i: int, j: int) -> int:
-    return (seed * 1000003 + i * 1009 + j) % (2 ** 31)
 
 
 def poisson_direct(rep: Representation, word1, word2, seed: int = 0) -> float:

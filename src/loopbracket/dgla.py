@@ -121,20 +121,23 @@ class McResult:
     iterations: int
 
 
-def mc_solve(dgla: CyclicDgla, rng: np.random.Generator,
-             seed_scale: float = 1e-2, tol: float = 1e-12,
-             max_iter: int = 50) -> McResult:
+_MC_SEED_SCALE = 1e-2    # size of the random starting point
+_MC_TOL = 1e-12          # residual norm that counts as converged
+_MC_MAX_ITER = 50        # Newton iterations before giving up
+
+
+def mc_solve(dgla: CyclicDgla, rng: np.random.Generator) -> McResult:
     """Damped Newton for dx + 1/2 [x,x] = 0 from one random small seed.
 
     One seed per call; a non-converged run is reported as such, never
     retried here.
     """
     d1 = dgla.dims[1]
-    x = seed_scale * rng.normal(size=d1)
+    x = _MC_SEED_SCALE * rng.normal(size=d1)
     res = mc_residual(dgla, x)
     it = 0
-    for it in range(1, max_iter + 1):
-        if np.linalg.norm(res) <= tol:
+    for it in range(1, _MC_MAX_ITER + 1):
+        if np.linalg.norm(res) <= _MC_TOL:
             return McResult(x, float(np.linalg.norm(res)), True, it - 1)
         step = np.linalg.lstsq(linearized_mc(dgla, x), -res, rcond=None)[0]
         lam = 1.0
@@ -147,7 +150,7 @@ def mc_solve(dgla: CyclicDgla, rng: np.random.Generator,
             lam /= 2
         else:
             break
-    ok = bool(np.linalg.norm(res) <= tol)
+    ok = bool(np.linalg.norm(res) <= _MC_TOL)
     return McResult(x, float(np.linalg.norm(res)), ok, it)
 
 

@@ -54,13 +54,8 @@ def holonomy(rep: Representation, word) -> np.ndarray:
     return h
 
 
-def trace_function(rep: Representation, word) -> float:
-    """f_w(rho) = Re tr hol(w); constant on free homotopy classes."""
-    return G.invariant_f(rep.spec, holonomy(rep, word))
-
-
 def trace_functions(rep: Representation, words) -> list[float]:
-    """trace_function of each word, batched over all words at once.
+    """f_w(rho) = Re tr hol(w) of each word, batched over all words at once.
 
     Words are right-aligned and padded in front with the identity, and
     each letter position is one elementwise pass over the batch axis of
@@ -177,17 +172,20 @@ def _newton_last_handle(spec, rng, a_seed, earlier_blocks, tol):
     return (a, b) if np.linalg.norm(r) <= tol else None
 
 
+_MAX_TRIES = 32                    # fresh tries before RelatorError
+
+
 def sample_representation(spec: G.GroupSpec, genus: int, rng: np.random.Generator,
-                          tol: float = 1e-12, max_tries: int = 32) -> Representation:
+                          tol: float = 1e-12) -> Representation:
     """Random representation of the genus-g surface group.
 
     Genus 1: a commuting pair.  Genus >= 2: random images for the first
     g-1 handles, Gauss-Newton on the last handle pair; fresh seeds up
-    to max_tries, then RelatorError.
+    to _MAX_TRIES, then RelatorError.
     """
     if genus < 1:
         raise WordError("genus must be >= 1")
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         if genus == 1:
             a, b = _commuting_pair(spec, rng)
             rep = Representation(spec, 1, [a, b])
@@ -202,4 +200,4 @@ def sample_representation(spec: G.GroupSpec, genus: int, rng: np.random.Generato
             rep = Representation(spec, genus, images)
         if relator_residual(rep) <= max(tol, 1e-11):
             return rep
-    raise RelatorError(f"no representation found after {max_tries} attempts")
+    raise RelatorError(f"no representation found after {_MAX_TRIES} attempts")

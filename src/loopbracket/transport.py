@@ -125,38 +125,24 @@ def _chebyshev(size: int):
     other node of the next.  With s = 2x - 1 and the interpolant
     p = sum_k c_k T_k(s), returns (x, coef, integ, trap, second): coef
     maps values to the c_k, integ maps values to the integral of p over
-    [0, x_j], trap maps values to p at _TRAP + 1 equispaced points, and
-    second maps values to the Chebyshev coefficients of d^2 p / ds^2.
+    [0, x_j] (numpy's chebint, from s = -1, at the nodes), trap maps
+    values to p at _TRAP + 1 equispaced points, and second maps values
+    to the Chebyshev coefficients of d^2 p / ds^2 (numpy's chebder).
     """
+    from numpy.polynomial import chebyshev as C
+
     n = size - 1
     theta = np.pi * np.arange(size) / n
     x = np.sin(theta / 2) ** 2
-    k = np.arange(size)
-    sign = (-1.0) ** k
-    t_k = sign * np.cos(np.outer(theta, k))          # T_k(s_j), s_j = -cos theta_j
+    k = np.arange(size + 1)
+    t_k = (-1.0) ** k * np.cos(np.outer(theta, k))   # T_k(s_j), s_j = -cos theta_j
     w = np.ones(size)
     w[[0, -1]] = 0.5
-    coef = (2.0 / n) * (w[:, None] * t_k * w[None, :]).T
-    # antiderivatives of T_k in s that vanish at s = -1
-    t_up = -sign * np.cos(np.outer(theta, k + 1))    # T_{k+1}(s_j)
-    t_dn = -sign * np.cos(np.outer(theta, k - 1))    # T_{k-1}(s_j)
-    anti = np.empty((size, size))
-    anti[:, 0] = 2 * x
-    anti[:, 1] = (t_up[:, 1] - 1) / 4
-    m = k[2:]
-    anti[:, 2:] = ((t_up[:, 2:] + sign[2:]) / (m + 1)     # T_{k+-1}(-1) = -sign
-                   - (t_dn[:, 2:] + sign[2:]) / (m - 1)) / 2
-    integ = 0.5 * anti @ coef                        # dt = ds / 2
+    coef = (2.0 / n) * (w[:, None] * t_k[:, :size] * w[None, :]).T
+    integ = 0.5 * t_k @ C.chebint(np.eye(size), lbnd=-1) @ coef  # dt = ds / 2
     s_trap = np.linspace(-1.0, 1.0, _TRAP + 1)
-    trap = np.cos(np.outer(np.arccos(s_trap), k)) @ coef
-    # d/ds on coefficients: b_{k-1} = b_{k+1} + 2 k c_k, then b_0 / 2
-    diff = np.zeros((size + 1, size))
-    for j in range(n, 0, -1):
-        diff[j - 1] = diff[j + 1]
-        diff[j - 1, j] += 2 * j
-    diff = diff[:size]
-    diff[0] /= 2
-    return x, coef, integ, trap, diff @ diff @ coef
+    trap = np.cos(np.outer(np.arccos(s_trap), k[:size])) @ coef
+    return x, coef, integ, trap, C.chebder(np.eye(size), 2) @ coef
 
 
 @lru_cache(maxsize=None)
@@ -317,19 +303,10 @@ def _rk4_product(a: np.ndarray, n_steps: int, h: float) -> np.ndarray:
     """
     eye = np.eye(a.shape[-1])
     a0, am, a1 = (a[j:2 * n_steps + j:2] for j in range(3))
-    x = a0 * (h / 2) + eye
-    k2 = am @ x
-    np.multiply(k2, h / 2, out=x)
-    k3 = am @ (x + eye)
-    np.multiply(k3, h, out=x)
-    k4 = a1 @ (x + eye)
-    steps = np.add(k2, k3, out=k2)
-    steps *= 2
-    steps += a0
-    steps += k4
-    steps *= h / 6
-    steps += eye
-    return _tree_product(steps)
+    k2 = am @ (a0 * (h / 2) + eye)
+    k3 = am @ (k2 * (h / 2) + eye)
+    k4 = a1 @ (k3 * h + eye)
+    return _tree_product((2 * (k2 + k3) + a0 + k4) * (h / 6) + eye)
 
 
 def rk4_transport(path: MatrixPath, n_steps: int = 768) -> np.ndarray:
@@ -401,10 +378,10 @@ def perturbed_holonomy(rep: S.Representation, pert: dict, word,
          @ np.array(psis)[:-1])
     norms = np.linalg.norm(np.concatenate([c, [*map(rep.image, word), psi]]), 2,
                            axis=(1, 2)).tolist()
-    r_hat, letters_norm = 0.0, 1.0
-    for c_norm, x_norm in zip(norms[:len(word)], norms[len(word):-1]):
+    r_hat = 0.0
+    for c_norm in norms[:len(word)]:  # in order: sum() compensates from 3.12
         r_hat += c_norm
-        letters_norm *= x_norm
+    letters_norm = math.prod(norms[len(word):-1])
     empty = np.zeros((n_max + 1, d, d), dtype=complex)
     empty[0] = np.eye(d)
     levels = _chen_product(_arc_levels(c, n_max), empty)

@@ -66,9 +66,9 @@ def _goldman_record(seed: int, idx: int, *, tol: float, unoriented: bool,
     w1 = random_reduced_word(rng, g)
     w2 = random_reduced_word(rng, g)
     if unoriented:
-        ls = B.bracket_unoriented(g, w1, w2, seed=2 * idx)
+        ls = B.bracket_unoriented(g, w1, w2)
     else:
-        ls = B.bracket_oriented(g, w1, w2, seed=2 * idx)
+        ls = B.bracket_oriented(g, w1, w2)
     value = ls.evaluate(rep)
     direct = B.poisson_direct(rep, w1, w2, seed=2 * idx + 1)
     resid = abs(value - direct)
@@ -96,13 +96,12 @@ def jacobi_trial(seed: int, idx: int, *, tol: float, genus=None,
     words = [random_reduced_word(rng, g, max_len=3) for _ in range(3)]
     sums = [B.LoopSum([(w, 1)]) for w in words]
 
-    def br(x, y, s):
-        return B.bracket_sums(g, x, y, seed=s, unoriented=unoriented)
+    def br(x, y):
+        return B.bracket_sums(g, x, y, unoriented=unoriented)
 
-    anti = br(sums[0], sums[1], 3 * idx) + br(sums[1], sums[0], 3 * idx + 1)
-    jac = (br(sums[0], br(sums[1], sums[2], 7 * idx), 7 * idx + 1)
-           + br(sums[1], br(sums[2], sums[0], 7 * idx + 2), 7 * idx + 3)
-           + br(sums[2], br(sums[0], sums[1], 7 * idx + 4), 7 * idx + 5))
+    anti = br(sums[0], sums[1]) + br(sums[1], sums[0])
+    jac = (br(sums[0], br(sums[1], sums[2])) + br(sums[1], br(sums[2], sums[0]))
+           + br(sums[2], br(sums[0], sums[1])))
     anti_resid = abs(anti.evaluate(rep))
     jac_resid = abs(jac.evaluate(rep))
     resid = max(anti_resid, jac_resid)

@@ -192,10 +192,11 @@ def test_newton_finds_mc_points_and_tangency_there():
     assert found == 5
 
 
-def test_mc_solve_reports_nonconvergence():
+def test_mc_solve_reports_nonconvergence(monkeypatch):
+    monkeypatch.setattr(D, "_MC_MAX_ITER", 0)
     dgla = D.surface_toy_instance(1, GL2R)
     rng = np.random.default_rng(3)
-    res = D.mc_solve(dgla, rng, seed_scale=10.0, max_iter=0)
+    res = D.mc_solve(dgla, rng)
     assert not res.converged
     assert res.residual > 0
 

@@ -471,6 +471,29 @@ def test_unoriented_is_the_mean_of_two_oriented_brackets(case):
                      + B.bracket_oriented(genus, u, W.inverse_word(v), seed=seed + 1))
 
 
+@st.composite
+def _loopsum_pairs(draw):
+    """Genus 1-3 and two LoopSums of 1-3 terms of <= 8 letters each."""
+    genus = draw(st.integers(1, 3))
+    letter = st.integers(-2 * genus, 2 * genus).filter(bool)
+    word = st.lists(letter, min_size=1, max_size=8).map(W.cyclic_reduce).filter(bool)
+    term = st.tuples(word, st.integers(-3, 3).filter(bool))
+    loopsum = st.lists(term, min_size=1, max_size=3).map(B.LoopSum)
+    return genus, draw(loopsum), draw(loopsum)
+
+
+@settings(deadline=None)
+@given(_loopsum_pairs())
+def test_bracket_sums_do_not_depend_on_the_seed(case):
+    # the seed only picks each pair's layout, and every pair of terms
+    # brackets to the same LoopSum in any layout
+    genus, x, y = case
+    for unoriented in (False, True):
+        first, *rest = (B.bracket_sums(genus, x, y, seed=seed, unoriented=unoriented)
+                        for seed in (0, 1, 2 ** 31 - 1))
+        assert all(other == first for other in rest)
+
+
 def test_evaluate_rejects_out_of_range_letter():
     rep = S.sample_representation(GL2R, 1, np.random.default_rng(79))
     with pytest.raises(W.WordError):

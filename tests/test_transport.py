@@ -123,6 +123,23 @@ def test_each_grid_node_is_sampled_once():
         assert len(calls) == 2 * n_steps + 1
 
 
+@pytest.mark.parametrize("size", T._SIZES)
+def test_panel_operators_are_exact_on_polynomials(size):
+    # a degree <= 8 polynomial is its own interpolant on every grid, so
+    # integ, trap and second act on it as integral, value and d^2/ds^2
+    from numpy.polynomial.chebyshev import chebval
+
+    x, _, integ, trap, second = T._chebyshev(size)
+    s = np.linspace(-1.0, 1.0, T._TRAP + 1)
+    for m in range(9):
+        f = x ** m
+        assert np.abs(integ @ f - x ** (m + 1) / (m + 1)).max() <= 1e-14, m
+        assert np.abs(trap @ f - ((s + 1) / 2) ** m).max() <= 1e-13, m
+        # differentiation amplifies rounding: 1.5e-8 at 65 points
+        want = m * (m - 1) / 4 * ((s + 1) / 2) ** max(m - 2, 0)
+        assert np.abs(chebval(s, second @ f) - want).max() <= 1e-7, m
+
+
 def test_n_steps_is_accepted_and_ignored():
     # kept for callers written against the grid version of the engine
     path = _smooth_path(np.random.default_rng(4))
