@@ -30,11 +30,10 @@ panels, (length * tail estimate + (n_max + N) d u) e^r_hat.  The series
 tail and the A_N'' term are bounds; the coefficient tail (twice the sum
 of the upper half of the coefficient norms) is an estimate of the
 interpolation error, as the rounding term is of the rounding, not a
-bound.  rk4_transport is the independent route: it samples the path on
-its own uniform grid, 2 n_steps + 1 nodes and midpoints (n_steps even,
-768 by default), and shares nothing with the series.  It returns the
-Richardson extrapolation (16 R_n - R_(n/2)) / 15 of RK4 with n_steps
-steps and with half as many, whose samples are the even-indexed ones.
+bound.  rk4_transport is the independent route: the 4-stage
+Gauss-Legendre Runge-Kutta method, of order 8, on n_steps uniform steps
+(32 by default).  It samples the path at the 4 n_steps Gauss nodes,
+interior and irrational, and shares nothing with the series.
 
 Perturbed holonomy of a word: each letter's arc carries a constant
 algebra-valued perturbation (inverse letters traverse it backwards), the
@@ -292,46 +291,47 @@ def _tree_product(steps: np.ndarray) -> np.ndarray:
     return steps[0]
 
 
-def _rk4_product(a: np.ndarray, n_steps: int, h: float) -> np.ndarray:
-    """Product of the n_steps classical RK4 steps of size h whose nodes
-    are a[0::2] and midpoints a[1::2], later steps on the left.
+def _gauss_tableau():
+    """Butcher tableau (c, a, b) of the 4-stage Gauss-Legendre method on
+    [0, 1]: the Gauss nodes c = (1 -+ x) / 2 in increasing order, their
+    weights b, and a_ij the integral over [0, c_i] of node c_j's Lagrange
+    polynomial, P V^-T with P_ik = c_i^(k+1) / (k+1) and V_kj = c_j^k."""
+    x = np.sqrt(3 / 7 + np.array([1, -1, -1, 1]) * 2 / 7 * np.sqrt(6 / 5))
+    c = (1 + np.array([-1, -1, 1, 1]) * x) / 2
+    b = (18 + np.array([-1, 1, 1, -1]) * np.sqrt(30)) / 72
+    m = np.arange(1, 5)[:, None]
+    return c, np.linalg.solve(c ** (m - 1), c ** m / m).T, b
 
-    The ODE is linear, so each step is the matrix
-    I + h/6 (K1 + 2 K2 + 2 K3 + K4) with K1 = A0, K2 = Am (I + h/2 K1),
-    K3 = Am (I + h/2 K2), K4 = A1 (I + h K3).  All steps are built at
-    once and multiplied by pairwise tree reduction.
+
+_GAUSS_C, _GAUSS_A, _GAUSS_B = _gauss_tableau()
+
+
+def rk4_transport(path: MatrixPath, n_steps: int = 32) -> np.ndarray:
+    """4-stage Gauss-Legendre Runge-Kutta, of order 8, for dR/dt = A(t) R
+    on [0, 1] (Butcher, Math. Comp. 18, 1964; Hairer and Wanner, Solving
+    ODEs II, IV.5).
+
+    The path is sampled once at each of the 4 n_steps Gauss nodes
+    t = (k + c_i) / n_steps, interior to their steps.  The ODE is linear,
+    so the stages of step k solve one 4d x 4d system,
+    K_i - h sum_j a_ij A_i K_j = A_i, and the step is the matrix
+    I + h sum_i b_i K_i.  All systems are solved in one batch and the
+    steps multiplied by pairwise tree reduction.  n_steps is any integer
+    of at least 1; the default 32 takes 128 samples and has t = 1/2 as a
+    step boundary.  The samples are taken at Python floats, which numpy
+    path functions take faster than numpy scalars.
     """
-    eye = np.eye(a.shape[-1])
-    a0, am, a1 = (a[j:2 * n_steps + j:2] for j in range(3))
-    k2 = am @ (a0 * (h / 2) + eye)
-    k3 = am @ (k2 * (h / 2) + eye)
-    k4 = a1 @ (k3 * h + eye)
-    return _tree_product((2 * (k2 + k3) + a0 + k4) * (h / 6) + eye)
-
-
-def rk4_transport(path: MatrixPath, n_steps: int = 768) -> np.ndarray:
-    """Richardson-extrapolated RK4 for dR/dt = A(t) R on [0, 1].
-
-    The path is sampled once at each of the 2 n_steps + 1 nodes and
-    midpoints of n_steps uniform steps.  R_n is classical RK4 over all of
-    them; R_(n/2), RK4 with half as many steps, has its nodes and
-    midpoints among the even-indexed samples, so it needs no new sample.
-    RK4's error expands in even and odd powers of h from h^4 on, so
-    (16 R_n - R_(n/2)) / 15 cancels the h^4 term and is of order h^5
-    (Hairer, Norsett and Wanner, Solving ODEs I, II.9).  n_steps must be
-    even and at least 2; the default 768 takes 1537 samples.  The samples
-    are taken at Python floats, the same values as numpy's linspace,
-    which numpy path functions take faster than numpy scalars.
-    """
-    if n_steps < 2 or n_steps % 2:
-        raise ValueError(f"n_steps must be even and at least 2, not {n_steps}")
-    d = path.dim
-    a = np.empty((2 * n_steps + 1, d, d), dtype=complex)
-    for i, t in enumerate(np.linspace(0.0, 1.0, 2 * n_steps + 1).tolist()):
-        a[i] = path.fn(t)
-    fine = _rk4_product(a, n_steps, 1.0 / n_steps)
-    coarse = _rk4_product(a[::2], n_steps // 2, 2.0 / n_steps)
-    return (16 * fine - coarse) / 15
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be at least 1, not {n_steps}")
+    d, h = path.dim, 1.0 / n_steps
+    nodes = (np.arange(n_steps)[:, None] + _GAUSS_C) / n_steps
+    a = np.array([path.fn(t) for t in nodes.ravel().tolist()], dtype=complex)
+    # step k's system has the blocks delta_ij I - h a_ij A_i
+    blocks = _GAUSS_A[:, None, :, None] * a.reshape(n_steps, 4, d, 1, d)
+    system = np.eye(4 * d) - h * blocks.reshape(n_steps, 4 * d, 4 * d)
+    k = np.linalg.solve(system, a.reshape(n_steps, 4 * d, d))
+    steps = _GAUSS_B @ k.reshape(n_steps, 4, d * d)
+    return _tree_product(np.eye(d) + h * steps.reshape(n_steps, d, d))
 
 
 @dataclass

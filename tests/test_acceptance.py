@@ -153,7 +153,7 @@ def test_C07_chen_engine(chen_run):
     assert all(r["residual"] <= 1e-6 for r in ratio)
     assert all(r["residual"] <= 1e-12 for r in mult)
     assert records[0]["subtest"] == "nilpotent" and records[0]["residual"] == 0
-    assert dt <= 10
+    assert dt <= 3
     _report("C07", f"20 paths gap <= bound+1e-12 (worst excess "
             f"{max(r['residual'] for r in transport):.3e}), ratio and "
             f"multiplicativity subtests pass, {dt:.1f}s")

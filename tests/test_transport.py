@@ -1,8 +1,12 @@
 """Transport series against closed forms, RK4, and its own error certificate."""
 
 import math
+import os
+import subprocess
+import sys
 from decimal import Decimal, localcontext
 from math import factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,7 +50,7 @@ def test_commuting_profile_matches_expm():
     res = T.picard_transport(path, n_max=12)
     assert res.r_hat < 1.0
     assert np.linalg.norm(res.transport - want) < 1e-12
-    assert np.linalg.norm(T.rk4_transport(path, 2000) - want) < 1e-10
+    assert np.linalg.norm(T.rk4_transport(path) - want) < 1e-10
 
 
 def test_term_norms_obey_factorial_bound():
@@ -68,7 +72,7 @@ def test_remainder_certificate_covers_rk4_gap():
         rng = np.random.default_rng(seed + 100)
         path = _smooth_path(rng)
         res = T.picard_transport(path, n_max=12)
-        gap = np.linalg.norm(res.transport - T.rk4_transport(path, 2000))
+        gap = np.linalg.norm(res.transport - T.rk4_transport(path))
         assert gap <= res.remainder_bound + 1e-12
 
 
@@ -80,7 +84,7 @@ def test_negated_path_inverts_constant_transport():
     minus = T.picard_transport(negated, n_max=14).transport
     assert np.linalg.norm(plus @ minus - np.eye(2)) < 1e-12
     assert np.linalg.norm(minus - expm(-m)) < 1e-12
-    assert np.linalg.norm(T.rk4_transport(negated, 500) - expm(-m)) < 1e-9
+    assert np.linalg.norm(T.rk4_transport(negated) - expm(-m)) < 1e-9
 
 
 def test_concat_composes_transports():
@@ -98,8 +102,8 @@ def test_concat_composes_transports():
         r2 = T.picard_transport(p2, n_max=20).transport
         rc = T.picard_transport(cat, n_max=20).transport
         assert np.linalg.norm(rc - r2 @ r1) < 1e-12
-        want = T.rk4_transport(p2, 1000) @ T.rk4_transport(p1, 1000)
-        assert np.linalg.norm(T.rk4_transport(cat, 2000) - want) < 1e-10
+        want = T.rk4_transport(p2) @ T.rk4_transport(p1)
+        assert np.linalg.norm(T.rk4_transport(cat) - want) < 1e-10
 
 
 def test_each_grid_node_is_sampled_once():
@@ -116,11 +120,11 @@ def test_each_grid_node_is_sampled_once():
         res = T.picard_transport(path(fn), n_max=3)
         assert len(calls) == res.nodes == len(set(calls))
     assert res.nodes > 2 * 65       # the kink forced bisection
-    for n_steps in (2, 14, 768, 2000):
+    for n_steps in (1, 2, 7, 32):
         calls.clear()
         T.rk4_transport(path(lambda t: np.eye(2)), n_steps)
-        # nodes once each, plus one midpoint per step
-        assert len(calls) == 2 * n_steps + 1
+        # the four Gauss nodes of each step, once each
+        assert len(calls) == len(set(calls)) == 4 * n_steps
 
 
 @pytest.mark.parametrize("size", T._SIZES)
@@ -147,34 +151,46 @@ def test_n_steps_is_accepted_and_ignored():
     assert np.array_equal(res.transport, T.picard_transport(path).transport)
 
 
-def _rk4_step_loop(path, n_steps):
-    """The step-by-step RK4 the batched rk4_transport replaced."""
-    grid = np.linspace(0.0, 1.0, n_steps + 1)
-    r = np.eye(path.dim, dtype=complex)
-    for t0, t1 in zip(grid[:-1], grid[1:]):
-        h = t1 - t0
-        a0, am, a1 = path(t0), path(t0 + h / 2), path(t1)
-        k1 = a0 @ r
-        k2 = am @ (r + h / 2 * k1)
-        k3 = am @ (r + h / 2 * k2)
-        k4 = a1 @ (r + h * k3)
-        r = r + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+def test_benchmark_setup_probe_runs():
+    # the benchmark's set-up probe calls picard_transport and rk4_transport
+    # with n_steps=4 (and one tiny call into every other layer): a change of
+    # those signatures would fail every benchmark run before it measured
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    out = subprocess.run([sys.executable, str(root / "perfbench" / "probe.py"), "api"],
+                         capture_output=True, text=True, env=env, cwd=root)
+    assert out.returncode == 0, out.stderr
+    assert math.isfinite(float(out.stdout)), out.stdout
+
+
+def _gauss_step_loop(path, n_steps):
+    """rk4_transport one step at a time: solve the step's 4d x 4d stage
+    system K_i - h sum_j a_ij A_i K_j = A_i, then r = step @ r."""
+    d, h = path.dim, 1.0 / n_steps
+    r = np.eye(d, dtype=complex)
+    for k in range(n_steps):
+        a = [path((k + c) / n_steps) for c in T._GAUSS_C]
+        system = np.block([[np.eye(d) * (i == j) - h * T._GAUSS_A[i, j] * a[i]
+                            for j in range(4)] for i in range(4)])
+        stages = np.linalg.solve(system, np.vstack(a)).reshape(4, d, d)
+        r = (np.eye(d) + h * sum(b * s for b, s in zip(T._GAUSS_B, stages))) @ r
     return r
 
 
-@pytest.mark.parametrize("n_steps", [2, 4, 14, 200])
+@pytest.mark.parametrize("n_steps", [1, 2, 4, 7, 14, 200])
 def test_batched_rk4_matches_step_loop(n_steps):
     path = _smooth_path(np.random.default_rng(n_steps), d=3, amp=0.3)
     got = T.rk4_transport(path, n_steps)
-    want = (16 * _rk4_step_loop(path, n_steps) - _rk4_step_loop(path, n_steps // 2)) / 15
+    want = _gauss_step_loop(path, n_steps)
     # the products are grouped differently: roundoff only
     assert np.linalg.norm(got - want, 2) <= 1e-14 * np.linalg.norm(want, 2)
 
 
-@pytest.mark.parametrize("n_steps", [-2, 0, 1, 7, 769])
+@pytest.mark.parametrize("n_steps", [-2, 0])
 def test_rk4_rejects_odd_or_too_few_steps(n_steps):
+    # odd counts are valid too: only counts below 1 raise
     path = T.MatrixPath(lambda t: np.eye(2), 2)
-    with pytest.raises(ValueError, match="even"):
+    with pytest.raises(ValueError, match="at least 1"):
         T.rk4_transport(path, n_steps)
 
 
@@ -199,20 +215,51 @@ def _commuting_profiles(count=40):
         yield fn, d, expm(s * big_f * m)
 
 
-def test_extrapolated_rk4_beats_plain_rk4_on_more_samples():
-    # worst relative error over these 40 paths: 1.2e-13 for the default
-    # (768 steps, 1537 samples), 4.7e-13 for plain RK4 with 2000 steps
+def _plain_rk4(fn, n_steps):
+    """Classical RK4 with n_steps uniform steps, all steps built at once."""
+    a = np.array([fn(t) for t in np.linspace(0.0, 1.0, 2 * n_steps + 1)], dtype=complex)
+    a0, am, a1 = a[:-1:2], a[1::2], a[2::2]
+    h, eye = 1.0 / n_steps, np.eye(a.shape[-1])
+    k2 = am @ (eye + h / 2 * a0)
+    k3 = am @ (eye + h / 2 * k2)
+    k4 = a1 @ (eye + h * k3)
+    return T._tree_product(eye + h / 6 * (a0 + 2 * (k2 + k3) + k4))
+
+
+def test_gauss_rk_beats_plain_rk4_on_more_samples():
+    # worst relative error over these 40 paths: 7.0e-14 for the default
+    # (32 steps, 128 samples), 4.7e-13 for plain RK4 with 2000 steps
     # (4001 samples); both are truncation error, not rounding
-    bound = 2.5e-13
+    bound = 1.5e-13
     worst = plain_worst = 0.0
     for fn, d, want in _commuting_profiles():
         scale = np.linalg.norm(want, 2)
         got = T.rk4_transport(T.MatrixPath(fn, d))
         worst = max(worst, np.linalg.norm(got - want, 2) / scale)
-        a = np.array([fn(t) for t in np.linspace(0.0, 1.0, 4001)], dtype=complex)
-        plain = T._rk4_product(a, 2000, 1.0 / 2000)
+        plain = _plain_rk4(fn, 2000)
         plain_worst = max(plain_worst, np.linalg.norm(plain - want, 2) / scale)
     assert worst <= bound < plain_worst, (worst, plain_worst)
+
+
+@pytest.mark.parametrize("profile", range(6))
+def test_gauss_rk_has_order_eight(profile):
+    # halving h divides the error by about 2^8 = 256
+    fn, d, want = list(_commuting_profiles(6))[profile]
+    path = T.MatrixPath(fn, d)
+    err = [np.linalg.norm(T.rk4_transport(path, n) - want, 2) for n in (2, 4)]
+    assert err[0] >= 200 * err[1], err
+
+
+def test_gauss_tableau_is_numpys_leggauss():
+    from numpy.polynomial.legendre import leggauss
+
+    x, w = leggauss(4)
+    assert np.abs(T._GAUSS_C - (1 + x) / 2).max() <= 1e-15
+    assert np.abs(T._GAUSS_B - w / 2).max() <= 1e-15
+    # a_ij integrates the Lagrange basis: exact on polynomials of degree < 4
+    for m in range(4):
+        assert np.abs(T._GAUSS_A @ T._GAUSS_C ** m
+                      - T._GAUSS_C ** (m + 1) / (m + 1)).max() <= 1e-15
 
 
 def _dop853(fn, d, breaks=()):
