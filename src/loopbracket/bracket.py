@@ -72,7 +72,7 @@ class LoopSum:
 
         items = self.items()
         traces = trace_functions(rep, [w for w, _ in items])
-        return sum(float(c) * f for (_, c), f in zip(items, traces))
+        return sum((float(c) * f for (_, c), f in zip(items, traces)), 0.0)
 
 
 def _bracket(genus: int, word1, word2, seed: int, unoriented: bool) -> LoopSum:
@@ -270,10 +270,10 @@ def _based_holonomies(rep: Representation, word):
 
     pre = [np.eye(rep.spec.matrix_dim, dtype=complex)]
     for x in word[:-1]:
-        pre.append(rep.image(x) @ pre[-1])
+        pre.append(rep.letters[x] @ pre[-1])
     suf = [pre[0]]  # suf[k] = hol(w[m - k:])
     for x in reversed(word):
-        suf.append(suf[-1] @ rep.image(x))
+        suf.append(suf[-1] @ rep.letters[x])
     return np.stack(pre) @ np.stack(suf[:0:-1])
 
 

@@ -124,7 +124,7 @@ def rep_from_json(obj) -> S.Representation:
     except np.linalg.LinAlgError as err:
         raise SchemaError(f"images must be invertible: {err}") from err
     for k in range(1, 2 * genus + 1):
-        if not np.all(np.isfinite(rep.image(-k))):
+        if not np.all(np.isfinite(rep.letters[-k])):
             raise SchemaError(f"image {W.format_word([k])} has no finite inverse")
     return rep
 

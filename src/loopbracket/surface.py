@@ -20,29 +20,25 @@ from .words import RelatorError, WordError, check_word, relator
 class Representation:
     """Images of the generators a_1, b_1, .., a_g, b_g in one group.
 
-    _letters is the letter table with the batch axis last, (d, d, 4g+1):
-    column 0 is the identity, columns 1..2g the images and 2g+1..4g the
-    inverses, so a letter x > 0 sits at column x and x < 0 at 2g - x.
+    letters, (4g+1, d, d) and read-only, holds rho(x) at letters[x] for
+    every letter x: the identity at 0, the images at 1..2g and their
+    inverses last, in reverse order, so that letters[-k] = rho(k)^-1.
+    Index it by a letter or a list, never a tuple, of checked letters.
     """
 
     spec: G.GroupSpec
     genus: int
     images: list[np.ndarray]
-    _inv: list[np.ndarray] = field(default=None, repr=False)
-    _letters: np.ndarray = field(default=None, repr=False)
+    letters: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.images) != 2 * self.genus:
             raise WordError("need one image per generator")
         self.images = [np.asarray(m, dtype=complex) for m in self.images]
-        self._inv = [np.linalg.inv(m) for m in self.images]
         eye = np.eye(self.spec.matrix_dim, dtype=complex)
-        self._letters = np.stack([eye, *self.images, *self._inv], axis=-1)
-
-    def image(self, letter: int) -> np.ndarray:
-        if letter > 0:
-            return self.images[letter - 1]
-        return self._inv[-letter - 1]
+        self.letters = np.stack([eye, *self.images,
+                                 *map(np.linalg.inv, self.images[::-1])])
+        self.letters.flags.writeable = False
 
 
 def holonomy(rep: Representation, word) -> np.ndarray:
@@ -50,17 +46,17 @@ def holonomy(rep: Representation, word) -> np.ndarray:
     check_word(word, rep.genus)
     h = np.eye(rep.spec.matrix_dim, dtype=complex)
     for x in word:
-        h = rep.image(x) @ h
+        h = rep.letters[x] @ h
     return h
 
 
 def trace_functions(rep: Representation, words) -> list[float]:
     """f_w(rho) = Re tr hol(w) of each word, batched over all words at once.
 
-    Words are right-aligned and padded in front with the identity, and
-    each letter position is one elementwise pass over the batch axis of
-    the letter table: new[i, m] = sum_j a[i, j] h[j, m], d multiply-adds
-    over (d, d, N) arrays in place of one small matmul per word.  An
+    Words are right-aligned and padded in front with letter 0, and each
+    letter position is one elementwise pass over the batch axis of the
+    letter table read as (d, d, 4g+1): new[i, m] = sum_j a[i, j] h[j, m],
+    d multiply-adds in place of one small matmul per word.  An
     overflowing product gives a non-finite trace, not an exception.
     """
     g = rep.genus
@@ -73,8 +69,8 @@ def trace_functions(rep: Representation, words) -> list[float]:
     n = int(lengths.max(initial=0))
     # word w fills the last len(w) positions of its column of cols
     cols = np.zeros((n, len(words)), dtype=np.intp)
-    cols.T[np.arange(n) >= n - lengths[:, None]] = np.where(flat > 0, flat, 2 * g - flat)
-    table = rep._letters
+    cols.T[np.arange(n) >= n - lengths[:, None]] = flat
+    table = np.moveaxis(rep.letters, 0, -1)
     d = table.shape[0]
     h = np.broadcast_to(table[..., :1], (d, d, len(words)))
     with np.errstate(over="ignore", invalid="ignore"):

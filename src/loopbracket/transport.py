@@ -6,11 +6,12 @@ so the kth term is the k-fold time-ordered integral with the largest time
 leftmost.  Every level is integrated spectrally (Greengard, SIAM J.
 Numer. Anal. 28, 1991) on Chebyshev panels.  A panel samples A at 17,
 then 33, then 65 nested Chebyshev points of the second kind, each t
-once, until the chop rule holds: the upper half of the interpolant's
-Chebyshev coefficients is below 64 u (u = 2^-53) of the largest, or of
-the largest on the whole path if that is larger.  A is then resolved
-at half the degree, so each product A T_{k-1} is integrated by the
-panel's integration matrix without aliasing.  A panel still unresolved
+once through one functools.cache of A, until the chop rule holds: the
+upper half of the interpolant's Chebyshev coefficients is below 64 u
+(u = 2^-53) of the largest, or of the largest on the whole path if
+that is larger.  A is then resolved at half the degree, so each
+product A T_{k-1} is integrated by the panel's integration matrix
+without aliasing.  A panel still unresolved
 at 65 points is bisected, and the halves' levels are joined by Chen's
 identity, the product of block-Toeplitz jets that perturbed holonomy
 also uses.  Bisection stops at panels of length 2^-12, where a kink or a
@@ -55,7 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -144,7 +145,7 @@ def _chebyshev(size: int):
     return x, coef, integ, trap, C.chebder(np.eye(size), 2) @ coef
 
 
-@lru_cache(maxsize=None)
+@cache
 def _grids() -> dict:
     """_chebyshev(size) for every size in _SIZES, all built on the first
     call, so that no later transport pays for building a grid."""
@@ -160,7 +161,7 @@ def _arc_levels(c: np.ndarray, n_max: int) -> np.ndarray:
     return np.moveaxis(arc, 0, -3)
 
 
-@lru_cache(maxsize=None)
+@cache
 def _jet_index(size: int, d: int) -> np.ndarray:
     """Flat index of each jet entry into its levels followed by a zero
     level: block (i, j) is level i - j, or the zero level above i = j."""
@@ -182,31 +183,20 @@ def _chen_product(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
     return out.reshape(size, d, d)
 
 
-class _Samples(dict):
-    """A(t), sampled once per distinct t."""
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, t):
-        value = self[t] = np.asarray(self.fn(t))
-        return value
-
-
-def _fit(samples: _Samples, a: float, b: float, scale: float):
-    """A on [a, b] at the first nested Chebyshev grid that resolves it,
-    else at 65 points, as (f, c, resolved): the samples, the Frobenius
-    norms of the interpolant's Chebyshev coefficients, and whether the
-    samples are all equal or the chop rule holds, that is the upper half
-    of c is below _CHOP times the larger of scale and max c.  The upper
-    half, so that A is resolved at half the degree and the products
-    A T_k are integrated without aliasing."""
+def _fit(samples: callable, a: float, b: float, scale: float):
+    """A on [a, b], read through the cache samples(t) = A(t), at the
+    first nested Chebyshev grid that resolves it, else at 65 points, as
+    (f, c, resolved): the samples, the Frobenius norms of the
+    interpolant's Chebyshev coefficients, and whether the samples are
+    all equal or the chop rule holds, that is the upper half of c is
+    below _CHOP times the larger of scale and max c.  The upper half, so
+    that A is resolved at half the degree and the products A T_k are
+    integrated without aliasing."""
     grids = _grids()
     x = grids[_SIZES[-1]][0]
     for size in _SIZES:
         stride = (_SIZES[-1] - 1) // (size - 1)
-        f = np.stack([samples[a + (b - a) * x[j]]
+        f = np.stack([samples(a + (b - a) * x[j])
                       for j in range(0, _SIZES[-1], stride)])
         c = np.linalg.norm(grids[size][1] @ f.reshape(size, -1), axis=1)
         if (f == f[0]).all() or c[size // 2:].max() <= _CHOP * max(scale, c.max()):
@@ -214,7 +204,7 @@ def _fit(samples: _Samples, a: float, b: float, scale: float):
     return f, c, False
 
 
-def _panel(samples: _Samples, a: float, b: float, fit, scale: float,
+def _panel(samples: callable, a: float, b: float, fit, scale: float,
            n_max: int, depth: int, forks: int):
     """Levels at b of the transport from a, given A's fit on [a, b], with
     this panel's share of r_hat and of the certificate's estimate term
@@ -269,18 +259,18 @@ def picard_transport(path: MatrixPath, n_max: int = 12,
     remainder_bound is tail(r_hat, n_max) plus, summed over panels,
     (length * coefficient-tail estimate + (n_max + N) d u) e^r_hat with
     N the panel's grid size, d the matrix size and u = 2^-53; the last
-    two terms are estimates.  n_steps is accepted for compatibility
-    with callers of the former fixed-grid version and ignored: the
-    panels choose their own nodes.
+    two terms are estimates.  The path is sampled once per distinct t.
+    n_steps is ignored, since the panels choose their own nodes; it is
+    accepted because perfbench/probe.py passes it (ROADMAP item 4).
     """
-    samples = _Samples(path.fn)
+    samples = cache(path.fn)
     fit = _fit(samples, 0.0, 1.0, 0.0)
     levels, r_hat, estimate = _panel(samples, 0.0, 1.0, fit, float(fit[1].max()),
                                      n_max, 0, 0)
     with np.errstate(over="ignore"):  # past r = 709.78 the bound is inf
         bound = series_tail_bound(r_hat, n_max) + estimate * np.exp(r_hat)
     return TransportResult(list(levels), levels.sum(axis=0), r_hat,
-                           float(bound), len(samples))
+                           float(bound), samples.cache_info().currsize)
 
 
 def _tree_product(steps: np.ndarray) -> np.ndarray:
@@ -371,12 +361,12 @@ def perturbed_holonomy(rep: S.Representation, pert: dict, word,
     d = rep.spec.matrix_dim
     psis, psi_invs = [np.eye(d, dtype=complex)], [np.eye(d, dtype=complex)]
     for x in word:
-        psis.append(rep.image(x) @ psis[-1])
-        psi_invs.append(psi_invs[-1] @ rep.image(-x))
+        psis.append(rep.letters[x] @ psis[-1])
+        psi_invs.append(psi_invs[-1] @ rep.letters[-x])
     psi, psi_inv = psis[-1], psi_invs[-1]
     c = (np.array(psi_invs)[:-1] @ -_arc_perturbations(pert, word, d)
          @ np.array(psis)[:-1])
-    norms = np.linalg.norm(np.concatenate([c, [*map(rep.image, word), psi]]), 2,
+    norms = np.linalg.norm(np.concatenate([c, rep.letters[list(word)], [psi]]), 2,
                            axis=(1, 2)).tolist()
     r_hat = 0.0
     for c_norm in norms[:len(word)]:  # in order: sum() compensates from 3.12
@@ -401,6 +391,7 @@ def rk4_perturbed_holonomy(rep: S.Representation, pert: dict,
     I + hC + (hC)^2/2 + (hC)^3/6 + (hC)^4/24, so the arc's steps are one
     matrix power of it, the same for all arcs: one stacked power.
     """
+    W.check_word(word, rep.genus)
     d = rep.spec.matrix_dim
     p = np.eye(d, dtype=complex)
     if not word:
@@ -412,5 +403,5 @@ def rk4_perturbed_holonomy(rep: S.Representation, pert: dict,
     hc2 = hc @ hc
     step = np.eye(d) + hc + hc2 / 2 + hc2 @ hc / 6 + hc2 @ hc2 / 24
     for x, power in zip(word, np.linalg.matrix_power(step, steps)):
-        p = rep.image(x) @ power @ p
+        p = rep.letters[x] @ power @ p
     return p

@@ -2,7 +2,7 @@
 
 Each suite maps (seed, trial index, options) to one plain-dict record,
 so trials can be computed independently, in any order, and reassembled
-deterministically: the per-trial generator is
+deterministically: run_trial seeds the per-trial generator
 np.random.default_rng([seed, index]) and nothing else is stateful.
 
 Suites: goldman-gl and goldman-unoriented compare the combinatorial
@@ -19,8 +19,9 @@ finite differences and the generic projection route.
 from __future__ import annotations
 
 import inspect
-from functools import partial
-from math import factorial
+import math
+from functools import partial, reduce
+from itertools import product
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -52,11 +53,17 @@ def random_reduced_word(rng: np.random.Generator, genus: int,
             return word
 
 
-def _goldman_record(seed: int, idx: int, *, tol: float, unoriented: bool,
-                    genus=None, group=None) -> dict:
-    rng = np.random.default_rng([seed, idx])
+def central_difference(f: Callable[..., float], k: int, h: float) -> float:
+    """The mixed partial d^k f / dt_1 .. dt_k at 0 by the central stencil:
+    the sum over s in {+1, -1}^k of prod(s) f(s h), over (2h)^k."""
+    return sum(math.prod(s) * f(*(x * h for x in s))
+               for s in product((1, -1), repeat=k)) / (2 ** k * h ** k)
+
+
+def _goldman_record(rng: np.random.Generator, idx: int, *, tol: float,
+                    unoriented: bool, genus=None, group=None) -> dict:
     groups = _FORM_GROUPS if unoriented else _GL_GROUPS
-    gname = group if group else groups[idx % len(groups)]
+    gname = group or groups[idx % len(groups)]
     g = genus if genus is not None else 1 + (idx // len(groups)) % 2
     spec = Z.parse_group_string(gname)
     if (spec.kind in G.GL_KINDS) == unoriented:
@@ -65,29 +72,21 @@ def _goldman_record(seed: int, idx: int, *, tol: float, unoriented: bool,
     rep = S.sample_representation(spec, g, rng)
     w1 = random_reduced_word(rng, g)
     w2 = random_reduced_word(rng, g)
-    if unoriented:
-        ls = B.bracket_unoriented(g, w1, w2)
-    else:
-        ls = B.bracket_oriented(g, w1, w2)
-    value = ls.evaluate(rep)
+    bracket = B.bracket_unoriented if unoriented else B.bracket_oriented
+    value = bracket(g, w1, w2).evaluate(rep)
     direct = B.poisson_direct(rep, w1, w2, seed=2 * idx + 1)
     resid = abs(value - direct)
     rel = resid / (1.0 + abs(value))
-    return {"trial": idx, "genus": g, "group": gname,
+    return {"genus": g, "group": gname,
             "word1": W.format_word(w1), "word2": W.format_word(w2),
             "value": value, "direct": direct, "residual": resid,
             "relative": rel, "pass": bool(rel <= tol)}
 
 
-def jacobi_trial(seed: int, idx: int, *, tol: float, genus=None,
-                 group=None) -> dict:
-    rng = np.random.default_rng([seed, idx])
+def jacobi_trial(rng: np.random.Generator, idx: int, *, tol: float,
+                 genus=None, group=None) -> dict:
     odd = bool(idx % 2)
-    if group:
-        gname = group
-    else:
-        gname = ("U(2)" if odd else "GL(2,R)") if idx % 4 < 2 \
-            else ("O(1,1)" if odd else "GL(2,C)")
+    gname = group or ("GL(2,R)", "U(2)", "GL(2,C)", "O(1,1)")[idx % 4]
     g = genus if genus is not None else 1 + (idx // 4) % 2
     spec = Z.parse_group_string(gname)
     # traces evaluate the unoriented bracket only under a form kind
@@ -105,7 +104,7 @@ def jacobi_trial(seed: int, idx: int, *, tol: float, genus=None,
     anti_resid = abs(anti.evaluate(rep))
     jac_resid = abs(jac.evaluate(rep))
     resid = max(anti_resid, jac_resid)
-    return {"trial": idx, "genus": g, "group": gname,
+    return {"genus": g, "group": gname,
             "unoriented": unoriented,
             "words": [W.format_word(w) for w in words],
             "antisymmetry": anti_resid, "jacobi": jac_resid,
@@ -153,27 +152,24 @@ def _word_rep_pert(rng, scale):
     return rep, pert
 
 
-def chen_trial(seed: int, idx: int, *, tol: float) -> dict:
-    rng = np.random.default_rng([seed, idx])
-    rec = {"trial": idx}
+def chen_trial(rng: np.random.Generator, idx: int, *, tol: float) -> dict:
     if idx == 0:
         # constant nilpotent coefficient: one exact term, rest zero
         n = np.array([[0.0, 1.0], [0.0, 0.0]])
         res = T.picard_transport(T.MatrixPath(lambda t: n, 2), n_max=6)
         resid = float(np.linalg.norm(res.transport - np.eye(2) - n))
-        rec.update({"subtest": "nilpotent", "residual": resid,
-                    "pass": bool(resid <= 1e-13)})
-        return rec
+        return {"subtest": "nilpotent", "residual": resid,
+                "pass": bool(resid <= 1e-13)}
     sub = ("transport", "ratio", "multiplicativity",
            "perturbed", "exact_zero")[(idx - 1) % 5]
-    rec["subtest"] = sub
+    rec = {"subtest": sub}
     if sub == "transport":
         path = _chen_random_path(rng)
         res = T.picard_transport(path, n_max=12)
         gap = float(np.linalg.norm(res.transport - T.rk4_transport(path)))
         rho = _norm_integral(path)
         norm_ok = res.r_hat >= rho and all(
-            np.linalg.norm(term, 2) <= rho ** k / factorial(k) * (1 + 1e-6)
+            np.linalg.norm(term, 2) <= rho ** k / math.factorial(k) * (1 + 1e-6)
             + 1e-12 for k, term in enumerate(res.terms))
         rec.update({"r_hat": res.r_hat, "gap": gap,
                     "remainder_bound": res.remainder_bound,
@@ -217,11 +213,9 @@ def chen_trial(seed: int, idx: int, *, tol: float) -> dict:
         rec.update({"word": W.format_word(word), "gap": gap,
                     "residual": gap, "pass": bool(gap <= 1e-6)})
     else:
-        rep, _ = _word_rep_pert(rng, 0.0)
-        d = rep.spec.matrix_dim
-        zeros = {k: np.zeros((d, d)) for k in range(1, 5)}
+        rep, zero = _word_rep_pert(rng, 0.0)
         word = random_reduced_word(rng, 2, max_len=6)
-        out = T.perturbed_holonomy(rep, zeros, word, n_max=4)
+        out = T.perturbed_holonomy(rep, zero, word, n_max=4)
         exact = bool(np.array_equal(out.value, S.holonomy(rep, word)))
         rec.update({"word": W.format_word(word),
                     "residual": 0.0 if exact else 1.0, "pass": exact})
@@ -232,9 +226,8 @@ _DGLA_CONFIGS = ((1, "GL(2,R)"), (1, "U(2)"), (2, "GL(2,R)"), (1, "Sp(2,R)"),
                  (1, "GL(2,C)"), (2, "U(2)"), (1, "O(1,1)"), (1, "minimal"))
 
 
-def dgla_trial(seed: int, idx: int, *, tol: float, genus=None,
-               group=None) -> dict:
-    rng = np.random.default_rng([seed, idx])
+def dgla_trial(rng: np.random.Generator, idx: int, *, tol: float,
+               genus=None, group=None) -> dict:
     g, gname = _DGLA_CONFIGS[idx % len(_DGLA_CONFIGS)]
     if genus is not None:
         g = genus
@@ -248,14 +241,12 @@ def dgla_trial(seed: int, idx: int, *, tol: float, genus=None,
     axioms_ok = DG.axioms_pass(report, tol=tol)
     d0, d1 = inst.dims
 
-    h = 1e-4
     moment_fd = 0.0
     for _ in range(5):
         x = rng.normal(size=d1)
         v = rng.normal(size=d1)
         a = rng.normal(size=d0)
-        fd = (DG.moment(inst, x + h * v, a)
-              - DG.moment(inst, x - h * v, a)) / (2 * h)
+        fd = central_difference(lambda t: DG.moment(inst, x + t * v, a), 1, 1e-4)
         moment_fd = max(moment_fd, abs(
             fd - DG.omega(inst, 1, DG.gauge_field(inst, a, x), v)))
 
@@ -278,7 +269,7 @@ def dgla_trial(seed: int, idx: int, *, tol: float, genus=None,
 
     ok = bool(axioms_ok and mc.converged and moment_fd <= 1e-5
               and tangency <= 1e-8 and xi_hom <= 1e-10)
-    return {"trial": idx, "genus": g, "group": gname,
+    return {"genus": g, "group": gname,
             "axioms_max": max(v for k, v in report.items()
                               if not k.startswith("sigma")),
             "axioms_pass": bool(axioms_ok), "moment_fd": moment_fd,
@@ -286,44 +277,34 @@ def dgla_trial(seed: int, idx: int, *, tol: float, genus=None,
             "tangency": tangency, "xi_homomorphism": xi_hom, "pass": ok}
 
 
-def variation_trial(seed: int, idx: int, *, tol: float, group=None) -> dict:
-    rng = np.random.default_rng([seed, idx])
-    gname = group if group else _VARIATION_GROUPS[idx % len(_VARIATION_GROUPS)]
+def variation_trial(rng: np.random.Generator, idx: int, *, tol: float,
+                    group=None) -> dict:
+    gname = group or _VARIATION_GROUPS[idx % len(_VARIATION_GROUPS)]
     spec = Z.parse_group_string(gname)
     g = G.random_element(spec, rng)
     x = G.random_algebra_element(spec, rng)
-    h = 1e-4
 
-    def f_along(t):
-        return G.invariant_f(spec, g @ G.expm(t * x))
+    def along(*zs):
+        """(t_1, .., t_k) -> f(g exp(t_1 z_1) .. exp(t_k z_k))."""
+        return lambda *ts: G.invariant_f(spec, reduce(
+            lambda m, tz: m @ G.expm(tz[0] * tz[1]), zip(ts, zs), g))
 
-    fd = (f_along(h) - f_along(-h)) / (2 * h)
+    fd = central_difference(along(x), 1, 1e-4)
     fd_resid = abs(fd - G.pairing(G.variation(spec, g), x))
     proj_resid = float(np.linalg.norm(
         G.variation(spec, g) - G.project_to_algebra(spec, g)))
-    rec = {"trial": idx, "group": gname, "fd_residual": fd_resid,
+    rec = {"group": gname, "fd_residual": fd_resid,
            "projection_residual": proj_resid}
     ok = fd_resid <= tol and proj_resid <= 1e-9
     if (idx // len(_VARIATION_GROUPS)) % 10 == 0:
         xs = [G.random_algebra_element(spec, rng)]
         y = G.random_algebra_element(spec, rng)
-
-        def f2(s, t):
-            return G.invariant_f(spec, g @ G.expm(s * xs[0]) @ G.expm(t * y))
-
-        mixed = (f2(h, h) - f2(h, -h) - f2(-h, h) + f2(-h, -h)) / (4 * h * h)
+        mixed = central_difference(along(xs[0], y), 2, 1e-4)
         k1 = abs(mixed - G.pairing(G.variation(spec, g, xs), y))
         xs2 = xs + [G.random_algebra_element(spec, rng)]
-
-        def f3(s1, s2, t):
-            return G.invariant_f(spec, g @ G.expm(s1 * xs2[0])
-                                 @ G.expm(s2 * xs2[1]) @ G.expm(t * y))
-
-        # third-order stencil: roundoff goes like eps/h^3, so h=1e-4 is
-        # too small; 1e-3 balances it against the O(h^2) truncation
-        h3 = 1e-3
-        m3 = sum(a * b * c * f3(a * h3, b * h3, c * h3)
-                 for a in (1, -1) for b in (1, -1) for c in (1, -1)) / (8 * h3 ** 3)
+        # third order: roundoff goes like eps/h^3, so h=1e-4 is too
+        # small; 1e-3 balances it against the O(h^2) truncation
+        m3 = central_difference(along(*xs2, y), 3, 1e-3)
         k2 = abs(m3 - G.pairing(G.variation(spec, g, xs2), y))
         rec.update({"khat1_residual": k1, "khat2_residual": k2})
         ok = ok and k1 <= 1e-4 and k2 <= 1e-4
@@ -332,8 +313,9 @@ def variation_trial(seed: int, idx: int, *, tol: float, group=None) -> dict:
 
 
 class Suite(NamedTuple):
-    """A trial function with its default trial count and tol.  The keyword
-    parameters of the trial function are the options the suite reads."""
+    """A trial function trial(rng, idx, *, tol, ..) with its default trial
+    count and tol.  Its keyword parameters after tol are the options the
+    suite reads."""
     trial: Callable[..., dict]
     trials: int
     tol: float
@@ -356,11 +338,15 @@ SUITES = {
 
 def run_trial(suite: str, seed: int, idx: int, genus=None, group=None,
               tol=None) -> dict:
-    """One record; an option the suite does not read raises TypeError."""
+    """One record, from the trial's own generator
+    np.random.default_rng([seed, idx]); an option the suite does not
+    read raises TypeError."""
     spec = SUITES[suite]
     given = {k: v for k, v in (("genus", genus), ("group", group))
              if v is not None}
-    return spec.trial(seed, idx, tol=spec.tol if tol is None else tol, **given)
+    rng = np.random.default_rng([seed, idx])
+    tol = spec.tol if tol is None else tol
+    return {"trial": idx, **spec.trial(rng, idx, tol=tol, **given)}
 
 
 def run_suite(suite: str, seed: int, trials=None, genus=None, group=None,

@@ -537,3 +537,10 @@ def test_realized_pair_deterministic():
     a = B.bracket_oriented(2, [1, 2, -3], [4, 3], seed=67)
     b = B.bracket_oriented(2, [1, 2, -3], [4, 3], seed=67)
     assert a == b
+
+
+def test_evaluate_of_the_empty_sum_is_a_float():
+    rep = S.sample_representation(GL2R, 1, np.random.default_rng(83))
+    value = B.LoopSum().evaluate(rep)
+    assert type(value) is float and value == 0.0
+    assert type(B.bracket_oriented(1, [1], [1]).evaluate(rep)) is float

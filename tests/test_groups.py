@@ -250,3 +250,24 @@ def test_spec_validation():
     with pytest.raises(G.GroupError):
         G.GroupSpec("GL_R", 2, 1, 0)
     assert G.GroupSpec("Sp_pq", 2, 1, 1).matrix_dim == 4
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_central_difference_is_exact_on_low_degree_polynomials(k):
+    # the stencil sums prod(s) f(s h) over s in {+1, -1}^k: a monomial
+    # t^a survives only if every a_i is odd, so every polynomial of total
+    # degree <= k + 1 (a cubic at k = 2) gives its t_1 .. t_k coefficient
+    from itertools import product
+
+    from loopbracket.verify import central_difference
+
+    rng = np.random.default_rng(k)
+    monomials = [a for a in product(range(k + 2), repeat=k) if sum(a) <= k + 1]
+    coef = dict(zip(monomials, rng.normal(size=len(monomials))))
+
+    def poly(*t):
+        return sum(c * np.prod(np.power(t, a)) for a, c in coef.items())
+
+    for h in (0.5, 1e-2):
+        got = central_difference(poly, k, h)
+        assert abs(got - coef[(1,) * k]) <= 1e-13 / (2 * h) ** k, (h, got)

@@ -297,3 +297,36 @@ def test_word_range_checked():
     rep = S.sample_representation(GL2R, 1, rng)
     with pytest.raises(W.WordError):
         S.holonomy(rep, [3])
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_every_word_entry_point_rejects_letters_past_2g(genus):
+    # a letter past 2g would read another letter's matrix from the signed
+    # letter table, so each entry point checks the range first
+    from loopbracket import bracket as B
+    from loopbracket import transport as T
+
+    rep = S.sample_representation(GL2R, genus, np.random.default_rng(genus))
+    pert = {k: np.zeros((2, 2)) for k in range(1, 2 * genus + 1)}
+    for x in (2 * genus + 1, -2 * genus - 1):
+        calls = {"holonomy": lambda: S.holonomy(rep, [x]),
+                 "evaluate": lambda: B.LoopSum([([1, x], 1)]).evaluate(rep),
+                 "perturbed": lambda: T.perturbed_holonomy(rep, pert, [x]),
+                 "rk4_perturbed": lambda: T.rk4_perturbed_holonomy(rep, pert, [x]),
+                 "poisson_direct": lambda: B.poisson_direct(rep, [1], [x])}
+        for call in calls.values():
+            with pytest.raises(W.WordError):
+                call()
+
+
+@pytest.mark.parametrize("spec", [GL2R, U2], ids=str)
+def test_letter_table_layout(spec):
+    rep = S.sample_representation(spec, 2, np.random.default_rng(47))
+    assert rep.letters.shape == (9, 2, 2)
+    assert rep.letters[0].tobytes() == np.eye(2, dtype=complex).tobytes()
+    for x in range(1, 5):
+        assert rep.letters[x].tobytes() == rep.images[x - 1].tobytes()
+        assert rep.letters[-x].tobytes() == np.linalg.inv(rep.images[x - 1]).tobytes()
+    assert not rep.letters.flags.writeable
+    with pytest.raises(ValueError):
+        rep.letters[0, 0, 0] = 2.0

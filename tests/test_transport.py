@@ -145,7 +145,7 @@ def test_panel_operators_are_exact_on_polynomials(size):
 
 
 def test_n_steps_is_accepted_and_ignored():
-    # kept for callers written against the grid version of the engine
+    # perfbench/probe.py passes n_steps=4; ROADMAP item 4 deletes the parameter
     path = _smooth_path(np.random.default_rng(4))
     res = T.picard_transport(path, n_steps=4)
     assert np.array_equal(res.transport, T.picard_transport(path).transport)
@@ -442,7 +442,7 @@ def _expm_perturbed_holonomy(rep, pert, word):
     p = np.eye(rep.spec.matrix_dim, dtype=complex)
     for x in word:
         b = np.asarray(pert[abs(x)], dtype=complex)
-        p = rep.image(x) @ expm(-b if x > 0 else b) @ p
+        p = rep.letters[x] @ expm(-b if x > 0 else b) @ p
     return p
 
 
@@ -487,7 +487,7 @@ def _rk4_per_letter(rep, pert, word, n_steps=2000):
         hc = h * (-m * b)
         hc2 = hc @ hc
         step = np.eye(d) + hc + hc2 / 2 + hc2 @ hc / 6 + hc2 @ hc2 / 24
-        p = rep.image(x) @ np.linalg.matrix_power(step, steps) @ p
+        p = rep.letters[x] @ np.linalg.matrix_power(step, steps) @ p
     return p
 
 
@@ -500,9 +500,9 @@ def _certificate_per_letter(rep, pert, word, n_max=12):
         b = np.asarray(pert[abs(x)], dtype=complex)
         c = psi_inv @ (b if x < 0 else -b) @ psi
         r_hat += float(np.linalg.norm(c, 2))
-        letters_norm *= float(np.linalg.norm(rep.image(x), 2))
-        psi = rep.image(x) @ psi
-        psi_inv = psi_inv @ rep.image(-x)
+        letters_norm *= float(np.linalg.norm(rep.letters[x], 2))
+        psi = rep.letters[x] @ psi
+        psi_inv = psi_inv @ rep.letters[-x]
     rounding = (len(word) + n_max) * d * 2.0 ** -53 * np.exp(r_hat) * letters_norm
     return r_hat, float(np.linalg.norm(psi, 2) * T.series_tail_bound(r_hat, n_max)
                         + rounding)
