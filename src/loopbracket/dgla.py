@@ -244,6 +244,10 @@ def surface_toy_instance(genus: int, spec: G.GroupSpec) -> CyclicDgla:
     """
     if genus < 1:
         raise DglaError("genus must be >= 1")
+    # (d0 + d1)^3 bounds each 3-index tensor of the toy and of its battery
+    if (2 * (genus + 1) * G.algebra_dim(spec)) ** 3 > G.MAX_ENTRIES:
+        raise DglaError(f"the genus-{genus} toy is too large: its tensors "
+                        f"would pass {G.MAX_ENTRIES} entries")
     c = structure_constants(spec)
     sig = np.diag(G.pairing_orthonormal_basis(spec)[1])
     m, n = c.shape[0], 2 * genus

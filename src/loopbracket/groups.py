@@ -41,6 +41,9 @@ GL_KINDS = {"GL_R", "GL_C"}  # the two kinds that no form cuts out
 
 _REAL_KINDS = {"GL_R", "O_pq", "Sp_R"}
 _SIGNED_KINDS = {"O_pq", "U_pq", "Sp_pq"}
+# most entries of one dense array from a group's basis or toy DGLA; checked
+# before allocating, as the kernel may grant more and then kill the process
+MAX_ENTRIES = 2 ** 24
 
 
 class GroupError(ValueError):
@@ -74,6 +77,9 @@ class GroupSpec:
             raise GroupError("Sp_R needs even n")
         if self.kind in ("O_pq", "O_C") and self.n < 2:
             raise GroupError(f"{self.kind} needs n >= 2: its algebra is 0")
+        if algebra_dim(self) * self.matrix_dim ** 2 > MAX_ENTRIES:
+            raise GroupError(f"n = {self.n} is too large: the {self.kind} "
+                             f"basis would pass {MAX_ENTRIES} entries")
 
     @property
     def matrix_dim(self) -> int:

@@ -164,10 +164,10 @@ def test_C08_perturbed_holonomy(chen_run):
     perturbed = [r for r in records if r["subtest"] == "perturbed"]
     exact = [r for r in records if r["subtest"] == "exact_zero"]
     assert len(perturbed) == 20 and len(exact) == 20
-    assert all(r["gap"] <= 1e-6 for r in perturbed)
+    assert all(r["gap"] <= 1e-11 for r in perturbed)
     assert all(r["pass"] and r["residual"] == 0.0 for r in exact)
-    _report("C08", f"20 series-vs-rk4 trials, worst gap "
-            f"{max(r['gap'] for r in perturbed):.3e} <= 1e-6; "
+    _report("C08", f"20 series vs exact arcs trials, worst gap "
+            f"{max(r['gap'] for r in perturbed):.3e} <= 1e-11; "
             "20 zero-perturbation trials exact")
 
 

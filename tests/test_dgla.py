@@ -201,6 +201,43 @@ def test_mc_solve_reports_nonconvergence(monkeypatch):
     assert res.residual > 0
 
 
+class _FixedStart:
+    """Stands in for a generator whose normal draws are all x."""
+
+    def __init__(self, x):
+        self.x = x
+
+    def normal(self, size):
+        return np.full(size, self.x)
+
+
+def test_mc_solve_halves_an_overshooting_step_and_gives_up_at_a_flat_point(
+        monkeypatch):
+    # one even and one odd dimension, MC residual x + x^2 / 2: roots 0 and
+    # -2, and the Jacobian 1 + x vanishes at the vertex x = -1
+    dgla = D.CyclicDgla(np.zeros((1, 1, 1)), np.zeros((1, 1, 1)),
+                        np.ones((1, 1, 1)), np.zeros((1, 1)), np.ones((1, 1)),
+                        np.eye(1), np.zeros((1, 1)))
+    monkeypatch.setattr(D, "_MC_SEED_SCALE", 1.0)
+    seen, residual = [], D.mc_residual
+
+    def counted(d, x):
+        seen.append(float(x[0]))
+        return residual(d, x)
+
+    monkeypatch.setattr(D, "mc_residual", counted)
+    # at the vertex the step is 0: twelve halvings leave the residual 1/2
+    res = D.mc_solve(dgla, _FixedStart(-1.0))
+    assert (res.converged, res.residual, res.iterations) == (False, 0.5, 1)
+    assert seen == [-1.0] * 13
+    # beside it the full step lands near 49, past both roots, and is halved
+    # until the residual falls; Newton then converges to the root 0
+    seen.clear()
+    res = D.mc_solve(dgla, _FixedStart(-0.99))
+    assert res.converged and abs(res.x[0]) <= 1e-12
+    assert seen[1] == pytest.approx(49.005) and len(seen) > 1 + res.iterations
+
+
 def test_toy_mc_locus_is_commuting_sum():
     # x = alpha ox p + beta ox q with [p, q] = 0 solves MC exactly
     dgla = D.surface_toy_instance(1, GL2R)

@@ -34,6 +34,32 @@ def test_side_pairing_table():
     assert P.exit_side_for_letter(1, 2) == 0
 
 
+def test_gluing_against_the_relator():
+    # the corners of the glued polygon meet at one vertex: its link runs
+    # from side s through the partner s ^ 2 to the next side (s ^ 2) + 1,
+    # and the exit letters of the sides along it spell the relator, read
+    # backwards; exchanging two exit sides breaks this at genus >= 2
+    for genus in range(1, 7):
+        letter_at = {P.exit_side_for_letter(genus, x): x
+                     for k in range(1, 2 * genus + 1) for x in (k, -k)}
+        side, read = 0, []
+        for _ in range(4 * genus):
+            read.append(letter_at[side])
+            side = ((side ^ 2) + 1) % (4 * genus)
+        assert side == 0
+        want = W.inverse_word(W.relator(genus))
+        assert any(read == want[i:] + want[:i] for i in range(len(want))), (
+            genus, read)
+
+
+def test_loopsum_repr():
+    # perfbench writes sums into its failure messages with {!r}
+    assert repr(B.LoopSum([([2, 1], Fraction(-1, 2)), ([3], 2)])) == (
+        "LoopSum(2 * a2, -1/2 * a1 b1)")
+    assert repr(B.LoopSum()) == "LoopSum()"
+    assert repr(B.LoopSum([([], 3)])) == "LoopSum(3 * 1)"
+
+
 def test_slot_permutation_is_a_pure_function_of_the_seed():
     import random
     for size in (0, 1, 2, 7, 64):

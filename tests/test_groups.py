@@ -250,6 +250,11 @@ def test_spec_validation():
     with pytest.raises(G.GroupError):
         G.GroupSpec("GL_R", 2, 1, 0)
     assert G.GroupSpec("Sp_pq", 2, 1, 1).matrix_dim == 4
+    # the algebra basis of GL(n,C) has 2 n^4 entries: n = 53 is the largest
+    # n within MAX_ENTRIES = 2^24, and a spec is built without allocating it
+    assert G.algebra_dim(G.GroupSpec("GL_C", 53)) == 2 * 53 ** 2
+    with pytest.raises(G.GroupError, match="too large"):
+        G.GroupSpec("GL_C", 54)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
