@@ -1,7 +1,8 @@
 """Bracket of free homotopy classes of loops on a closed surface.
 
 A LoopSum is a finite formal sum of classes with exact rational
-coefficients, keyed by the canonical cyclic form of the word.  The
+coefficients, keyed by the canonical cyclic form of the word as a str
+with one code point per letter, letters within +-491519 only.  The
 oriented bracket of two classes sums sign(p) (gamma_p lambda_p) over the
 transverse crossings p of generic PL representatives; the unoriented
 variant takes sign(p)/2 [(gamma_p lambda_p) - (gamma_p lambda_p^-1)].
@@ -34,106 +35,123 @@ class LoopSum:
     """Formal rational combination of free homotopy classes."""
 
     def __init__(self, terms=None):
-        self.terms: dict[tuple[int, ...], Fraction] = {}
+        self._terms: dict[str, Fraction] = {}
         if terms:
             for word, coef in terms:
                 self.add(word, coef)
 
     def add(self, word, coef):
-        self._add_key(W.canonical_cyclic(list(word)), Fraction(coef))
+        word = W.canonical_cyclic(list(word))
+        _check_limit(word)
+        self._add_key(_encode(word), Fraction(coef))
 
-    def _add_key(self, key, coef: Fraction):
+    def _add_key(self, key: str, coef: Fraction):
         """Add coef to an already canonical key, dropping a zero sum."""
-        c = self.terms.get(key, 0) + coef
+        c = self._terms.get(key)
+        c = coef if c is None else c + coef
         if c == 0:
-            self.terms.pop(key, None)
+            self._terms.pop(key, None)
         else:
-            self.terms[key] = c
+            self._terms[key] = c
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], Fraction]:
+        """A fresh dict of the terms, keyed by int tuple words."""
+        return {_decode(key): c for key, c in self._terms.items()}
+
+    def _keys(self) -> list[str]:
+        return sorted(self._terms, key=lambda key: (len(key), key))
 
     def __add__(self, other):
         out = LoopSum()
-        out.terms = dict(self.terms)
-        for key, coef in other.terms.items():
+        out._terms = dict(self._terms)
+        for key, coef in other._terms.items():
             out._add_key(key, coef)
         return out
 
     def items(self):
-        return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
+        return [(_decode(key), self._terms[key]) for key in self._keys()]
 
     def __eq__(self, other):
-        return isinstance(other, LoopSum) and self.terms == other.terms
+        return isinstance(other, LoopSum) and self._terms == other._terms
 
     def __repr__(self):
         inner = ", ".join(f"{c} * {W.format_word(w) or '1'}" for w, c in self.items())
         return f"LoopSum({inner})"
 
     def evaluate(self, rep: Representation) -> float:
+        import numpy as np
+
         from .surface import trace_functions
 
-        items = self.items()
-        traces = trace_functions(rep, [w for w, _ in items])
-        return sum((float(c) * f for (_, c), f in zip(items, traces)), 0.0)
+        keys = self._keys()
+        flat = np.frombuffer("".join(keys).encode("utf-32-le"), "<i4") - _OFFSET
+        traces = trace_functions(rep, flat, np.fromiter(map(len, keys), np.intp, len(keys)))
+        coefs = map(self._terms.get, keys)
+        return sum((c.numerator / c.denominator * f for c, f in zip(coefs, traces)), 0.0)
+
+
+# Term keys are str, letter x the code point x + _OFFSET: a key orders,
+# slices and hashes like the int tuple word but in C, at every genus.
+# Letters within +-_LIMIT keep clear of the surrogates, so keys encode.
+_OFFSET, _LIMIT = 0x88000, 0x77FFF
+
+
+def _encode(word) -> str:
+    return "".join([chr(x + _OFFSET) for x in word])
+
+
+def _decode(key: str) -> tuple[int, ...]:
+    return tuple([ord(c) - _OFFSET for c in key])
+
+
+def _check_limit(word):
+    if word and max(map(abs, word)) > _LIMIT:
+        raise W.WordError(f"letter {max(word, key=abs)} past the key limit +-{_LIMIT}")
 
 
 def _bracket(genus: int, word1, word2, seed: int, unoriented: bool) -> LoopSum:
     c1, c2, crossings = P.realized_pair(genus, word1, word2, seed)
+    if 2 * genus > _LIMIT:  # else the genus check of realized_pair is the stricter
+        _check_limit(c1.word + c2.word)
     out = LoopSum()
     if not crossings:
         return out  # disjoint loops, among them the trivial class, commute
-    # the tails tables and byte keys are built once per pair and save a
-    # scan on each term; below two terms a letter they cost more than that
+    # the tails tables are built once per pair and save a scan on each
+    # term; below two terms a letter they cost more than that
     ranked = len(crossings) >= 2 * (len(c1.word) + len(c2.word))
-    encode, decode = _BYTES if ranked and 2 * genus < 128 else _TUPLES
-    first, second = _side(c1.word, encode, ranked), _side(c2.word, encode, ranked)
+    first, second = _side(c1.word, ranked), _side(c2.word, ranked)
     if unoriented:
         # l_p^-1 is the rotation of w2^-1 at n2 - j
-        n2, inverse = len(c2.word), _side(tuple(W.inverse_word(c2.word)), encode, ranked)
-    signs: dict[bytes | tuple[int, ...], int] = {}
+        n2, inverse = len(c2.word), _side(tuple(W.inverse_word(c2.word)), ranked)
+    signs: dict[str, int] = {}
     for sign, i, j in crossings:
-        key = _splice_key(first, second, i, j, encode)
+        key = _splice_key(first, second, i, j)
         signs[key] = signs.get(key, 0) + sign
         if unoriented:
-            key = _splice_key(first, inverse, i, -j % n2, encode)
+            key = _splice_key(first, inverse, i, -j % n2)
             signs[key] = signs.get(key, 0) - sign
+    # one Fraction per distinct count; a Fraction is immutable, so all share it
     den = 2 if unoriented else 1
-    out.terms = {decode(key): _fraction(c, den) for key, c in signs.items() if c}
+    fractions = {c: _fraction(c, den) for c in set(signs.values())}
+    out._terms = {key: fractions[c] for key, c in signs.items() if c}
     return out
 
 
-# one Fraction per distinct count; a Fraction is immutable, so all share it
 _fraction = lru_cache(maxsize=1024)(Fraction)
 
-# x + 128 <-> x as a signed byte: the same flip of the high bit both ways
-_FLIP = bytes(range(128, 256)) + bytes(range(128))
 
-
-def _encode_bytes(word) -> bytes:
-    return bytes([x + 128 for x in word])
-
-
-def _decode_bytes(key: bytes) -> tuple[int, ...]:
-    return tuple(memoryview(key.translate(_FLIP)).cast("b"))
-
-
-# (encode, decode) between words and the term keys of one bracket.  Byte
-# keys, the letters x + 128, order, slice and hash like the word but in C;
-# they need 2 genus < 128, and pay for their encoding only over many terms.
-_BYTES = _encode_bytes, _decode_bytes
-_TUPLES = tuple, tuple
-
-
-def _side(word: tuple, encode, ranked: bool):
+def _side(word: tuple, ranked: bool):
     """(n, letters, codes, tails) of one word of a pair.
 
-    Letters and codes run twice round, so the rotation at i is [i:i + n];
-    tails is _tails(codes, n), or None where the pair goes without.
+    Letters and key codes run twice round, so the rotation at i is
+    [i:i + n]; tails is _tails(codes, n), or None where the pair goes without.
     """
-    n, letters = len(word), word * 2
-    codes = encode(letters)
+    n, letters, codes = len(word), word * 2, _encode(word) * 2
     return n, letters, codes, _tails(codes, n) if ranked else None
 
 
-def _tails(codes, n: int) -> list[tuple[int, ...]]:
+def _tails(codes: str, n: int) -> list[tuple[int, ...]]:
     """For each cut c, the starts that may begin the least rotation of a
     splice in which this word is a stretch ending at c.
 
@@ -178,7 +196,7 @@ def _tails(codes, n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _splice_key(first, second, i: int, j: int, encode):
+def _splice_key(first, second, i: int, j: int) -> str:
     """Key of canonical_cyclic(g + l) for g, l the rotations of the two
     sides at i and j.
 
@@ -199,7 +217,7 @@ def _splice_key(first, second, i: int, j: int, encode):
     a, b = n1 - k - m, n2 - k - m
     if not a or not b:
         # one side cancels away, and what is left need not be reduced
-        return encode(W.canonical_cyclic(t1[i:i + n1] + t2[j:j + n2]))
+        return _encode(W.canonical_cyclic(t1[i:i + n1] + t2[j:j + n2]))
     word = e1[i + m:i + n1 - k] + e2[j + k:j + n2 - m]
     if r1 and r2:
         # the stretches end at cuts i - k and j - m; a listed start cut
@@ -233,9 +251,9 @@ def bracket_sums(genus: int, sum1: LoopSum, sum2: LoopSum, seed: int = 0,
     out = LoopSum()
     for w1, c1 in sum1.items():
         for w2, c2 in sum2.items():
-            part = fn(genus, list(w1), list(w2), seed=seed)
-            for key, coef in part.terms.items():
-                out._add_key(key, c1 * c2 * coef)
+            part, c12 = fn(genus, list(w1), list(w2), seed=seed), c1 * c2
+            for key, coef in part._terms.items():
+                out._add_key(key, c12 * coef)
     return out
 
 

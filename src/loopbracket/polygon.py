@@ -66,14 +66,8 @@ class PLLoop(NamedTuple):
     chords: list[tuple[int, int]]
 
 
-class Crossing(NamedTuple):
-    sign: int
-    seg_first: int
-    seg_second: int
-
-
-def intersections(first: PLLoop, second: PLLoop) -> list[Crossing]:
-    """Transverse crossings of the chord chains of two loops.
+def intersections(first: PLLoop, second: PLLoop) -> list[tuple[int, int, int]]:
+    """Transverse crossings (sign, i, j) of chord i of first and j of second.
 
     Chords (a -> b) and (c -> d) of the convex polygon cross iff c and d
     lie on different arcs of the boundary between a and b.  sign is
@@ -81,14 +75,17 @@ def intersections(first: PLLoop, second: PLLoop) -> list[Crossing]:
     which is -1 iff d lies on the ccw arc from a to b.  The empty class
     has no chords and crosses nothing.
     """
-    found: list[Crossing] = []
+    found = []
     for i, (a, b) in enumerate(first.chords):
+        # (lo, hi) is the arc between a and b that avoids position 0, and s
+        # the sign of a crossing whose c lies on it
+        lo, hi, s = (a, b, 1) if a < b else (b, a, -1)
         for j, (c, d) in enumerate(second.chords):
-            # True for points of the arc from a to b that avoids position 0,
-            # whichever of a and b comes first
-            c_in, d_in = (a < c) == (c < b), (a < d) == (d < b)
-            if c_in != d_in:
-                found.append(Crossing(-1 if d_in == (a < b) else 1, i, j))
+            if lo < c < hi:
+                if not lo < d < hi:
+                    found.append((s, i, j))
+            elif lo < d < hi:
+                found.append((-s, i, j))
     return found
 
 
@@ -108,7 +105,7 @@ def slot_permutation(size: int, seed: int) -> list[int]:
 
 
 def realized_pair(genus: int, word1, word2,
-                  seed: int) -> tuple[PLLoop, PLLoop, list[Crossing]]:
+                  seed: int) -> tuple[PLLoop, PLLoop, list[tuple[int, int, int]]]:
     """Two loops in mutually generic position plus their crossings.
 
     Each word is freely and cyclically reduced first; reduction removes

@@ -8,7 +8,6 @@ so the matrix of the later letter sits on the left.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -50,29 +49,27 @@ def holonomy(rep: Representation, word) -> np.ndarray:
     return h
 
 
-def trace_functions(rep: Representation, words) -> list[float]:
+def trace_functions(rep: Representation, flat, lengths) -> list[float]:
     """f_w(rho) = Re tr hol(w) of each word, batched over all words at once.
 
-    Words are right-aligned and padded in front with letter 0, and each
-    letter position is one elementwise pass over the batch axis of the
-    letter table read as (d, d, 4g+1): new[i, m] = sum_j a[i, j] h[j, m],
-    d multiply-adds in place of one small matmul per word.  An
-    overflowing product gives a non-finite trace, not an exception.
+    flat holds the letters of all words and lengths splits it.  Words are
+    right-aligned and padded in front with letter 0, and each letter
+    position is one elementwise pass over the batch axis of the letter
+    table read as (d, d, 4g+1): new[i, m] = sum_j a[i, j] h[j, m], d
+    multiply-adds in place of one small matmul per word.  An overflowing
+    product gives a non-finite trace, not an exception.
     """
     g = rep.genus
-    lengths = np.fromiter(map(len, words), dtype=np.intp, count=len(words))
-    flat = np.fromiter(chain.from_iterable(words), dtype=np.intp,
-                       count=int(lengths.sum()))
     bad = flat[(flat == 0) | (abs(flat) > 2 * g)]
     if bad.size:
         raise WordError(f"letter {bad[0]} out of range for genus {g}")
     n = int(lengths.max(initial=0))
     # word w fills the last len(w) positions of its column of cols
-    cols = np.zeros((n, len(words)), dtype=np.intp)
+    cols = np.zeros((n, len(lengths)), dtype=np.intp)
     cols.T[np.arange(n) >= n - lengths[:, None]] = flat
     table = np.moveaxis(rep.letters, 0, -1)
     d = table.shape[0]
-    h = np.broadcast_to(table[..., :1], (d, d, len(words)))
+    h = np.broadcast_to(table[..., :1], (d, d, len(lengths)))
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n):
             a = table[..., cols[k]]

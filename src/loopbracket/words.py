@@ -87,20 +87,18 @@ def canonical_cyclic(word) -> tuple[int, ...]:
     Canonical form for free homotopy classes of oriented loops; a word
     and its inverse stay distinct.
     """
-    return least_rotation(cyclic_reduce(word))
+    return least_rotation(tuple(cyclic_reduce(word)))
 
 
 def least_rotation(w):
     """Lexicographically least rotation of a cyclically reduced word.
 
-    w is a sequence of letters, or the byte codes of bracket term keys;
-    the rotation comes back as a tuple, or as bytes for bytes.  It scans
+    w is a tuple of letters, or a bracket term key: a str with one code
+    point per letter; the rotation comes back of the same type.  It scans
     every rotation that starts at the least letter at full length, so
     `bracket` calls it only for the terms its per-pair rotation ranks
     leave undecided.
     """
-    if not isinstance(w, bytes):
-        w = tuple(w)
     if not w:
         return w
     # the least rotation starts at an occurrence of the least letter

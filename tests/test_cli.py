@@ -256,6 +256,22 @@ def test_bracket_of_long_torus_word(tmp_path, capsys):
     assert capsys.readouterr().out == want + "\n"
 
 
+def test_bracket_letter_past_the_key_limit_exits_2(tmp_path):
+    # genus 245759 holds every letter in a term key; b245760 is past them
+    path = tmp_path / "curves.json"
+    for genus, word, code in [(245759, "b245759", 0), (300000, "b245760", 2),
+                              (300000, "a300000", 2)]:
+        path.write_text(json.dumps({"genus": genus,
+                                    "curves": {"u": f"a1 {word}", "v": "b1"}}))
+        proc = run_cli("bracket", str(path), "u", "v")
+        assert proc.returncode == code, proc.stderr
+        if code:
+            assert proc.stdout == "" and proc.stderr.startswith("error: letter")
+            assert len(proc.stderr.splitlines()) == 1
+        else:
+            assert json.loads(proc.stdout)
+
+
 def test_unknown_suite_exits_2():
     out = run_cli("verify", "nope")
     assert out.returncode == 2
@@ -791,19 +807,27 @@ def fuzz_files(tmp_path_factory, torus_curves, diag_rep):
             "MISSING": str(root / "missing.json")}
 
 
+# a letter of genus 300000 past the +-491519 that bracket term keys hold
+_PAST_KEY_LIMIT = "a300000"
+
+
 @st.composite
 def _curve_files(draw):
     """A curve file of two words of at most 24 letters at genus 1-3; one
-    file in two carries an out-of-range letter or a malformed token."""
+    file in two carries an out-of-range letter, a malformed token, or a
+    letter past the term key limit in a file of genus 300000."""
     genus = draw(st.integers(1, 3))
     letters = st.sampled_from([f"{c}{k}" for c in "abAB"
                                for k in range(1, genus + 1)])
     words = [draw(st.lists(letters, max_size=24)) for _ in range(2)]
     if draw(st.booleans()):
         bad = draw(st.sampled_from([f"a{genus + 1}", f"B{genus + 2}", "a0",
-                                    "c1", "a", "1", "ab1", "a-1", "b1.5"]))
+                                    "c1", "a", "1", "ab1", "a-1", "b1.5",
+                                    _PAST_KEY_LIMIT]))
         word = draw(st.sampled_from(words))
         word.insert(draw(st.integers(0, len(word))), bad)
+        if bad == _PAST_KEY_LIMIT:
+            genus = 300000
     return {"genus": genus, "curves": {"u": " ".join(words[0]),
                                        "v": " ".join(words[1])}}
 
@@ -911,6 +935,10 @@ def test_cli_fuzz_ends_in_a_documented_exit_code(fuzz_files, invocation):
     assert code in range(5), (template, code)
     if template[0] == "bracket":  # every pair of valid curves realizes
         assert code in (0, 2), (template, files, code)
+    if _PAST_KEY_LIMIT in files.get("GEN", "") and not unread:
+        assert code == 2 and out.getvalue() == "", (template, files, code)
+        assert [line.startswith("error:")
+                for line in err.getvalue().splitlines()] == [True]
     assert "Traceback" not in err.getvalue()
     if code == 0:
         assert not re.search(r"(?i)\b(nan|inf|infinity)\b", out.getvalue())

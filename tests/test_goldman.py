@@ -114,7 +114,7 @@ def test_square_torus_chords():
     (q0, q1), = _segments(b, width)
     assert q0[1] == pytest.approx(1.0) and q1[1] == pytest.approx(0.0)
     assert q0[0] == pytest.approx(q1[0])
-    assert [(x.sign, x.seg_first, x.seg_second) for x in crossings] == [(1, 0, 0)]
+    assert crossings == [(1, 0, 0)]
 
 
 def test_realize_reduces_and_spells_word():
@@ -136,7 +136,7 @@ def test_realize_reduces_and_spells_word():
 def _float_crossings(first, second, width):
     """Reference: plane-geometry intersection of the two chord chains.
 
-    Returns (seg_first, seg_second, sign, point) for every pair of chords
+    Returns (i, j, sign, point) for every pair of chords i and j
     whose segments meet at interior parameters, sign = det[u, v].
     """
     def cross(u, v):
@@ -174,7 +174,7 @@ def test_crossings_are_interior():
         c1, c2, crossings = P.realized_pair(genus, *words, seed=trial)
         width = 4 * (len(c1.word) + len(c2.word)) + 1
         want = _float_crossings(c1, c2, width)
-        got = [(x.seg_first, x.seg_second, x.sign) for x in crossings]
+        got = [(i, j, sign) for sign, i, j in crossings]
         assert got == [w[:3] for w in want], (genus, words)
         verts = _vertices(genus)
         k = len(verts)
@@ -260,10 +260,10 @@ def test_antisymmetry_from_shared_realization():
     # same crossing data read both ways cancels exactly
     c1, c2, crossings = P.realized_pair(2, [1, 2, 3], [4, -1], seed=11)
     fwd, bwd = B.LoopSum(), B.LoopSum()
-    for x in crossings:
-        g, l = _based(c1, x.seg_first), _based(c2, x.seg_second)
-        fwd.add(g + l, x.sign)
-        bwd.add(l + g, -x.sign)
+    for sign, i, j in crossings:
+        g, l = _based(c1, i), _based(c2, j)
+        fwd.add(g + l, sign)
+        bwd.add(l + g, -sign)
     assert (fwd + bwd).terms == {}
 
 
@@ -320,10 +320,10 @@ def test_poisson_direct_matches_letter_by_letter_holonomies():
                       for n in (12, 9))
             seed = 73 + trial
             c1, c2, crossings = P.realized_pair(genus, w1, w2, seed)
-            terms = [x.sign * G.pairing(
-                G.variation(spec, S.holonomy(rep, _based(c1, x.seg_first))),
-                G.variation(spec, S.holonomy(rep, _based(c2, x.seg_second))))
-                for x in crossings]
+            terms = [sign * G.pairing(
+                G.variation(spec, S.holonomy(rep, _based(c1, i))),
+                G.variation(spec, S.holonomy(rep, _based(c2, j))))
+                for sign, i, j in crossings]
             got = B.poisson_direct(rep, w1, w2, seed=seed)
             assert abs(got - sum(terms)) <= 1e-12 * (1 + sum(map(abs, terms))), spec
 
@@ -359,18 +359,16 @@ def _naive_class(word):
 
 def _assert_splices_canonical(g, l):
     """The bracket's key for every (i, j) splice of g and l decodes to the
-    class of g_i l_j, with and without rank tables, on int tuple keys and,
-    where the letters fit, on byte keys."""
+    class of g_i l_j, with and without rank tables."""
     if not g or not l:
         return
-    codecs = [B._TUPLES] + ([B._BYTES] if max(map(abs, g + l)) < 128 else [])
-    sides = [(codec, B._side(tuple(g), codec[0], ranked), B._side(tuple(l), codec[0], ranked))
-             for codec in codecs for ranked in (False, True)]
+    sides = [(B._side(tuple(g), ranked), B._side(tuple(l), ranked))
+             for ranked in (False, True)]
     for i in range(len(g)):
         for j in range(len(l)):
             want = _naive_class(g[i:] + g[:i] + l[j:] + l[:j])
-            for (encode, decode), first, second in sides:
-                got = decode(B._splice_key(first, second, i, j, encode))
+            for first, second in sides:
+                got = B._decode(B._splice_key(first, second, i, j))
                 assert got == want, (g, l, i, j, first[3] is not None)
 
 
@@ -427,14 +425,14 @@ def _bracket_by_add(genus, word1, word2, seed, unoriented):
     if not W.cyclic_reduce(word1) or not W.cyclic_reduce(word2):
         return out
     c1, c2, crossings = P.realized_pair(genus, word1, word2, seed)
-    for x in crossings:
-        g = _based(c1, x.seg_first)
-        l = _based(c2, x.seg_second)
+    for sign, i, j in crossings:
+        g = _based(c1, i)
+        l = _based(c2, j)
         if unoriented:
-            out.add(g + l, Fraction(x.sign, 2))
-            out.add(g + W.inverse_word(l), Fraction(-x.sign, 2))
+            out.add(g + l, Fraction(sign, 2))
+            out.add(g + W.inverse_word(l), Fraction(-sign, 2))
         else:
-            out.add(g + l, x.sign)
+            out.add(g + l, sign)
     return out
 
 
@@ -557,6 +555,37 @@ def test_loopsum_merges_rotations():
     assert s.terms == {(1, 2): Fraction(3)}
     s.add([1, 2], -3)
     assert s.terms == {}
+
+
+def test_terms_is_a_fresh_int_tuple_dict_that_cannot_be_assigned():
+    ls = B.bracket_unoriented(2, [1, 2, -3], [4, 3, 3])
+    terms = ls.terms
+    assert terms and all(type(w) is tuple and all(type(x) is int for x in w)
+                         for w in terms)
+    assert sorted(terms.items(), key=lambda kv: (len(kv[0]), kv[0])) == ls.items()
+    terms.clear()
+    assert ls.terms  # a copy: clearing it leaves the sum as it was
+    with pytest.raises(AttributeError):
+        ls.terms = {}
+
+
+def test_letter_past_the_key_limit_raises_word_error():
+    limit = 0x77FFF  # genus 245759 holds the whole letter range
+    ls = B.LoopSum()
+    ls.add([limit, 1, -limit, 2], 1)
+    assert ls.terms == {(-limit, 2, limit, 1): Fraction(1)}
+    for word in ([limit + 1], [2, -(limit + 1)]):
+        with pytest.raises(W.WordError):
+            B.LoopSum().add(word, 1)
+    top = 2 * 245759
+    for unoriented in (False, True):
+        for w1, w2 in (([1, top], [top - 1, 2]), ([top, -1], [1, top - 1, -top])):
+            got = B._bracket(245759, w1, w2, 0, unoriented)
+            assert got.terms and got == _bracket_by_add(245759, w1, w2, 0, unoriented)
+    with pytest.raises(W.WordError):
+        B.bracket_oriented(300000, [1], [2 * 300000 - 1])
+    with pytest.raises(W.WordError):
+        B.bracket_unoriented(300000, [1, 2 * 245760], [2])
 
 
 def test_realized_pair_deterministic():

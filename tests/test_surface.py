@@ -237,6 +237,12 @@ KERNEL_GROUPS = ("GL(2,R)", "GL(2,C)", "O(2,1)", "O(3,C)", "U(1,1)", "Sp(2,R)",
                  "Sp(1,1)", "GL(3,C)")  # d = 2, 3 and 4
 
 
+def _traces(rep, words):
+    """trace_functions of a list of words."""
+    return S.trace_functions(rep, np.array([x for w in words for x in w], dtype=np.intp),
+                             np.array([len(w) for w in words], dtype=np.intp))
+
+
 def test_trace_functions_match_word_by_word():
     rng = np.random.default_rng(39)
     for spec, genus in [(GL2R, 1), (GL2C, 2), (U2, 2)]:
@@ -245,7 +251,7 @@ def test_trace_functions_match_word_by_word():
         words = [[], [1], (2, -1)] + [
             [int(x) for x in rng.choice(letters, size=int(rng.integers(0, 9)))]
             for _ in range(40)]
-        got = S.trace_functions(rep, words)
+        got = _traces(rep, words)
         want = [G.invariant_f(rep.spec, S.holonomy(rep, list(w))) for w in words]
         assert got[0] == rep.spec.matrix_dim
         assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
@@ -259,7 +265,7 @@ def test_trace_functions_match_word_by_word():
             words = [[], [1], (2, -1), [1, -1, 2, -2], []] + [
                 [int(x) for x in rng.choice(letters, size=int(rng.integers(0, 13)))]
                 for _ in range(40)]
-            got = np.array(S.trace_functions(rep, words))
+            got = np.array(_traces(rep, words))
             want = np.array([G.invariant_f(rep.spec, S.holonomy(rep, list(w)))
                              for w in words])
             assert got[0] == got[4] == spec.matrix_dim, group
@@ -267,20 +273,20 @@ def test_trace_functions_match_word_by_word():
             # which is far larger than the trace when the diagonal cancels
             size = np.array([np.linalg.norm(S.holonomy(rep, list(w))) for w in words])
             assert np.all(abs(got - want) <= 1e-13 * (1 + size)), group
-            assert S.trace_functions(rep, [[], []]) == [spec.matrix_dim] * 2
-    assert S.trace_functions(rep, []) == []
+            assert _traces(rep, [[], []]) == [spec.matrix_dim] * 2
+    assert _traces(rep, []) == []
     with pytest.raises(W.WordError):
-        S.trace_functions(rep, [[1], [1, 2 * genus + 1]])
+        _traces(rep, [[1], [1, 2 * genus + 1]])
     with pytest.raises(W.WordError):
-        S.trace_functions(rep, [[0]])
+        _traces(rep, [[0]])
     with pytest.raises(W.WordError):
-        S.trace_functions(rep, [[2, 1], [-(2 * genus + 1)]])
+        _traces(rep, [[2, 1], [-(2 * genus + 1)]])
 
 
 def test_trace_functions_overflow_is_non_finite_not_an_error():
     # tier-1 turns RuntimeWarning into an error, so a warning would raise
     rep = S.Representation(GL2R, 1, [np.diag([1e200, 1.0]), np.eye(2)])
-    got = S.trace_functions(rep, [[1, 1], [1], [], [1, -2, 1, 1, 2]])
+    got = _traces(rep, [[1, 1], [1], [], [1, -2, 1, 1, 2]])
     assert np.isinf(got[0]) and not np.isfinite(got[3])
     assert got[1:3] == [1e200, 2.0]
 
