@@ -129,7 +129,7 @@ def cmd_holonomy(args) -> int:
                 f"relator residual {resid:.3e} exceeds {args.tol:.3e}")
         hol = S.holonomy(rep, word)
         out = {"word": format_word(word),
-               "trace": G.invariant_f(rep.spec, hol),
+               "trace": G.invariant_f(hol),
                "holonomy": Z.matrix_to_json(hol)}
         if args.perturbation:
             from . import transport as T
@@ -140,7 +140,7 @@ def cmd_holonomy(args) -> int:
             rk4 = T.rk4_perturbed_holonomy(rep, pert, word)
             out.update({
                 "perturbed_holonomy": Z.matrix_to_json(res.value),
-                "perturbed_trace": G.invariant_f(rep.spec, res.value),
+                "perturbed_trace": G.invariant_f(res.value),
                 "series_order": len(res.series) - 1,
                 "remainder_bound": res.remainder_bound,
                 "rk4_delta": float(np.linalg.norm(res.value - rk4)),

@@ -166,7 +166,7 @@ def axioms_residual(dgla: CyclicDgla) -> dict:
 
     def term(spec, first, second, sign=1):  # negated in place, not copied
         (s1, t1), (s2, t2) = first, second
-        out = np.einsum(spec, t1, t2)
+        out = np.einsum(spec, t1, t2, optimize=True)
         return out if sign * s1 * s2 > 0 else np.negative(out, out=out)
 
     def sliced(block, w):  # the [w] slice of an (out, x, y) bracket block
@@ -226,8 +226,7 @@ def axioms_pass(report: dict, tol: float = 1e-12) -> bool:
 def structure_constants(spec: G.GroupSpec) -> np.ndarray:
     """c[k,i,j] = sign_k <[u_i, u_j], u_k> of the algebra in its
     pairing-orthonormal basis u, so that [u_i, u_j] = sum_k c[k,i,j] u_k."""
-    basis, signs = G.pairing_orthonormal_basis(spec)
-    u = np.array(basis)
+    u, signs = G.pairing_orthonormal_basis(spec)
     t = np.einsum("iab,jbc,kca->kij", u, u, u, optimize=True).real
     return np.asarray(signs)[:, None, None] * (t - t.transpose(0, 2, 1))
 

@@ -5,10 +5,11 @@ the kind and signature, and this module hands out real bases of the Lie
 algebra, random samples, membership residuals, and the variation F of the
 invariant function f(g) = Re tr(g).
 
-Bases.  Six kinds have the closed-form basis x = F s: s runs over one of
+Bases.  Every kind has the closed-form basis x = F s: s runs over one of
 four unit-matrix families (all, antisymmetric, symmetric, Hermitian), times
 each of the kind's multipliers (1, i or both), and F is the kind's form
-where it is not the identity.  sp(p, q) is cut out by projection.
+where it is not the identity; for sp(p, q), x fills a block of a 2n x 2n
+matrix (see algebra_basis).
 
 Conventions.  The pairing is <x, y> = Re tr(xy): R-bilinear, symmetric,
 and nondegenerate (indefinite in general) on each algebra below, since
@@ -177,53 +178,44 @@ _BASIS_RULES = {"GL_R": ("all", (1,), False), "GL_C": ("all", (1, 1j), False),
                 "U_pq": ("herm", (1j,), True), "Sp_R": ("sym", (1,), True)}
 
 
+def _rule_basis(n: int, f, family: str, mults, under_form: bool) -> list:
+    return [(m * f) @ s if under_form else m * s
+            for s in _family(family, n) for m in mults]
+
+
 @cache
 def algebra_basis(spec: GroupSpec) -> np.ndarray:
     """Real basis of the Lie algebra, as a read-only complex stack (m, d, d).
 
-    x = F s for six kinds (see the module docstring); F is skipped for
-    O_C, whose form is the identity, since multiplying by it flips the
-    sign of some zeros.  sp(p, q) is cut out by projecting a gl basis
-    onto the joint fixed space of its two commuting involutions and
-    orthonormalizing the result.
+    x = F s (see the module docstring); F is skipped for O_C, whose form
+    is the identity, since multiplying by it flips the sign of some zeros.
+    sp(p, q) is the set of [[A, -conj C], [C, conj A]] with A in u(p, q)
+    and C = F s for s complex symmetric, so A takes the U_pq rule's
+    elements and C takes F s and i F s; each block matrix is divided by
+    its Frobenius norm, which keeps the basis orthonormal and exact.
     """
+    n, f = spec.n, form_matrices(spec)[0]
     if spec.kind == "Sp_pq":
-        basis = _sp_pq_basis(spec)
+        f, z = f[:n, :n], np.zeros((n, n))
+        basis = [np.block([[a, z], [z, a.conj()]])
+                 for a in _rule_basis(n, f, *_BASIS_RULES["U_pq"])]
+        basis += [np.block([[z, -c.conj()], [c, z]])
+                  for c in _rule_basis(n, f, "sym", (1, 1j), True)]
+        basis = [x / _fro(x) for x in basis]
     else:
-        family, mults, under_form = _BASIS_RULES[spec.kind]
-        f = form_matrices(spec)[0]
-        basis = [(m * f) @ s if under_form else m * s
-                 for s in _family(family, spec.n) for m in mults]
+        basis = _rule_basis(n, f, *_BASIS_RULES[spec.kind])
     out = np.array(basis, dtype=complex)
     out.flags.writeable = False  # cached and shared
     assert len(out) == algebra_dim(spec)
-    for x in out:
-        assert algebra_residual(spec, x) < 1e-12
+    assert all(algebra_residual(spec, x) == 0.0 for x in out)
     return out
 
 
-def _sp_pq_basis(spec: GroupSpec) -> list[np.ndarray]:
-    h, _, j = form_matrices(spec)
-    d = spec.matrix_dim
-
-    def project(x):
-        t1 = -h @ x.conj().T @ h           # h is its own inverse
-        t2 = -j @ x.conj() @ j             # j^-1 = -j
-        t12 = -h @ t2.conj().T @ h
-        return (x + t1 + t2 + t12) / 4.0
-
-    vs = [project(e) for s in _family("all", d) for e in (s, 1j * s)]
-    cols = [np.r_[v.real.ravel(), v.imag.ravel()] for v in vs]
-    u, s, _ = np.linalg.svd(np.array(cols).T)
-    w = u[:, :int(np.sum(s > 1e-8 * s[0]))].T
-    return list((w[:, :d * d] + 1j * w[:, d * d:]).reshape(-1, d, d))
-
-
-def random_algebra_element(spec: GroupSpec, rng: np.random.Generator,
-                           scale: float = 1.0) -> np.ndarray:
+def random_algebra_element(spec: GroupSpec,
+                           rng: np.random.Generator) -> np.ndarray:
     basis = algebra_basis(spec)
     x = np.tensordot(rng.standard_normal(len(basis)), basis, axes=1)
-    return scale * x / np.sqrt(len(basis))
+    return x / np.sqrt(len(basis))
 
 
 # 1-norm limit theta_m of each Pade degree m (Higham, SIAM J. Matrix
@@ -272,10 +264,10 @@ def expm(a) -> np.ndarray:
 def random_element(spec: GroupSpec, rng: np.random.Generator) -> np.ndarray:
     """exp of a random algebra element of scale 1/2; stays in the
     identity component."""
-    return expm(random_algebra_element(spec, rng, 0.5))
+    return expm(0.5 * random_algebra_element(spec, rng))
 
 
-def invariant_f(spec: GroupSpec, g: np.ndarray) -> float:
+def invariant_f(g: np.ndarray) -> float:
     """f(g) = Re tr(g), the class function all loop evaluations use."""
     return float(np.trace(g).real)
 
@@ -306,7 +298,7 @@ def variation(spec: GroupSpec, g: np.ndarray, xs=()) -> np.ndarray:
 
 @cache
 def pairing_orthonormal_basis(spec: GroupSpec):
-    """Basis u_k of the algebra with <u_k, u_l> = sign_k delta_kl.
+    """Read-only stack u_k of the algebra with <u_k, u_l> = sign_k delta_kl.
 
     One eigendecomposition V diag(lam) V^T of the Gram matrix
     G_ij = <b_i, b_j> on algebra_basis gives u_k = sum_i b_i V_ik /
@@ -318,13 +310,12 @@ def pairing_orthonormal_basis(spec: GroupSpec):
     lam, v = np.linalg.eigh(np.einsum("iab,jba->ij", b, b).real)
     u = np.tensordot(v / np.sqrt(np.abs(lam)), b, axes=(0, 0))
     u.flags.writeable = False  # cached and shared
-    return tuple(u), tuple(np.sign(lam).tolist())
+    return u, tuple(np.sign(lam).tolist())
 
 
 def project_to_algebra(spec: GroupSpec, v: np.ndarray) -> np.ndarray:
     """Pairing-orthogonal projection of a gl matrix onto the algebra; of
     g it is F(g) (see the module docstring)."""
-    basis, signs = pairing_orthonormal_basis(spec)
-    u = np.array(basis)
+    u, signs = pairing_orthonormal_basis(spec)
     coef = np.multiply(signs, np.einsum("ab,kba->k", v, u).real)
     return np.tensordot(coef, u, axes=1)

@@ -377,7 +377,7 @@ def perturbed_holonomy(rep: S.Representation, pert: dict, word,
     empty[0] = np.eye(d)
     levels = _chen_product(_arc_levels(c, n_max), empty)
     with np.errstate(over="ignore"):  # past r = 709.78 the bound is inf
-        rounding = (len(word) + n_max) * d * 2.0 ** -53 * np.exp(r_hat) * letters_norm
+        rounding = (len(word) + n_max) * d * _U * np.exp(r_hat) * letters_norm
     bound = float(norms[-1] * series_tail_bound(r_hat, n_max) + rounding)
     series = list(psi @ levels @ psi_inv)
     return PerturbedHolonomy(psi, psi @ levels.sum(axis=0), series, r_hat, bound)

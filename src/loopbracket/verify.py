@@ -286,7 +286,7 @@ def variation_trial(rng: np.random.Generator, idx: int, *, tol: float,
 
     def along(*zs):
         """(t_1, .., t_k) -> f(g exp(t_1 z_1) .. exp(t_k z_k))."""
-        return lambda *ts: G.invariant_f(spec, reduce(
+        return lambda *ts: G.invariant_f(reduce(
             lambda m, tz: m @ G.expm(tz[0] * tz[1]), zip(ts, zs), g))
 
     fd = central_difference(along(x), 1, 1e-4)

@@ -731,6 +731,36 @@ def test_holonomy_perturbation_stdout_is_pinned(word, digest, tmp_path):
     assert hashlib.sha256(out.stdout.encode()).hexdigest() == digest
 
 
+# sha256 of `sample-rep --genus 2 --seed 1` stdout.  The first seven were
+# taken before sp(p, q) had its closed-form basis, which left them
+# unchanged; Sp(1,1) was taken with that basis.
+@pytest.mark.parametrize("group, digest", [
+    ("GL(2,R)", "23697e37ee481f633b12c837ea3e55211e818bfb8474048fb5f39f8d317aec8f"),
+    ("GL(2,C)", "a50c004c9bc99acdede78f3593c36c1bd1d4258e236bacee84263f4693b83624"),
+    ("O(2,1)", "addedc3b3698921439ac1f7f9a0167f62e8da2150a0640ff88acc8ff16d678e7"),
+    ("O(2,C)", "cef76f6ab5435e21f64a1beeffd6778f9997eabb2472cd9bdbb7efb731517778"),
+    ("U(1,1)", "08b3aabde93767c15e0a2603405f3abbab24de2f7f9934d69dd8d16e66e54591"),
+    ("Sp(2,R)", "8814169a4960fa3e6f1ffd375722870ae20c91780b3938d9b8714cdd90ea493a"),
+    ("GL(3,C)", "cf99c6e934d0ff40d838493d82f72f01370adc1b8618231a7bb970c2911a8323"),
+    ("Sp(1,1)", "1d51e7e35e775089a640dbc1f83819f1d32baf8b50db6f408a9f042890097d5c"),
+])
+def test_sample_rep_stdout_is_pinned(group, digest):
+    out = run_cli("sample-rep", "--group", group, "--genus", "2", "--seed", "1")
+    assert out.returncode == 0, out.stderr
+    assert hashlib.sha256(out.stdout.encode()).hexdigest() == digest
+
+
+def test_gl3c_genus3_toy_battery_runs_within_3_s():
+    # 36 even and 108 odd dimensions: the Jacobi battery contracts each
+    # output slice through BLAS (1.2 s on 2 cores, 6.3 s with plain einsum)
+    start = time.perf_counter()
+    out = run_cli("dgla-check", "--toy", "GL(3,C)", "--genus", "3")
+    elapsed = time.perf_counter() - start
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["pass"]
+    assert elapsed <= 3, elapsed
+
+
 @pytest.mark.parametrize("argv", [
     ["sample-rep", "--group", "GL(100000,R)"],
     ["sample-rep", "--group", "GL(3000,C)"],

@@ -227,9 +227,9 @@ def test_trace_function_class_invariance():
     for spec, genus in [(GL2R, 1), (GL2C, 2), (U2, 2)]:
         rep = S.sample_representation(spec, genus, rng)
         w = [1, 2, 1] if genus == 1 else [1, 4, -3]
-        base = G.invariant_f(rep.spec, S.holonomy(rep, w))
+        base = G.invariant_f(S.holonomy(rep, w))
         for v in homotopy_variants(w, genus, rng, 12):
-            got = G.invariant_f(rep.spec, S.holonomy(rep, v))
+            got = G.invariant_f(S.holonomy(rep, v))
             assert abs(got - base) < 1e-8 * (1 + abs(base))
 
 
@@ -252,7 +252,7 @@ def test_trace_functions_match_word_by_word():
             [int(x) for x in rng.choice(letters, size=int(rng.integers(0, 9)))]
             for _ in range(40)]
         got = _traces(rep, words)
-        want = [G.invariant_f(rep.spec, S.holonomy(rep, list(w))) for w in words]
+        want = [G.invariant_f(S.holonomy(rep, list(w))) for w in words]
         assert got[0] == rep.spec.matrix_dim
         assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
     # every kind, d = 2, 3 and 4: mixed lengths up to 12, unreduced words
@@ -266,7 +266,7 @@ def test_trace_functions_match_word_by_word():
                 [int(x) for x in rng.choice(letters, size=int(rng.integers(0, 13)))]
                 for _ in range(40)]
             got = np.array(_traces(rep, words))
-            want = np.array([G.invariant_f(rep.spec, S.holonomy(rep, list(w)))
+            want = np.array([G.invariant_f(S.holonomy(rep, list(w)))
                              for w in words])
             assert got[0] == got[4] == spec.matrix_dim, group
             # the roundoff of a trace is relative to the holonomy it sums,
