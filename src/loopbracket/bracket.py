@@ -9,8 +9,9 @@ variant takes sign(p)/2 [(gamma_p lambda_p) - (gamma_p lambda_p^-1)].
 
 Evaluation sends a class to Re tr of its holonomy, and poisson_direct
 computes the matching Poisson-side sum sign(p) <F(H_p(gamma)),
-F(H_p(lambda))> from a fresh realization, so the two routes share no
-geometry.
+F(H_p(lambda))> from a seeded realization, while the bracket lays the
+pair out by its strands' futures, so the two routes sum over different
+crossings.
 
 The bracket itself is exact combinatorics and imports only the standard
 library; evaluate and poisson_direct import the numeric modules when
@@ -22,6 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
+from math import lcm
 from typing import TYPE_CHECKING
 
 from . import polygon as P
@@ -110,32 +112,40 @@ def _check_limit(word):
         raise W.WordError(f"letter {max(word, key=abs)} past the key limit +-{_LIMIT}")
 
 
-def _bracket(genus: int, word1, word2, seed: int, unoriented: bool) -> LoopSum:
+def _bracket(genus: int, word1, word2, seed: int | None, unoriented: bool) -> LoopSum:
+    """The bracket from the layout of realized_pair at seed (None: by futures)."""
+    counts = _counts(genus, word1, word2, seed, unoriented)
+    # one Fraction per distinct count; a Fraction is immutable, so all share it
+    den = 2 if unoriented else 1
+    fractions = {c: _fraction(c, den) for c in set(counts.values())}
+    out = LoopSum()
+    out._terms = {key: fractions[c] for key, c in counts.items() if c}
+    return out
+
+
+def _counts(genus: int, word1, word2, seed: int | None, unoriented: bool) -> dict[str, int]:
+    """Signed crossing count of each term key, in halves when unoriented;
+    a key may count 0."""
     c1, c2, crossings = P.realized_pair(genus, word1, word2, seed)
     if 2 * genus > _LIMIT:  # else the genus check of realized_pair is the stricter
         _check_limit(c1.word + c2.word)
-    out = LoopSum()
     if not crossings:
-        return out  # disjoint loops, among them the trivial class, commute
+        return {}  # disjoint loops, among them the trivial class, commute
     # the tails tables are built once per pair and save a scan on each
-    # term; below two terms a letter they cost more than that
-    ranked = len(crossings) >= 2 * (len(c1.word) + len(c2.word))
+    # term; below 1.5 terms a letter they cost more than that
+    ranked = 2 * len(crossings) >= 3 * (len(c1.word) + len(c2.word))
     first, second = _side(c1.word, ranked), _side(c2.word, ranked)
     if unoriented:
         # l_p^-1 is the rotation of w2^-1 at n2 - j
         n2, inverse = len(c2.word), _side(tuple(W.inverse_word(c2.word)), ranked)
-    signs: dict[str, int] = {}
+    counts: dict[str, int] = {}
     for sign, i, j in crossings:
         key = _splice_key(first, second, i, j)
-        signs[key] = signs.get(key, 0) + sign
+        counts[key] = counts.get(key, 0) + sign
         if unoriented:
             key = _splice_key(first, inverse, i, -j % n2)
-            signs[key] = signs.get(key, 0) - sign
-    # one Fraction per distinct count; a Fraction is immutable, so all share it
-    den = 2 if unoriented else 1
-    fractions = {c: _fraction(c, den) for c in set(signs.values())}
-    out._terms = {key: fractions[c] for key, c in signs.items() if c}
-    return out
+            counts[key] = counts.get(key, 0) - sign
+    return counts
 
 
 _fraction = lru_cache(maxsize=1024)(Fraction)
@@ -235,26 +245,48 @@ def _splice_key(first, second, i: int, j: int) -> str:
 
 
 def bracket_oriented(genus: int, word1, word2, seed: int = 0) -> LoopSum:
-    """[gamma, lambda] = sum over crossings of sign(p) (gamma_p lambda_p)."""
-    return _bracket(genus, word1, word2, seed, unoriented=False)
+    """[gamma, lambda] = sum over crossings of sign(p) (gamma_p lambda_p).
+
+    The pair is laid out by its strands' futures; seed is accepted and
+    changes nothing.
+    """
+    return _bracket(genus, word1, word2, None, unoriented=False)
 
 
 def bracket_unoriented(genus: int, word1, word2, seed: int = 0) -> LoopSum:
-    """Unoriented variant, sign(p)/2 [(g_p l_p) - (g_p l_p^-1)]."""
-    return _bracket(genus, word1, word2, seed, unoriented=True)
+    """Unoriented variant, sign(p)/2 [(g_p l_p) - (g_p l_p^-1)]; seed is
+    accepted and changes nothing."""
+    return _bracket(genus, word1, word2, None, unoriented=True)
 
 
 def bracket_sums(genus: int, sum1: LoopSum, sum2: LoopSum, seed: int = 0,
                  unoriented: bool = False) -> LoopSum:
-    """Bilinear extension of the bracket to LoopSums."""
-    fn = bracket_unoriented if unoriented else bracket_oriented
+    """Bilinear extension of the bracket to LoopSums; seed is accepted and
+    changes nothing.
+
+    Integer counts are summed over one common denominator, and each term
+    becomes one Fraction at the end.
+    """
+    first, den1 = _scaled(sum1)
+    second, den2 = _scaled(sum2)
+    totals: dict[str, int] = {}
+    for w1, m1 in first:
+        for w2, m2 in second:
+            m12 = m1 * m2
+            for key, count in _counts(genus, w1, w2, None, unoriented).items():
+                totals[key] = totals.get(key, 0) + m12 * count
+    den = den1 * den2 * (2 if unoriented else 1)
     out = LoopSum()
-    for w1, c1 in sum1.items():
-        for w2, c2 in sum2.items():
-            part, c12 = fn(genus, list(w1), list(w2), seed=seed), c1 * c2
-            for key, coef in part._terms.items():
-                out._add_key(key, c12 * coef)
+    out._terms = {key: Fraction(t, den) for key, t in totals.items() if t}
     return out
+
+
+def _scaled(ls: LoopSum):
+    """The words of a sum with their numerators over the least common
+    denominator of its coefficients, and that denominator."""
+    den = lcm(*(c.denominator for c in ls._terms.values()))
+    return [(_decode(key), c.numerator * (den // c.denominator))
+            for key, c in ls._terms.items()], den
 
 
 def poisson_direct(rep: Representation, word1, word2, seed: int = 0) -> float:
@@ -263,7 +295,8 @@ def poisson_direct(rep: Representation, word1, word2, seed: int = 0) -> float:
     Based holonomies are taken at each crossing, so this is the Poisson
     bracket of the two trace functions; it must match evaluate() of the
     oriented bracket on the GL kinds and of the unoriented bracket on
-    the form kinds.
+    the form kinds.  The pair is laid out by the seeded slot permutation,
+    not by the bracket's futures.
     """
     import numpy as np
 

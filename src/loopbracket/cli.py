@@ -238,16 +238,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="loopbracket")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, fn, options, help, **defaults):
-        """A subparser that takes exactly the _OPTIONS named in `options`."""
+    def command(name, fn, options, help, helps=None, **defaults):
+        """A subparser that takes exactly the _OPTIONS named in `options`,
+        with the help texts in `helps`."""
         p = sub.add_parser(name, help=help)
         for flag in options.split():
-            p.add_argument(flag, **_OPTIONS[flag])
+            p.add_argument(flag, **_OPTIONS[flag], help=(helps or {}).get(flag))
         p.set_defaults(fn=fn, **defaults)
         return p
 
     p = command("bracket", cmd_bracket, "--seed --out",
-                "bracket of two named curves from a curve file")
+                "bracket of two named curves from a curve file",
+                helps={"--seed": "accepted and changes nothing: the curves alone"
+                                 " fix their layout"})
     p.add_argument("input", help="curves JSON file, or - for stdin")
     p.add_argument("first")
     p.add_argument("second")

@@ -15,12 +15,19 @@ crossing sign convention det[tangent of first, tangent of second] > 0
 gives the normalization [a, b] = +(a b) with no extra global sign.
 
 The two loops of a pair are laid out together on exact boundary slots.
-With n letters in the pair, letter j exits its side at
-t = (2 k_j + 1)/(4n + 1) for distinct k_j < 2n, and re-enters the glued
-side at 1 - t, whose numerator is even; so all 2n boundary points of the
-pair are distinct and every pair realizes in generic position.  A point
-of side s with numerator m is kept as the integer perimeter position
-s (4n + 1) + m.  Intersections between the two loops are the transverse
+With n letters in the pair, letter j exits its side at t = m_j/(4n + 1)
+and re-enters the glued side at 1 - t; a layout picks the m_j so that
+all 2n boundary points of the pair are distinct, and then every pair
+realizes in generic position.  A point of side s with numerator m is
+kept as the integer perimeter position s (4n + 1) + m.  There are two
+layouts.  The bracket takes the one by futures, _sorted_exits: each
+glued edge's strands are sorted by where their words go next, so
+strands that run side by side stay parallel and the pair comes near
+minimal position, with few crossings beyond the terms they make
+(Goldman, Invent. Math. 85, 1986; Chas 2004).  poisson_direct takes a
+seeded one: m_j = 2 k_j + 1 for distinct k_j < 2n drawn by
+slot_permutation, so that it sums over other crossings than the
+bracket.  Intersections between the two loops are the transverse
 crossings of their chords; each crossing records the sign and the based
 words of both loops read from the crossing point (a rotation of each
 input word).  Two chords of the convex polygon cross exactly when their
@@ -104,14 +111,15 @@ def slot_permutation(size: int, seed: int) -> list[int]:
     return out
 
 
-def realized_pair(genus: int, word1, word2,
-                  seed: int) -> tuple[PLLoop, PLLoop, list[tuple[int, int, int]]]:
+def realized_pair(genus: int, word1, word2, seed: int | None = None
+                  ) -> tuple[PLLoop, PLLoop, list[tuple[int, int, int]]]:
     """Two loops in mutually generic position plus their crossings.
 
     Each word is freely and cyclically reduced first; reduction removes
     exactly the degenerate chords (a cancelling pair would re-enter and
-    exit through the same glued side).  The slots k_j are one seeded
-    permutation, so a pair realizes at every seed.
+    exit through the same glued side).  With no seed the exits follow
+    _sorted_exits; with a seed the slots k_j are one seeded permutation.
+    Either way a pair realizes.
     """
     if genus < 1:
         raise W.WordError("genus must be >= 1")
@@ -120,16 +128,62 @@ def realized_pair(genus: int, word1, word2,
         W.check_word(w, genus)
     n = len(words[0]) + len(words[1])
     width = 4 * n + 1
-    slots = iter(slot_permutation(2 * n, seed))
     # the side glued to side s is s ^ 2, the exit side of the inverse letter
-    sides = {x: exit_side_for_letter(genus, x) for x in {*words[0], *words[1]}}
-    loops = []
-    for w in words:
-        ends, starts = [], []
-        for x in w:
-            m = 2 * next(slots) + 1
-            ends.append(sides[x] * width + m)
-            starts.append((sides[x] ^ 2) * width + width - m)
-        loops.append(PLLoop(genus, tuple(w),
-                            [(starts[j - 1], ends[j]) for j in range(len(w))]))
+    side = {x: exit_side_for_letter(genus, x) for x in {*words[0], *words[1]}}
+    sides = [[side[x] for x in w] for w in words]
+    if seed is None:
+        exits = _sorted_exits(genus, sides, n, width)
+    else:
+        exits = [2 * k + 1 for k in slot_permutation(2 * n, seed)[:n]]
+    loops, at = [], 0
+    for w, s in zip(words, sides):
+        e = exits[at:at + len(w)]
+        at += len(w)
+        # chord j re-enters side s_{j-1} ^ 2 at 1 - t_{j-1} and exits s_j at t_j
+        chords = [(((s[j - 1] ^ 2) + 1) * width - e[j - 1], s[j] * width + e[j])
+                  for j in range(len(w))]
+        loops.append(PLLoop(genus, tuple(w), chords))
     return loops[0], loops[1], intersections(*loops)
+
+
+def _sorted_exits(genus: int, sides, n: int, width: int) -> list[int]:
+    """Exit numerators of the n letters of a pair, laid out by their futures.
+
+    sides holds the exit side of each letter of each word.  Every letter
+    is a strand through the glued edge {s, s ^ 2} of its exit side s,
+    read from the lower side (s & 2 == 0) to the upper one: forwards if
+    it exits the lower side, else as its inverse letter in the inverse
+    word.  A strand's key is its next n + 1 turns, read cyclically, where
+    a turn is the ccw offset from the side re-entered to the side exited
+    next; n + 1 turns suffice for equal keys to mean equal periodic
+    futures (Fine-Wilf).  Equal keys are tied by the strand's index in
+    the pair, negated for strands read backwards, so that equal curves
+    stay on one side of each other.  Rank r in the ascending order puts
+    a strand at numerator r of its lower side: one read forwards exits
+    there, one read backwards exits the upper side at width - r and
+    re-enters there.  Strands that run side by side then stay parallel,
+    and two strands cross only where their words part the wrong way
+    round, or where an edge read the other way orders them by their
+    pasts.
+    """
+    turns = 4 * genus
+    keys, up = [], []
+    for s in sides:
+        m = len(s)
+        if m:
+            ahead = [(t - (u ^ 2)) % turns for u, t in zip(s, s[1:] + s[:1])]
+            # read backwards, the turn from letter j to letter j - 1 is the
+            # forward turn into letter j negated: back[m - j], cyclically
+            back = [turns - t for t in reversed(ahead)] * (n // m + 2)
+            ahead *= n // m + 2
+            keys += [back[m - j:m + n + 1 - j] if u & 2 else ahead[j:j + n + 1]
+                     for j, u in enumerate(s)]
+            up += s
+    # the stable sort keeps equal keys in this order: strands read
+    # backwards by descending index, then the rest by ascending index
+    order = ([g for g in range(n - 1, -1, -1) if up[g] & 2]
+             + [g for g in range(n) if not up[g] & 2])
+    exits = [0] * n
+    for r, g in enumerate(sorted(order, key=keys.__getitem__), 1):
+        exits[g] = width - r if up[g] & 2 else r
+    return exits

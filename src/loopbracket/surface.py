@@ -104,13 +104,22 @@ def _real_coords(x):
     return np.stack([x.real, x.imag], axis=-3).reshape(x.shape[:-2] + (-1,))
 
 
-def _relator_jacobian(a, b, c, basis):
-    # derivatives of B^-1 A^-1 B A C along A exp(e) and along B exp(e), for
-    # all elements e of the stacked basis at once, as columns
+def _relator_parts(a, b, c):
+    """a^-1, b^-1, b^-1 a^-1 b, core = B^-1 A^-1 B A and core C at (a, b),
+    in the one association that the residual and the Jacobian share."""
     ainv, binv = np.linalg.inv(a), np.linalg.inv(b)
-    core = binv @ ainv @ b @ a
+    bab = binv @ ainv @ b
+    core = bab @ a
+    return ainv, binv, bab, core, core @ c
+
+
+def _relator_jacobian(a, b, c, basis, parts):
+    # derivatives of B^-1 A^-1 B A C along A exp(e) and along B exp(e), for
+    # all elements e of the stacked basis at once, as columns; parts are
+    # _relator_parts(a, b, c)
+    ainv, binv, bab, core, relc = parts
     da = -binv @ basis @ (ainv @ b @ a @ c) + core @ basis @ c
-    db = -basis @ (core @ c) + (binv @ ainv @ b) @ basis @ (a @ c)
+    db = -basis @ relc + bab @ basis @ (a @ c)
     return _real_coords(np.concatenate([da, db])).T
 
 
@@ -122,6 +131,8 @@ def _newton_last_handle(spec, rng, a_seed, earlier_blocks, tol):
     rank-deficient (the image of B -> B^-1 A^-1 B A has codimension
     dim Z(A) inside the unimodular target set), so Gauss-Newton runs
     over the pair; updates X exp(xi) keep both iterates in the group.
+    The accepted iterate's inverses and products carry over to the
+    next Jacobian.
     """
     eye = np.eye(spec.matrix_dim, dtype=complex)
     c = eye
@@ -130,19 +141,16 @@ def _newton_last_handle(spec, rng, a_seed, earlier_blocks, tol):
         c = np.linalg.inv(bk) @ np.linalg.inv(ak) @ bk @ ak @ c
     basis = G.algebra_basis(spec)  # stacked (m, d, d)
     a, b = a_seed, G.random_element(spec, rng)
-
-    def residual(am, bm):
-        return np.linalg.inv(bm) @ np.linalg.inv(am) @ bm @ am @ c - eye
-
-    r = residual(a, b)
+    parts = _relator_parts(a, b, c)
+    norm = np.linalg.norm(parts[-1] - eye)
     for _ in range(50):
-        if np.linalg.norm(r) <= tol:
+        if norm <= tol:
             return a, b
         # the map is rank-deficient by construction; a cut-off well above
         # roundoff keeps its null directions, whose singular values are
         # only roundoff, from turning into enormous steps
-        coef, *_ = np.linalg.lstsq(_relator_jacobian(a, b, c, basis),
-                                   -_real_coords(r), rcond=1e-10)
+        coef, *_ = np.linalg.lstsq(_relator_jacobian(a, b, c, basis, parts),
+                                   -_real_coords(parts[-1] - eye), rcond=1e-10)
         xab = np.tensordot(coef.reshape(2, -1), basis, axes=1)
         step = 1.0
         for _ in range(12):
@@ -152,17 +160,18 @@ def _newton_last_handle(spec, rng, a_seed, earlier_blocks, tol):
                 try:
                     ea, eb = G.expm(step * xab)
                     an, bn = a @ ea, b @ eb
-                    rn = residual(an, bn)
+                    parts_n = _relator_parts(an, bn, c)
                 except np.linalg.LinAlgError:
                     return None  # singular iterate: this try fails
-                improved = np.linalg.norm(rn) < np.linalg.norm(r)
+                norm_n = np.linalg.norm(parts_n[-1] - eye)
+                improved = norm_n < norm
             if improved:
-                a, b, r = an, bn, rn
+                a, b, parts, norm = an, bn, parts_n, norm_n
                 break
             step /= 2
         else:
             break
-    return (a, b) if np.linalg.norm(r) <= tol else None
+    return (a, b) if norm <= tol else None
 
 
 _MAX_TRIES = 32                    # fresh tries before RelatorError

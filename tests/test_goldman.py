@@ -118,8 +118,13 @@ def test_square_torus_chords():
 
 
 def test_realize_reduces_and_spells_word():
+    for seed in (1, None):
+        _assert_reduces_and_spells_word(seed)
+
+
+def _assert_reduces_and_spells_word(seed):
     loop, empty, crossings = P.realized_pair(2, [1, 3, -3, 2], [1, 2, -2, -1],
-                                             seed=1)
+                                             seed=seed)
     assert loop.word == (1, 2)
     assert empty.word == () and empty.chords == []  # no chords
     assert crossings == []
@@ -129,7 +134,8 @@ def test_realize_reduces_and_spells_word():
     for j, (start, end) in enumerate(loop.chords):
         assert end // width == P.exit_side_for_letter(2, loop.word[j])
         assert start // width == P.exit_side_for_letter(2, -loop.word[j - 1])
-        assert end % width % 2 == 1 and start % width % 2 == 0
+        if seed is not None:  # the seeded slots are odd, their re-entries even
+            assert end % width % 2 == 1 and start % width % 2 == 0
         assert 0 < end % width < width and 0 < start % width < width
 
 
@@ -158,6 +164,14 @@ def _float_crossings(first, second, width):
 
 
 def test_crossings_are_interior():
+    _assert_crossings_interior(seeded=True)
+
+
+def test_sorted_layout_crossings_are_interior():
+    _assert_crossings_interior(seeded=False)
+
+
+def _assert_crossings_interior(seeded):
     # boundary-order crossings equal the plane-geometry ones, in order,
     # and every one of them lies strictly inside the polygon
     rng = np.random.default_rng(2)
@@ -171,7 +185,7 @@ def test_crossings_are_interior():
                 [int(x) * (1 if rng.integers(2) else -1) for x in draw]))
         if not words[0] or not words[1]:
             continue
-        c1, c2, crossings = P.realized_pair(genus, *words, seed=trial)
+        c1, c2, crossings = P.realized_pair(genus, *words, seed=trial if seeded else None)
         width = 4 * (len(c1.word) + len(c2.word)) + 1
         want = _float_crossings(c1, c2, width)
         got = [(i, j, sign) for sign, i, j in crossings]
@@ -204,13 +218,73 @@ def test_long_pairs_always_realize():
                                for n in (n1, n2))))
     for genus, w1, w2 in pairs:
         sums = set()
-        for seed in range(5):
+        for seed in (None, *range(5)):
             c1, c2, _ = P.realized_pair(genus, w1, w2, seed)
             ends = [p for c in c1.chords + c2.chords for p in c]
             assert len(ends) == 2 * (len(c1.word) + len(c2.word))
             assert len(set(ends)) == len(ends), (genus, w1, w2, seed)
-            sums.add(tuple(B.bracket_oriented(genus, w1, w2, seed).items()))
+            sums.add(tuple(B._bracket(genus, w1, w2, seed, False).items()))
         assert len(sums) == 1, (genus, w1, w2)
+
+
+def _layout_cases(rng, count):
+    """(genus, w1, w2) at genus 1-3, 64 and 70, cycling through random
+    pairs, equal words, a word and its inverse, two powers of one word
+    and an empty word on either side.  Genus 64 and 70 draw from a few
+    letters, some past a signed byte."""
+    for trial in range(count):
+        genus = (1, 2, 3, 64, 70)[trial % 5]
+        if genus < 64:
+            letters = [k for k in range(-2 * genus, 2 * genus + 1) if k]
+        else:
+            letters = [x for k in (1, 2, 127, 128, 2 * genus) for x in (k, -k)]
+
+        def draw(low, high):
+            return [int(x) for x in rng.choice(letters, size=int(rng.integers(low, high)))]
+
+        kind = trial // 5 % 6
+        w1, w2 = draw(1, 17), draw(1, 17)
+        if kind == 1:
+            w2 = list(w1)
+        elif kind == 2:
+            w2 = W.inverse_word(w1)
+        elif kind == 3:
+            u = W.cyclic_reduce(draw(1, 5))
+            w1, w2 = u * int(rng.integers(1, 4)), u * int(rng.integers(2, 5))
+        elif kind == 4:
+            w2 = []
+        elif kind == 5:
+            w1 = []
+        yield genus, w1, w2
+
+
+def test_sorted_layout_brackets_equal_seeded_ones():
+    # distinct boundary points make any layout a generic realization, so
+    # the layout by futures gives each seeded layout's LoopSum
+    checked = 0
+    for trial, (genus, w1, w2) in enumerate(_layout_cases(np.random.default_rng(97), 3000)):
+        for unoriented in (False, True):
+            want = B._bracket(genus, w1, w2, trial % 7, unoriented)
+            assert B._bracket(genus, w1, w2, None, unoriented) == want, (genus, w1, w2)
+            checked += bool(want.terms)
+    assert checked >= 2000
+
+
+def test_sorted_layout_stays_near_minimal_position():
+    # a term takes at least one crossing, so no layout has fewer crossings
+    # than the oriented bracket has terms; seeded layouts have far more
+    for genus in (2, 3):
+        rng = np.random.default_rng([101, genus])
+        letters = [k for k in range(-2 * genus, 2 * genus + 1) if k]
+        ordered = seeded = terms = 0
+        for _ in range(400):
+            w1, w2 = ([int(x) for x in rng.choice(letters, size=int(rng.integers(1, 20)))]
+                      for _ in range(2))
+            ordered += len(P.realized_pair(genus, w1, w2)[2])
+            seeded += len(P.realized_pair(genus, w1, w2, 0)[2])
+            terms += len(B.bracket_oriented(genus, w1, w2).terms)
+        assert ordered <= 1.05 * terms, (genus, ordered, terms)
+        assert ordered <= 0.85 * seeded, (genus, ordered, seeded)
 
 
 def test_torus_a_b_single_positive_crossing():
@@ -497,11 +571,12 @@ def test_unoriented_is_the_mean_of_two_oriented_brackets(case):
 
 @st.composite
 def _loopsum_pairs(draw):
-    """Genus 1-3 and two LoopSums of 1-3 terms of <= 8 letters each."""
+    """Genus 1-3 and two LoopSums of 1-3 terms of <= 8 letters each, with
+    coefficients of denominator <= 6."""
     genus = draw(st.integers(1, 3))
     letter = st.integers(-2 * genus, 2 * genus).filter(bool)
     word = st.lists(letter, min_size=1, max_size=8).map(W.cyclic_reduce).filter(bool)
-    term = st.tuples(word, st.integers(-3, 3).filter(bool))
+    term = st.tuples(word, st.fractions(-3, 3, max_denominator=6).filter(bool))
     loopsum = st.lists(term, min_size=1, max_size=3).map(B.LoopSum)
     return genus, draw(loopsum), draw(loopsum)
 
@@ -509,13 +584,19 @@ def _loopsum_pairs(draw):
 @settings(deadline=None)
 @given(_loopsum_pairs())
 def test_bracket_sums_do_not_depend_on_the_seed(case):
-    # the seed only picks each pair's layout, and every pair of terms
-    # brackets to the same LoopSum in any layout
+    # bracket_sums lays each pair of terms out by futures whatever its
+    # seed; every pair brackets to the same LoopSum in a seeded layout,
+    # so the term-by-term Fraction sum over any seed's layouts agrees
     genus, x, y = case
     for unoriented in (False, True):
-        first, *rest = (B.bracket_sums(genus, x, y, seed=seed, unoriented=unoriented)
-                        for seed in (0, 1, 2 ** 31 - 1))
-        assert all(other == first for other in rest)
+        got = B.bracket_sums(genus, x, y, seed=5, unoriented=unoriented)
+        for seed in (0, 1, 2 ** 31 - 1):
+            want = B.LoopSum()
+            for w1, c1 in x.items():
+                for w2, c2 in y.items():
+                    part = B._bracket(genus, list(w1), list(w2), seed, unoriented)
+                    want += B.LoopSum([(w, c1 * c2 * c) for w, c in part.items()])
+            assert got == want, (seed, unoriented)
 
 
 def test_evaluate_rejects_out_of_range_letter():
@@ -580,8 +661,12 @@ def test_letter_past_the_key_limit_raises_word_error():
     top = 2 * 245759
     for unoriented in (False, True):
         for w1, w2 in (([1, top], [top - 1, 2]), ([top, -1], [1, top - 1, -top])):
-            got = B._bracket(245759, w1, w2, 0, unoriented)
-            assert got.terms and got == _bracket_by_add(245759, w1, w2, 0, unoriented)
+            want = _bracket_by_add(245759, w1, w2, 0, unoriented)
+            assert want.terms
+            for seed in (0, None):
+                assert B._bracket(245759, w1, w2, seed, unoriented) == want
+    # small letters key at any genus
+    assert B.bracket_oriented(300000, [1], [2]).terms == {(1, 2): Fraction(1)}
     with pytest.raises(W.WordError):
         B.bracket_oriented(300000, [1], [2 * 300000 - 1])
     with pytest.raises(W.WordError):

@@ -168,7 +168,7 @@ def test_relator_jacobian_matches_columns_and_differences(spec):
     rng = np.random.default_rng(61)
     a, b, c = (G.random_element(spec, rng) for _ in range(3))
     basis = G.algebra_basis(spec)
-    jac = S._relator_jacobian(a, b, c, basis)
+    jac = S._relator_jacobian(a, b, c, basis, S._relator_parts(a, b, c))
 
     def res(am, bm):
         return np.linalg.inv(bm) @ np.linalg.inv(am) @ bm @ am @ c
