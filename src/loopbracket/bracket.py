@@ -14,15 +14,15 @@ pair out by its strands' futures, so the two routes sum over different
 crossings.
 
 The bracket itself is exact combinatorics and imports only the standard
-library; evaluate and poisson_direct import the numeric modules when
-they are called.
+library; evaluate, evaluate_many and poisson_direct import the numeric
+modules when they are called.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, pairwise
 from math import lcm
 from typing import TYPE_CHECKING
 
@@ -30,6 +30,8 @@ from . import polygon as P
 from . import words as W
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .surface import Representation
 
 
@@ -82,15 +84,30 @@ class LoopSum:
         return f"LoopSum({inner})"
 
     def evaluate(self, rep: Representation) -> float:
-        import numpy as np
+        return float(evaluate_many([self], [rep])[0, 0])
 
-        from .surface import trace_functions
 
-        keys = self._keys()
-        flat = np.frombuffer("".join(keys).encode("utf-32-le"), "<i4") - _OFFSET
-        traces = trace_functions(rep, flat, np.fromiter(map(len, keys), np.intp, len(keys)))
-        coefs = map(self._terms.get, keys)
-        return sum((c.numerator / c.denominator * f for c, f in zip(coefs, traces)), 0.0)
+def evaluate_many(sums, reps) -> np.ndarray:
+    """The (len(sums), len(reps)) array of sums[s].evaluate(reps[r]).
+
+    The keys of all the sums go through one trace_functions call, so the
+    reps must share one genus and one matrix size.  Entry [s, r] adds
+    the terms c f_w of sums[s] in key order, left to right from 0.0.
+    """
+    import numpy as np
+
+    from .surface import trace_functions
+
+    keys = [ls._keys() for ls in sums]
+    joined = [key for ks in keys for key in ks]
+    flat = np.frombuffer("".join(joined).encode("utf-32-le"), "<i4") - _OFFSET
+    traces = trace_functions(reps, flat, np.fromiter(map(len, joined), np.intp, len(joined)))
+    coefs = [c.numerator / c.denominator
+             for ls, ks in zip(sums, keys) for c in map(ls._terms.get, ks)]
+    bounds = list(pairwise(accumulate(map(len, keys), initial=0)))
+    products = (traces * coefs).tolist()
+    return np.array([[sum(row[lo:hi], 0.0) for row in products]
+                     for lo, hi in bounds]).reshape(len(sums), len(reps))
 
 
 # Term keys are str, letter x the code point x + _OFFSET: a key orders,

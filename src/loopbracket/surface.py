@@ -49,35 +49,74 @@ def holonomy(rep: Representation, word) -> np.ndarray:
     return h
 
 
-def trace_functions(rep: Representation, flat, lengths) -> list[float]:
-    """f_w(rho) = Re tr hol(w) of each word, batched over all words at once.
+# most entries of the (d, d, d, columns) product of one letter position;
+# one column of the largest group that groups.MAX_ENTRIES admits, O(76),
+# has 76^3 of them
+_BLOCK = 2 ** 19
 
-    flat holds the letters of all words and lengths splits it.  Words are
-    right-aligned and padded in front with letter 0, and each letter
-    position is one elementwise pass over the batch axis of the letter
-    table read as (d, d, 4g+1): new[i, m] = sum_j a[i, j] h[j, m], d
-    multiply-adds in place of one small matmul per word.  An overflowing
-    product gives a non-finite trace, not an exception.
+
+def trace_functions(reps, flat, lengths) -> np.ndarray:
+    """f_w(rho) = Re tr hol_rho(w) of each word w under each rep, as an
+    (R, W) array, batched over all words and reps at once.
+
+    flat holds the letters of all W words and lengths splits it.  The reps
+    must share one genus and one matrix size d: their letter tables are
+    stacked on one column axis, read as (d, d, R(4g+1)), and column
+    r W + w is word w under reps[r].  Words are right-aligned and padded
+    in front with letter 0.  Each letter position is one gather of the
+    columns' letters a, one broadcast product p[i, j, m] = a[i, j] h[j, m]
+    and one np.add.reduce over j, which adds (p_0 + p_1) + p_2 + ... in
+    order, as d multiply-adds would.  The trace adds the diagonal left to
+    right from 0.0, so a word's trace does not depend on its batch.  The
+    columns go through in blocks, so that the product holds at most
+    _BLOCK entries.  An overflowing product gives a non-finite trace,
+    not an exception.
     """
-    g = rep.genus
+    if len({(rep.genus, rep.spec.matrix_dim) for rep in reps}) > 1:
+        raise ValueError("representations of different genus or matrix size")
+    out = np.empty((len(reps), len(lengths)))
+    if not reps:
+        return out
+    g, d = reps[0].genus, reps[0].spec.matrix_dim
     bad = flat[(flat == 0) | (abs(flat) > 2 * g)]
     if bad.size:
         raise WordError(f"letter {bad[0]} out of range for genus {g}")
-    n = int(lengths.max(initial=0))
-    # word w fills the last len(w) positions of its column of cols
-    cols = np.zeros((n, len(lengths)), dtype=np.intp)
-    cols.T[np.arange(n) >= n - lengths[:, None]] = flat
-    table = np.moveaxis(rep.letters, 0, -1)
-    d = table.shape[0]
-    h = np.broadcast_to(table[..., :1], (d, d, len(lengths)))
+    n, size = int(lengths.max(initial=0)), 4 * g + 1
+    # word w fills the last len(w) positions of its column of words
+    words = np.zeros((n, len(lengths)), dtype=np.intp)
+    words.T[np.arange(n) >= n - lengths[:, None]] = flat % size
+    offsets = np.arange(0, size * len(reps), size)
+    cols = (words[:, None] + offsets[:, None]).reshape(n, out.size)
+    table = np.concatenate([rep.letters for rep in reps]).transpose(1, 2, 0).copy()
+    width = max(1, _BLOCK // d ** 3)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n):
-            a = table[..., cols[k]]
-            new = a[:, :1] * h[:1]
-            for j in range(1, d):
-                new += a[:, j:j + 1] * h[j:j + 1]
-            h = new
-    return np.trace(h).real.tolist()
+        for lo in range(0, out.size, width):
+            out.reshape(-1)[lo:lo + width] = _column_traces(table, cols[:, lo:lo + width])
+    return out
+
+
+def _column_traces(table, cols):
+    """Re tr of the product of the letters in each column of cols, read
+    from the (d, d, letters) table; the buffers live for one block."""
+    d, (n, c) = table.shape[0], cols.shape
+    a = np.empty((d, d, 1, c), dtype=complex)
+    h, new = np.empty((2, d, d, c), dtype=complex)
+    p = np.empty((d, d, d, c), dtype=complex)
+    h[...] = table[..., :1]
+    for k in range(n):
+        # the letters were checked, so "clip" moves no index; it lets take
+        # write straight into a, where "raise" would go through a buffer
+        table.take(cols[k], axis=-1, out=a[:, :, 0], mode="clip")
+        # h[None], not h: where every axis has size 1 numpy multiplies an
+        # operand of fewer dimensions in another loop, which rounds
+        # differently from the one that every wider batch takes
+        np.multiply(a, h[None], out=p)
+        np.add.reduce(p, axis=1, out=new)
+        h, new = new, h
+    trace = np.zeros(c)
+    for i in range(d):
+        trace += h[i, i].real
+    return trace
 
 
 def relator_residual(rep: Representation) -> float:

@@ -101,8 +101,7 @@ def jacobi_trial(rng: np.random.Generator, idx: int, *, tol: float,
     anti = br(sums[0], sums[1]) + br(sums[1], sums[0])
     jac = (br(sums[0], br(sums[1], sums[2])) + br(sums[1], br(sums[2], sums[0]))
            + br(sums[2], br(sums[0], sums[1])))
-    anti_resid = abs(anti.evaluate(rep))
-    jac_resid = abs(jac.evaluate(rep))
+    anti_resid, jac_resid = abs(B.evaluate_many([anti, jac], [rep])[:, 0]).tolist()
     resid = max(anti_resid, jac_resid)
     return {"genus": g, "group": gname,
             "unoriented": unoriented,

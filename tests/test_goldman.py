@@ -684,3 +684,31 @@ def test_evaluate_of_the_empty_sum_is_a_float():
     value = B.LoopSum().evaluate(rep)
     assert type(value) is float and value == 0.0
     assert type(B.bracket_oriented(1, [1], [1]).evaluate(rep)) is float
+
+
+def test_evaluate_many_is_evaluate_of_each_sum_under_each_rep():
+    # d = 2 and d = 4: at d >= 4 np.trace of a single column sums the
+    # diagonal in numpy's pairwise order, which no batch may follow
+    for spec in (GL2C, Z.parse_group_string("Sp(1,1)")):
+        reps = [S.sample_representation(spec, 2, np.random.default_rng([89, i]))
+                for i in range(3)]
+        sums = [B.bracket_oriented(2, [1, 2, -3], [4, 3, 3]), B.LoopSum(),
+                B.LoopSum([([1, -2], Fraction(1, 3))]),
+                B.bracket_unoriented(2, [1, 2], [-4, 3, 1])]
+        got = B.evaluate_many(sums, reps)
+        assert got.shape == (4, 3)
+        want = np.array([[ls.evaluate(rep) for rep in reps] for ls in sums])
+        # one word's trace does not depend on the batch it is in
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.all(got[1] == 0.0) and not np.signbit(got[1]).any()
+        assert B.evaluate_many(sums, []).shape == (4, 0)
+        assert B.evaluate_many([], reps).shape == (0, 3)
+        assert B.evaluate_many([B.LoopSum()], reps).tolist() == [[0.0] * 3]
+    other_genus = S.Representation(GL2C, 1, [np.eye(2)] * 2)
+    other_size = S.Representation(Z.parse_group_string("GL(3,C)"), 2, [np.eye(3)] * 4)
+    for odd in (other_genus, other_size):
+        with pytest.raises(ValueError):
+            B.evaluate_many(sums, reps[:1] + [odd])
+        with pytest.raises(ValueError):
+            B.evaluate_many([B.LoopSum()], [odd] + reps)
+    assert type(sums[0].evaluate(reps[0])) is float

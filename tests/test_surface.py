@@ -238,9 +238,9 @@ KERNEL_GROUPS = ("GL(2,R)", "GL(2,C)", "O(2,1)", "O(3,C)", "U(1,1)", "Sp(2,R)",
 
 
 def _traces(rep, words):
-    """trace_functions of a list of words."""
-    return S.trace_functions(rep, np.array([x for w in words for x in w], dtype=np.intp),
-                             np.array([len(w) for w in words], dtype=np.intp))
+    """trace_functions of a list of words under one rep, as a list."""
+    return S.trace_functions([rep], np.array([x for w in words for x in w], dtype=np.intp),
+                             np.array([len(w) for w in words], dtype=np.intp))[0].tolist()
 
 
 def test_trace_functions_match_word_by_word():
@@ -286,9 +286,141 @@ def test_trace_functions_match_word_by_word():
 def test_trace_functions_overflow_is_non_finite_not_an_error():
     # tier-1 turns RuntimeWarning into an error, so a warning would raise
     rep = S.Representation(GL2R, 1, [np.diag([1e200, 1.0]), np.eye(2)])
-    got = _traces(rep, [[1, 1], [1], [], [1, -2, 1, 1, 2]])
+    words = [[1, 1], [1], [], [1, -2, 1, 1, 2]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _traces(rep, words)
+        want = _multiply_add_traces(rep, words)
     assert np.isinf(got[0]) and not np.isfinite(got[3])
     assert got[1:3] == [1e200, 2.0]
+    assert _same_bits(np.array(got), want)
+
+
+def _multiply_add_traces(rep, words):
+    """The oracle for the fused kernel: one batch of words under one rep,
+    and d elementwise multiply-adds per letter position.  The trace adds
+    the diagonal left to right from 0.0, as np.trace does on two or more
+    columns; on one column at d >= 4 numpy reduces it pairwise."""
+    n = max(map(len, words), default=0)
+    cols = np.zeros((n, len(words)), dtype=np.intp)
+    for w, word in enumerate(words):
+        cols[n - len(word):, w] = word
+    table = np.moveaxis(rep.letters, 0, -1)
+    d = table.shape[0]
+    h = np.broadcast_to(table[..., :1], (d, d, len(words)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n):
+            a = table[..., cols[k]]
+            new = a[:, :1] * h[:1]
+            for j in range(1, d):
+                new += a[:, j:j + 1] * h[j:j + 1]
+            h = new
+        trace = np.zeros(len(words))
+        for i in range(d):
+            trace += h[i, i].real
+        if len(words) > 1:
+            assert _same_bits(trace, np.trace(h).real)
+    return trace
+
+
+def _same_bits(x, y):
+    return (np.array_equal(x, y, equal_nan=True)
+            and np.array_equal(np.signbit(x), np.signbit(y)))
+
+
+def _signed_zero_images(rng, genus, d):
+    """Images with entries spread over twelve decades, in which about a
+    third of the imaginary parts and of the off-diagonal real parts are
+    exact +0.0 or -0.0; the real diagonal is shifted by 1e7, so that no
+    zero row makes one singular."""
+    out = []
+    for _ in range(2 * genus):
+        m = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) * 10.0 ** rng.integers(
+            -6, 7, size=(d, d))
+        zeros = rng.choice([0.0, -0.0], size=(2, d, d))
+        m.real = np.where(rng.random((d, d)) < 0.3, zeros[0], m.real)
+        m.imag = np.where(rng.random((d, d)) < 0.3, zeros[1], m.imag)
+        out.append(m + 1e7 * np.eye(d))
+    return out
+
+
+@pytest.mark.parametrize("group", ["GL(1,C)", "GL(2,R)", "O(3,C)", "Sp(1,1)", "GL(9,C)",
+                                   "GL(53,C)"])
+def test_fused_kernel_keeps_the_bits_of_the_multiply_adds(group):
+    # d = 1, 2, 3, 4, 9 and 53: a product over d > 8 terms would show
+    # numpy's pairwise summation, were the reduced axis ever the inner
+    # loop, and at d = 53 the columns go through in blocks of three
+    spec = Z.parse_group_string(group)
+    d = spec.matrix_dim
+    rng = np.random.default_rng(d)
+    for genus in (1, 2):
+        alphabet = [k for k in range(-2 * genus, 2 * genus + 1) if k]
+        reps = [S.Representation(spec, genus, _signed_zero_images(rng, genus, d))
+                for _ in range(3)]
+        if d < 53:
+            reps.append(S.sample_representation(spec, genus, rng))
+        # unsorted mixed lengths, empty words among them, some unreduced
+        count, top = (4, 4) if d == 53 else (64, 13)
+        words = [[], [1, -1]] + [
+            [int(x) for x in rng.choice(alphabet, size=int(rng.integers(0, top)))]
+            for _ in range(count - 2)]
+        for batch in (words[:1], words[3:4], words[:2], words[2:4], words):
+            flat = np.array([x for w in batch for x in w], dtype=np.intp)
+            lengths = np.array(list(map(len, batch)), dtype=np.intp)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = S.trace_functions(reps, flat, lengths)
+            assert got.shape == (len(reps), len(batch))
+            for row, rep in zip(got, reps):
+                want = _multiply_add_traces(rep, batch)
+                assert _same_bits(row, want), (genus, len(batch))
+                # one rep alone: a batch of one word is then one column
+                assert _same_bits(S.trace_functions([rep], flat, lengths)[0], want)
+
+
+def test_evaluate_memory_stays_bounded_at_the_largest_gl():
+    # 60 words of 20 letters under GL(53,C), the largest GL(n,C) that
+    # groups.MAX_ENTRIES admits: the multiply-add kernel peaked at 11 MB
+    # of tracemalloc here, and a fused product over all columns at once
+    # at 151 MB
+    import tracemalloc
+
+    from loopbracket import bracket as B
+
+    spec = Z.parse_group_string("GL(53,C)")
+    rng = np.random.default_rng(53)
+    a, b = (np.linalg.qr(rng.normal(size=(53, 53)) + 1j * rng.normal(size=(53, 53)))[0]
+            for _ in range(2))
+    rep = S.Representation(spec, 1, [a, b])
+    ls = B.LoopSum()
+    while len(ls.items()) < 60:
+        w = [int(rng.choice([1, 2, -1, -2]))]
+        while len(w) < 20:
+            x = int(rng.choice([1, 2, -1, -2]))
+            if x != -w[-1] and (len(w) < 19 or x != -w[0]):
+                w.append(x)
+        ls.add(w, 1)
+    assert {len(w) for w, _ in ls.items()} == {20}
+    tracemalloc.start()
+    try:
+        value = ls.evaluate(rep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(value)
+    assert peak <= 2 * 11e6
+
+
+def test_a_block_holds_one_column_of_every_admitted_group():
+    sizes = []
+    for kind in G.KINDS:
+        for n in range(1, 200):
+            try:
+                sizes.append(G.GroupSpec(kind, n, *((n, 0) if kind in ("O_pq", "U_pq", "Sp_pq")
+                                                    else ())).matrix_dim)
+            except G.GroupError:
+                pass
+    assert max(sizes) == 76 and 76 ** 3 <= S._BLOCK
 
 
 def test_holonomy_of_relator_is_identity():
@@ -317,6 +449,8 @@ def test_every_word_entry_point_rejects_letters_past_2g(genus):
     for x in (2 * genus + 1, -2 * genus - 1):
         calls = {"holonomy": lambda: S.holonomy(rep, [x]),
                  "evaluate": lambda: B.LoopSum([([1, x], 1)]).evaluate(rep),
+                 "evaluate_many": lambda: B.evaluate_many(
+                     [B.LoopSum(), B.LoopSum([([1, x], 1)])], [rep, rep]),
                  "perturbed": lambda: T.perturbed_holonomy(rep, pert, [x]),
                  "rk4_perturbed": lambda: T.rk4_perturbed_holonomy(rep, pert, [x]),
                  "poisson_direct": lambda: B.poisson_direct(rep, [1], [x])}
