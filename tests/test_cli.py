@@ -818,6 +818,11 @@ _VALUES = {"--seed": (["0", "3"], ["-1", "x"]),
            "--unoriented": ([None], [])}
 
 
+# flags whose argparse type rejects a value outside the range, with a
+# usage line, before the command reads any file
+_TYPED = {"--seed", "--tol", "--genus", "--trials"}
+
+
 def _value(flag):
     """Inside or outside the range with even odds."""
     return st.one_of(*(st.sampled_from(v) for v in _VALUES[flag] if v))
@@ -965,10 +970,15 @@ def test_cli_fuzz_ends_in_a_documented_exit_code(fuzz_files, invocation):
     assert code in range(5), (template, code)
     if template[0] == "bracket":  # every pair of valid curves realizes
         assert code in (0, 2), (template, files, code)
+    rejected = any(flag in _TYPED and value in _VALUES[flag][1]
+                   for flag, value in zip(template, template[1:]))
     if _PAST_KEY_LIMIT in files.get("GEN", "") and not unread:
         assert code == 2 and out.getvalue() == "", (template, files, code)
-        assert [line.startswith("error:")
-                for line in err.getvalue().splitlines()] == [True]
+        if rejected:
+            assert "usage:" in err.getvalue(), (template, files)
+        else:
+            assert [line.startswith("error:")
+                    for line in err.getvalue().splitlines()] == [True]
     assert "Traceback" not in err.getvalue()
     if code == 0:
         assert not re.search(r"(?i)\b(nan|inf|infinity)\b", out.getvalue())
