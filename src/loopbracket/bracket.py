@@ -1,7 +1,7 @@
 """Bracket of free homotopy classes of loops on a closed surface.
 
-A LoopSum is a finite formal sum of classes with exact rational
-coefficients, keyed by the canonical cyclic form of the word as a str
+A LoopSum is a finite formal sum of classes, integer counts over one
+denominator, keyed by the canonical cyclic form of the word as a str
 with one code point per letter, letters within +-491519 only.  The
 oriented bracket of two classes sums sign(p) (gamma_p lambda_p) over the
 transverse crossings p of generic PL representatives; the unoriented
@@ -21,7 +21,6 @@ modules when they are called.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate, pairwise
 from math import lcm
 from typing import TYPE_CHECKING
@@ -36,10 +35,14 @@ if TYPE_CHECKING:
 
 
 class LoopSum:
-    """Formal rational combination of free homotopy classes."""
+    """Formal rational combination of free homotopy classes: nonzero int
+    counts over one positive denominator, not always the least, so sums
+    are equal when their counts agree cross-multiplied.  A Fraction is
+    built only in add, terms and items()."""
 
     def __init__(self, terms=None):
-        self._terms: dict[str, Fraction] = {}
+        self._terms: dict[str, int] = {}
+        self._den = 1
         if terms:
             for word, coef in terms:
                 self.add(word, coef)
@@ -47,37 +50,44 @@ class LoopSum:
     def add(self, word, coef):
         word = W.canonical_cyclic(list(word))
         _check_limit(word)
-        self._add_key(_encode(word), Fraction(coef))
+        coef = Fraction(coef)
+        self._merge({_encode(word): coef.numerator}, coef.denominator)
 
-    def _add_key(self, key: str, coef: Fraction):
-        """Add coef to an already canonical key, dropping a zero sum."""
-        c = self._terms.get(key)
-        c = coef if c is None else c + coef
-        if c == 0:
-            self._terms.pop(key, None)
-        else:
-            self._terms[key] = c
+    def _merge(self, counts: dict[str, int], den: int):
+        """Add counts over den in place, dropping keys that sum to 0."""
+        total = lcm(self._den, den)
+        if total != self._den:
+            scale = total // self._den
+            self._terms = {key: c * scale for key, c in self._terms.items()}
+            self._den = total
+        scale = total // den
+        for key, c in counts.items():
+            c = self._terms.get(key, 0) + c * scale
+            if c:
+                self._terms[key] = c
+            else:
+                self._terms.pop(key, None)  # a zero coefficient adds no key
 
     @property
     def terms(self) -> dict[tuple[int, ...], Fraction]:
         """A fresh dict of the terms, keyed by int tuple words."""
-        return {_decode(key): c for key, c in self._terms.items()}
+        return {_decode(key): Fraction(c, self._den) for key, c in self._terms.items()}
 
     def _keys(self) -> list[str]:
-        return sorted(self._terms, key=lambda key: (len(key), key))
+        # by length, then by code point: the sort is stable
+        return sorted(sorted(self._terms), key=len)
 
     def __add__(self, other):
-        out = LoopSum()
-        out._terms = dict(self._terms)
-        for key, coef in other._terms.items():
-            out._add_key(key, coef)
+        out = _from_counts(self._terms, self._den)
+        out._merge(other._terms, other._den)
         return out
 
     def items(self):
-        return [(_decode(key), self._terms[key]) for key in self._keys()]
+        return [(_decode(key), Fraction(self._terms[key], self._den)) for key in self._keys()]
 
     def __eq__(self, other):
-        return isinstance(other, LoopSum) and self._terms == other._terms
+        return isinstance(other, LoopSum) and self._terms.keys() == other._terms.keys() and all(
+            c * other._den == other._terms[key] * self._den for key, c in self._terms.items())
 
     def __repr__(self):
         inner = ", ".join(f"{c} * {W.format_word(w) or '1'}" for w, c in self.items())
@@ -85,6 +95,14 @@ class LoopSum:
 
     def evaluate(self, rep: Representation) -> float:
         return float(evaluate_many([self], [rep])[0, 0])
+
+
+def _from_counts(counts: dict[str, int], den: int) -> LoopSum:
+    """The sum of counts over den, a key that counts 0 left out."""
+    out = LoopSum()
+    out._terms = {key: c for key, c in counts.items() if c}
+    out._den = den
+    return out
 
 
 def evaluate_many(sums, reps) -> np.ndarray:
@@ -102,8 +120,8 @@ def evaluate_many(sums, reps) -> np.ndarray:
     joined = [key for ks in keys for key in ks]
     flat = np.frombuffer("".join(joined).encode("utf-32-le"), "<i4") - _OFFSET
     traces = trace_functions(reps, flat, np.fromiter(map(len, joined), np.intp, len(joined)))
-    coefs = [c.numerator / c.denominator
-             for ls, ks in zip(sums, keys) for c in map(ls._terms.get, ks)]
+    # int / int is correctly rounded: the float of the exact coefficient
+    coefs = [c / ls._den for ls, ks in zip(sums, keys) for c in map(ls._terms.get, ks)]
     bounds = list(pairwise(accumulate(map(len, keys), initial=0)))
     products = (traces * coefs).tolist()
     return np.array([[sum(row[lo:hi], 0.0) for row in products]
@@ -131,13 +149,7 @@ def _check_limit(word):
 
 def _bracket(genus: int, word1, word2, seed: int | None, unoriented: bool) -> LoopSum:
     """The bracket from the layout of realized_pair at seed (None: by futures)."""
-    counts = _counts(genus, word1, word2, seed, unoriented)
-    # one Fraction per distinct count; a Fraction is immutable, so all share it
-    den = 2 if unoriented else 1
-    fractions = {c: _fraction(c, den) for c in set(counts.values())}
-    out = LoopSum()
-    out._terms = {key: fractions[c] for key, c in counts.items() if c}
-    return out
+    return _from_counts(_counts(genus, word1, word2, seed, unoriented), 2 if unoriented else 1)
 
 
 def _counts(genus: int, word1, word2, seed: int | None, unoriented: bool) -> dict[str, int]:
@@ -163,9 +175,6 @@ def _counts(genus: int, word1, word2, seed: int | None, unoriented: bool) -> dic
             key = _splice_key(first, inverse, i, -j % n2)
             counts[key] = counts.get(key, 0) - sign
     return counts
-
-
-_fraction = lru_cache(maxsize=1024)(Fraction)
 
 
 def _side(word: tuple, ranked: bool):
@@ -281,29 +290,18 @@ def bracket_sums(genus: int, sum1: LoopSum, sum2: LoopSum, seed: int = 0,
     """Bilinear extension of the bracket to LoopSums; seed is accepted and
     changes nothing.
 
-    Integer counts are summed over one common denominator, and each term
-    becomes one Fraction at the end.
+    Each pair's crossing counts, times its two terms' counts, are summed
+    over the product of the sums' denominators, doubled when unoriented.
     """
-    first, den1 = _scaled(sum1)
-    second, den2 = _scaled(sum2)
+    first = [(_decode(key), m) for key, m in sum1._terms.items()]
+    second = [(_decode(key), m) for key, m in sum2._terms.items()]
     totals: dict[str, int] = {}
     for w1, m1 in first:
         for w2, m2 in second:
             m12 = m1 * m2
             for key, count in _counts(genus, w1, w2, None, unoriented).items():
                 totals[key] = totals.get(key, 0) + m12 * count
-    den = den1 * den2 * (2 if unoriented else 1)
-    out = LoopSum()
-    out._terms = {key: Fraction(t, den) for key, t in totals.items() if t}
-    return out
-
-
-def _scaled(ls: LoopSum):
-    """The words of a sum with their numerators over the least common
-    denominator of its coefficients, and that denominator."""
-    den = lcm(*(c.denominator for c in ls._terms.values()))
-    return [(_decode(key), c.numerator * (den // c.denominator))
-            for key, c in ls._terms.items()], den
+    return _from_counts(totals, sum1._den * sum2._den * (2 if unoriented else 1))
 
 
 def poisson_direct(rep: Representation, word1, word2, seed: int = 0) -> float:

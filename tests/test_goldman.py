@@ -638,6 +638,97 @@ def test_loopsum_merges_rotations():
     assert s.terms == {}
 
 
+def _reference(terms):
+    # the sum as a plain dict of canonical int tuple words to Fractions
+    ref = {}
+    for word, coef in terms:
+        key = W.canonical_cyclic(list(word))
+        c = ref.get(key, 0) + Fraction(coef)
+        if c:
+            ref[key] = c
+        else:
+            ref.pop(key, None)
+    return ref
+
+
+def _check_against(ls, ref):
+    assert ls.terms == ref
+    assert ls.items() == sorted(ref.items(), key=lambda kv: (len(kv[0]), kv[0]))
+
+
+# int, Fraction and str coefficients of denominator 1-12, and floats
+_COEFS = st.one_of(st.integers(-6, 6),
+                   st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12)),
+                   st.builds("{}/{}".format, st.integers(-12, 12), st.integers(1, 12)),
+                   st.integers(-48, 48).map(lambda n: n / 16),
+                   st.floats(-2, 2))
+# few letters, so that terms meet and cancel; [] and [1, -1] are the trivial class
+_TERMS = st.lists(st.tuples(st.lists(st.sampled_from([1, -1, 2, -2, 3]), max_size=4),
+                            _COEFS), max_size=12)
+
+
+@settings(deadline=None)
+@given(_TERMS, _TERMS, st.booleans())
+@example([([1], Fraction(1, 2)), ([1], "1/2")], [([1], 1)], False)
+@example([([1], Fraction(1, 3)), ([1], Fraction(1, 6))], [([1], 0.5)], False)
+@example([([], 2), ([1, -1], Fraction(-4, 2)), ([2], 0)], [([1], Fraction(1, 7))], False)
+def test_loopsum_matches_a_fraction_dict(xs, ys, cancel):
+    if cancel:
+        xs = xs + [(w, -Fraction(c)) for w, c in xs]
+    x = B.LoopSum()
+    for word, coef in xs:
+        x.add(word, coef)
+    y = B.LoopSum(ys)
+    rx, ry = _reference(xs), _reference(ys)
+    _check_against(x, rx)
+    _check_against(y, ry)
+    _check_against(x + y, _reference(xs + ys))
+    assert (x == y) == (rx == ry)
+    assert x == B.LoopSum(rx.items()) and x + y == y + x
+    if cancel:
+        assert x == B.LoopSum() and x.items() == []
+
+
+def test_a_20000_term_sum_of_mixed_denominators_matches_a_fraction_dict():
+    rng = np.random.default_rng(103)
+    letters = [1, -1, 2, -2, 3, -3, 4, -4]
+    terms = [([int(x) for x in rng.choice(letters, size=int(rng.integers(0, 7)))],
+              Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 13))))
+             for _ in range(20000)]
+    ref = _reference(terms)
+    ls = B.LoopSum(terms)
+    assert len(ref) > 1000
+    _check_against(ls, ref)
+    assert ls == B.LoopSum(ref.items())
+
+
+def test_fractions_are_built_only_where_coefficients_enter_or_leave(monkeypatch):
+    # the brackets, + and evaluation work on integer counts over one
+    # denominator; a Fraction is made per coefficient added or read out
+    built = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(B, "Fraction", Counted)
+    x = B.LoopSum([([1, 2], Fraction(1, 3)), ([3, -1], Fraction(-5, 6))])
+    y = B.LoopSum([([4, 3, 3], 2), ([1, 2, -3], Fraction(1, 2))])
+    assert len(built) == 4
+    rep = S.sample_representation(GL2R, 2, np.random.default_rng(101))
+    built.clear()
+    sums = [B._bracket(2, [1, 2, -3], [4, 3, 3], None, unoriented) for unoriented in (False, True)]
+    sums += [B.bracket_sums(2, x, y, unoriented=unoriented) for unoriented in (False, True)]
+    sums.append(sums[1] + sums[3])
+    B.evaluate_many(sums, [rep])
+    assert built == []
+    items = sums[-1].items()
+    assert items and len(built) == len(items)
+    built.clear()
+    assert len(sums[-1].terms) == len(built)
+
+
 def test_terms_is_a_fresh_int_tuple_dict_that_cannot_be_assigned():
     ls = B.bracket_unoriented(2, [1, 2, -3], [4, 3, 3])
     terms = ls.terms
