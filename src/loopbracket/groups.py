@@ -211,11 +211,24 @@ def algebra_basis(spec: GroupSpec) -> np.ndarray:
     return out
 
 
+def random_algebra_elements(spec: GroupSpec, rng: np.random.Generator,
+                            count: int) -> np.ndarray:
+    """count random algebra elements of scale 1, as a (count, d, d) stack.
+
+    One standard-normal draw of count x m coefficients gives the same
+    stream as count draws of m.  Each element is its own (1, m) @ (m, d d)
+    product with the flat basis, which rounds as tensordot does; one
+    (count, m) @ (m, d d) product would be a GEMM, which rounds otherwise.
+    """
+    basis = algebra_basis(spec)
+    m, d = basis.shape[:2]
+    x = rng.standard_normal((count, 1, m)) @ basis.reshape(m, -1)
+    return x.reshape(count, d, d) / np.sqrt(m)
+
+
 def random_algebra_element(spec: GroupSpec,
                            rng: np.random.Generator) -> np.ndarray:
-    basis = algebra_basis(spec)
-    x = np.tensordot(rng.standard_normal(len(basis)), basis, axes=1)
-    return x / np.sqrt(len(basis))
+    return random_algebra_elements(spec, rng, 1)[0]
 
 
 # 1-norm limit theta_m of each Pade degree m (Higham, SIAM J. Matrix
@@ -229,42 +242,67 @@ _PADE = {m: (theta, [math.factorial(2 * m - j) * math.factorial(m)
                           (13, 5.371920351148152e0))}
 
 
+@cache
+def _pade_terms(m: int, d: int):
+    """(b_1 I, b_0 I), the first terms of u's inner sum and of v at degree
+    m, and the pairs (b_2k+1, b_2k) that multiply a^2k, k = 1 .. m // 2."""
+    b = _PADE[m][1]
+    start = np.stack([b[1] * np.eye(d), b[0] * np.eye(d)])
+    pairs = np.array([(b[j + 1], b[j]) for j in range(2, m, 2)])
+    start.flags.writeable = pairs.flags.writeable = False  # cached and shared
+    return start, pairs
+
+
 def expm(a) -> np.ndarray:
     """Matrix exponential of one matrix or a stack (..., d, d).
 
     Scaling and squaring with a diagonal Pade approximant of degree 3, 5,
     7, 9 or 13 (Higham 2005); one degree and one scaling serve the whole
-    stack, chosen from its largest 1-norm.  A non-finite input gives NaN
-    instead of an exception, and overflow while squaring gives inf/NaN
-    under the caller's errstate.
+    stack, chosen from its largest 1-norm.  The terms b_j a^j of u's inner
+    sum and of v fill one stack, and one np.add.reduce adds them in order
+    of j, as a sum() from 0 would.  A non-finite input gives NaN instead
+    of an exception, and overflow while squaring gives inf/NaN under the
+    caller's errstate.
     """
     a = np.asarray(a)
     norm = float(np.abs(a).sum(axis=-2).max(initial=0.0))
     if not math.isfinite(norm):
         return np.full_like(a, np.nan)
     s = 0
-    for m, (theta, b) in _PADE.items():
+    for m, (theta, _) in _PADE.items():
         if norm <= theta:
             break
     else:  # degree 13 after scaling; a finite norm keeps s below 1030
         s = max(0, math.frexp(norm / theta)[1])
         a = a * 2.0 ** -s
-    a2 = a @ a
-    powers = [np.broadcast_to(np.eye(a.shape[-1]), a.shape), a2]
-    while len(powers) <= m // 2:  # a^0, a^2, .., a^(m-1)
-        powers.append(powers[-1] @ a2)
-    u = a @ sum(b[2 * k + 1] * p for k, p in enumerate(powers))
-    v = sum(b[2 * k] * p for k, p in enumerate(powers))
+    start, pairs = _pade_terms(m, a.shape[-1])
+    stack = (1,) * (a.ndim - 2)  # broadcasts over the stack axes of a
+    # terms[k] = (b_2k+1 a^2k, b_2k a^2k) for k = 0 .. m // 2
+    terms = np.empty((m // 2 + 1, 2) + a.shape, np.result_type(a, 1.0))
+    terms[0] = start.reshape((2,) + stack + a.shape[-2:])
+    powers = np.empty((m // 2,) + a.shape, terms.dtype)  # a^2 .. a^(m-1)
+    np.matmul(a, a, out=powers[0])
+    for k in range(1, len(powers)):
+        np.matmul(powers[k - 1], powers[0], out=powers[k])
+    np.multiply(pairs.reshape((-1, 2, 1, 1) + stack), powers[:, None], out=terms[1:])
+    inner, v = np.add.reduce(terms, axis=0)
+    u = a @ inner
     r = np.linalg.solve(v - u, v + u)
     for _ in range(s):
         r = r @ r
     return r
 
 
+def random_elements(spec: GroupSpec, rng: np.random.Generator,
+                    count: int) -> list[np.ndarray]:
+    """exp of count random algebra elements of scale 1/2, from one draw;
+    each stays in the identity component.  One expm call each: over a
+    stack the Pade degree would come from the largest norm."""
+    return [expm(x) for x in 0.5 * random_algebra_elements(spec, rng, count)]
+
+
 def random_element(spec: GroupSpec, rng: np.random.Generator) -> np.ndarray:
-    """exp of a random algebra element of scale 1/2; stays in the
-    identity component."""
-    return expm(0.5 * random_algebra_element(spec, rng))
+    return random_elements(spec, rng, 1)[0]
 
 
 def invariant_f(g: np.ndarray) -> float:

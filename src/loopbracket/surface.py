@@ -35,8 +35,8 @@ class Representation:
             raise WordError("need one image per generator")
         self.images = [np.asarray(m, dtype=complex) for m in self.images]
         eye = np.eye(self.spec.matrix_dim, dtype=complex)
-        self.letters = np.stack([eye, *self.images,
-                                 *map(np.linalg.inv, self.images[::-1])])
+        self.letters = np.concatenate([eye[None], self.images,
+                                       np.linalg.inv(np.array(self.images[::-1]))])
         self.letters.flags.writeable = False
 
 
@@ -140,13 +140,13 @@ def _commuting_pair(spec, rng):
 
 def _real_coords(x):
     # real parts, then imaginary parts, of each trailing (d, d) block
-    return np.stack([x.real, x.imag], axis=-3).reshape(x.shape[:-2] + (-1,))
+    return np.concatenate([x.real, x.imag], axis=-2).reshape(x.shape[:-2] + (-1,))
 
 
 def _relator_parts(a, b, c):
     """a^-1, b^-1, b^-1 a^-1 b, core = B^-1 A^-1 B A and core C at (a, b),
     in the one association that the residual and the Jacobian share."""
-    ainv, binv = np.linalg.inv(a), np.linalg.inv(b)
+    ainv, binv = np.linalg.inv(np.array([a, b]))
     bab = binv @ ainv @ b
     core = bab @ a
     return ainv, binv, bab, core, core @ c
@@ -162,8 +162,9 @@ def _relator_jacobian(a, b, c, basis, parts):
     return _real_coords(np.concatenate([da, db])).T
 
 
-def _newton_last_handle(spec, rng, a_seed, earlier_blocks, tol):
-    """Solve hol(relator) = I for the final handle pair (a_g, b_g).
+def _newton_last_handle(spec, images, tol):
+    """Solve hol(relator) = I for the final handle pair (a_g, b_g), starting
+    from the last two of the 2g images; the others stay fixed.
 
     The relator holonomy factors as B^-1 A^-1 B A C with C the known
     product of the earlier commutator blocks.  Solving for B alone is
@@ -174,12 +175,14 @@ def _newton_last_handle(spec, rng, a_seed, earlier_blocks, tol):
     next Jacobian.
     """
     eye = np.eye(spec.matrix_dim, dtype=complex)
+    *earlier, a, b = images
+    inv = np.linalg.inv(np.array(earlier))
     c = eye
-    for ak, bk in earlier_blocks:
+    for k in range(0, len(earlier), 2):
         # later handles act later, hence multiply on the left
-        c = np.linalg.inv(bk) @ np.linalg.inv(ak) @ bk @ ak @ c
+        c = inv[k + 1] @ inv[k] @ earlier[k + 1] @ earlier[k] @ c
     basis = G.algebra_basis(spec)  # stacked (m, d, d)
-    a, b = a_seed, G.random_element(spec, rng)
+    flat = basis.reshape(len(basis), -1)
     parts = _relator_parts(a, b, c)
     norm = np.linalg.norm(parts[-1] - eye)
     for _ in range(50):
@@ -190,12 +193,13 @@ def _newton_last_handle(spec, rng, a_seed, earlier_blocks, tol):
         # only roundoff, from turning into enormous steps
         coef, *_ = np.linalg.lstsq(_relator_jacobian(a, b, c, basis, parts),
                                    -_real_coords(parts[-1] - eye), rcond=1e-10)
-        xab = np.tensordot(coef.reshape(2, -1), basis, axes=1)
+        # one (2, m) @ (m, d d) product, which rounds as tensordot does
+        xab = (coef.reshape(2, -1) @ flat).reshape(2, *basis.shape[1:])
         step = 1.0
-        for _ in range(12):
-            # an overflowing trial's non-finite residual compares false
-            # like any step that does not improve, so the step halves
-            with np.errstate(over="ignore", invalid="ignore"):
+        # an overflowing trial's non-finite residual compares false like
+        # any step that does not improve, so the step halves
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(12):
                 try:
                     ea, eb = G.expm(step * xab)
                     an, bn = a @ ea, b @ eb
@@ -203,13 +207,12 @@ def _newton_last_handle(spec, rng, a_seed, earlier_blocks, tol):
                 except np.linalg.LinAlgError:
                     return None  # singular iterate: this try fails
                 norm_n = np.linalg.norm(parts_n[-1] - eye)
-                improved = norm_n < norm
-            if improved:
-                a, b, parts, norm = an, bn, parts_n, norm_n
-                break
-            step /= 2
-        else:
-            break
+                if norm_n < norm:
+                    break
+                step /= 2
+            else:
+                break  # no step improved: the try ends
+        a, b, parts, norm = an, bn, parts_n, norm_n
     return (a, b) if norm <= tol else None
 
 
@@ -220,9 +223,9 @@ def sample_representation(spec: G.GroupSpec, genus: int, rng: np.random.Generato
                           tol: float = 1e-12) -> Representation:
     """Random representation of the genus-g surface group.
 
-    Genus 1: a commuting pair.  Genus >= 2: random images for the first
-    g-1 handles, Gauss-Newton on the last handle pair; fresh seeds up
-    to _MAX_TRIES, then RelatorError.
+    Genus 1: a commuting pair.  Genus >= 2: 2g random images from one
+    draw, then Gauss-Newton on the last handle pair; fresh draws up to
+    _MAX_TRIES, then RelatorError.
     """
     if genus < 1:
         raise WordError("genus must be >= 1")
@@ -231,14 +234,11 @@ def sample_representation(spec: G.GroupSpec, genus: int, rng: np.random.Generato
             a, b = _commuting_pair(spec, rng)
             rep = Representation(spec, 1, [a, b])
         else:
-            earlier = [(G.random_element(spec, rng), G.random_element(spec, rng))
-                       for _ in range(genus - 1)]
-            solved = _newton_last_handle(spec, rng, G.random_element(spec, rng),
-                                         earlier, tol)
+            images = G.random_elements(spec, rng, 2 * genus)
+            solved = _newton_last_handle(spec, images, tol)
             if solved is None:
                 continue
-            images = [m for pair in earlier for m in pair] + list(solved)
-            rep = Representation(spec, genus, images)
+            rep = Representation(spec, genus, images[:-2] + list(solved))
         if relator_residual(rep) <= max(tol, 1e-11):
             return rep
     raise RelatorError(f"no representation found after {_MAX_TRIES} attempts")

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -654,6 +655,25 @@ def test_cli_import_loads_no_numpy():
     assert out.stdout.strip() == "False"
 
 
+# numpy's private modules: numpy._core, np.linalg._umath_linalg and the
+# like, or a leading-underscore name imported from a numpy module
+_PRIVATE_NUMPY = re.compile(r"\b(?:np|numpy)(?:\.\w+)*\._\w|\b_umath_linalg\b"
+                            r"|\b_multiarray_umath\b|\bfrom\s+numpy[\w.]*\s+import\s+\(?\s*_")
+
+
+def test_src_names_no_private_numpy_module():
+    # speed work keeps to numpy's public API, whose behaviour is documented
+    for bad in ("np.linalg._umath_linalg.inv(a)", "from numpy._core import umath",
+                "numpy.linalg._linalg", "from numpy.linalg import _umath_linalg"):
+        assert _PRIVATE_NUMPY.search(bad), bad
+    src = Path(C.__file__).resolve().parent
+    files = sorted(src.glob("*.py"))
+    assert len(files) > 10
+    for path in files:
+        for n, line in enumerate(path.read_text().splitlines(), 1):
+            assert not _PRIVATE_NUMPY.search(line), f"{path.name}:{n}: {line.strip()}"
+
+
 # a genus-3 pair of 96 letters each
 _G3_96 = {"genus": 3, "curves": {
     "x": ("A1 A1 a3 a1 A2 A3 A1 B3 B3 B2 a1 a3 A1 A3 B1 A1 "
@@ -746,6 +766,26 @@ def test_holonomy_perturbation_stdout_is_pinned(word, digest, tmp_path):
 ])
 def test_sample_rep_stdout_is_pinned(group, digest):
     out = run_cli("sample-rep", "--group", group, "--genus", "2", "--seed", "1")
+    assert out.returncode == 0, out.stderr
+    assert hashlib.sha256(out.stdout.encode()).hexdigest() == digest
+
+
+# sha256 of `sample-rep --genus 3 --seed 1` stdout for the eight groups of
+# the goldman-long benchmark, taken before the sampler drew each try's
+# images at once.  It prints 12 digits; the bitwise guard on the samples
+# is test_surface.py::test_sampler_keeps_the_reference_bits.
+@pytest.mark.parametrize("group, digest", [
+    ("GL(2,R)", "74d1f2b0445cba7f3b26ccec4b1ab447abe7de21a64cc1b4e33c67259096b53e"),
+    ("GL(2,C)", "b83026f77224f46536ab9b3b5afeea5bd92cd780e1245a598d5b32626a167c80"),
+    ("GL(3,C)", "c95c4868db8ad15f39a5072a2b1626b5f4c3ae1eb8e3281dd26c66121ca098f0"),
+    ("O(2,1)", "dfbfcd8915c1c47614fd50c24244637fc743a70ebe9ce8eb28140304d5c583ab"),
+    ("O(2,C)", "c42f51e43d97b526239adb44934ce87c92e946b8d00127b9e277dc19fa3e3653"),
+    ("U(1,1)", "d3d599fff69ec450e25478fd1cbbb4aca2ea8ae8753db09e8900a09a577b38dd"),
+    ("Sp(2,R)", "23dbfc3ac69d9256f4a71209b916d1c87080574bccc9d09c75e14a604c758d35"),
+    ("Sp(1,1)", "3f188dae60520b63ec4230e7fe103b51a7ea4a56204b0563f4fd280e2ddb745e"),
+])
+def test_sample_rep_genus3_stdout_is_pinned(group, digest):
+    out = run_cli("sample-rep", "--group", group, "--genus", "3", "--seed", "1")
     assert out.returncode == 0, out.stderr
     assert hashlib.sha256(out.stdout.encode()).hexdigest() == digest
 

@@ -4,6 +4,8 @@ from scipy.linalg import expm
 
 from loopbracket import groups as G
 
+import sampler_reference as R
+
 SPECS = [
     G.GroupSpec("GL_R", 2),
     G.GroupSpec("GL_C", 2),
@@ -245,6 +247,50 @@ def test_expm_non_finite_input_gives_non_finite_output(bad):
         stack = G.expm(np.stack([np.eye(2), a]))
     assert not np.isfinite(single).all()
     assert not np.isfinite(stack[1]).all()
+
+
+def _same_bits(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def test_expm_keeps_the_reference_bits():
+    # every Pade degree below and at its theta_m, the scaled degree 13 up
+    # to 2^17 squarings, one matrix and stacks, real and complex
+    rng = np.random.default_rng(67)
+    thetas = [theta for theta, _ in G._PADE.values()]
+    norms = [0.0, *(t * f for t in thetas for f in (0.3, 1 - 1e-9, 1.0)), 6.0, 40.0, 1e5]
+    for norm in norms:
+        for shape in ((1, 1), (2, 2), (3, 3), (4, 4), (3, 2, 2), (2, 2, 3, 3), (0, 2, 2)):
+            for cplx in (False, True):
+                a = rng.standard_normal(shape)
+                if cplx:
+                    a = a + 1j * rng.standard_normal(shape)
+                if a.size:
+                    a *= norm / np.abs(a).sum(axis=-2).max()
+                with np.errstate(over="ignore", invalid="ignore"):  # at 1e5
+                    assert _same_bits(G.expm(a), R.expm(a)), (norm, shape, cplx)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e308])
+def test_expm_keeps_the_reference_bits_on_non_finite_input(bad):
+    a = np.array([[bad, 1.0], [0.5, -1.0]])
+    for x in (a, a + 0.5j, np.stack([np.eye(2), a]), np.stack([a, a.T])):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _same_bits(G.expm(x), R.expm(x))
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=str)
+def test_random_elements_keep_the_reference_bits(spec):
+    # one draw of count x m coefficients is count draws of m, bit for bit
+    rng, ref = np.random.default_rng(71), np.random.default_rng(71)
+    for _ in range(3):
+        assert _same_bits(G.random_algebra_element(spec, rng),
+                          R.random_algebra_element(spec, ref))
+        assert _same_bits(G.random_element(spec, rng), R.random_element(spec, ref))
+        got = G.random_elements(spec, rng, 5)
+        for x in got:
+            assert _same_bits(x, R.random_element(spec, ref))
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_spec_validation():

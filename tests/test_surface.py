@@ -11,6 +11,8 @@ from loopbracket import serialize as Z
 from loopbracket import surface as S
 from loopbracket import words as W
 
+import sampler_reference as R
+
 GL2R = G.GroupSpec("GL_R", 2)
 GL2C = G.GroupSpec("GL_C", 2)
 O2 = G.GroupSpec("O_pq", 2, 2, 0)
@@ -208,6 +210,42 @@ def test_sampler_survey(group, genus):
         for m in rep.images:
             assert np.isfinite(m).all(), seed
             assert G.membership_residual(spec, m) < 1e-9, seed
+
+
+BITWISE_GROUPS = SURVEY_GROUPS + ("GL(3,C)", "U(2)", "O(3)")
+
+
+def _check_reference_bits(spec, genus, seed):
+    """sample_representation has the reference's images, inverses and
+    error, and leaves the generator where the reference does."""
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    try:
+        want = R.sample_images(spec, genus, ref)
+    except W.RelatorError:
+        with pytest.raises(W.RelatorError):
+            S.sample_representation(spec, genus, rng)
+    else:
+        got = S.sample_representation(spec, genus, rng).letters
+        assert got.tobytes() == R.letters(spec, want).tobytes(), (genus, seed)
+    assert rng.bit_generator.state == ref.bit_generator.state, (genus, seed)
+
+
+@pytest.mark.parametrize("group", BITWISE_GROUPS)
+def test_sampler_keeps_the_reference_bits(group):
+    # one draw per try and the batched expm, inverses and products change
+    # no bit of any sample: seven kinds plus d = 3 and compact groups
+    spec = Z.parse_group_string(group)
+    for genus in (1, 2, 3, 4):
+        for seed in range(12):
+            _check_reference_bits(spec, genus, [seed, genus])
+
+
+def test_sampler_keeps_the_reference_bits_on_singular_and_overflowing_searches():
+    # the seeds of test_singular_line_search_iterate_starts_a_fresh_try
+    for spec, genus, seed in [(G.GroupSpec("O_pq", 3, 2, 1), 2, 30),
+                              (G.GroupSpec("O_pq", 3, 2, 1), 2, 211),
+                              (SP2, 3, 3), (SP2, 3, 189)]:
+        _check_reference_bits(spec, genus, [seed, genus, 99])
 
 
 def test_holonomy_order_convention():
