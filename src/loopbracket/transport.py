@@ -6,20 +6,22 @@ so the kth term is the k-fold time-ordered integral with the largest time
 leftmost.  Every level is integrated spectrally (Greengard, SIAM J.
 Numer. Anal. 28, 1991) on Chebyshev panels.  A panel samples A at 17,
 then 33, then 65 nested Chebyshev points of the second kind, each t
-once through one functools.cache of A, until the chop rule holds: the
-upper half of the interpolant's Chebyshev coefficients is below 64 u
-(u = 2^-53) of the largest, or of the largest on the whole path if
-that is larger.  A is then resolved at half the degree, so each
-product A T_{k-1} is integrated by the panel's integration matrix
-without aliasing.  A panel still unresolved
-at 65 points is bisected, and the halves' levels are joined by Chen's
-identity, the product of block-Toeplitz jets that perturbed holonomy
-also uses.  Bisection stops at panels of length 2^-12, where a kink or a
-jump is left, and after 5 bisections along a chain of panels that left
-both halves unresolved, where noise is left; the first rule bounds the
-depth, the second the width, and neither depends on where along [0, 1]
-the other panels lie.  A panel whose samples are all equal takes the
-closed-form arc levels C^k / k!.
+once, at a Python float, through one functools.cache of A into one array
+of the 65 nodes, until the chop rule holds: the upper half of the
+interpolant's Chebyshev coefficients is below 64 u (u = 2^-53) of the
+largest, or of the largest on the whole path if that is larger.  A is
+then resolved at half the degree, so each product A T_{k-1} is
+integrated by the panel's integration matrix without aliasing.  The
+levels run in real arithmetic: a complex A acts on the columns
+[Re T; Im T] as the real block [[Re A, -Im A], [Im A, Re A]].  A panel
+still unresolved at 65 points is bisected, and the halves' levels are
+joined by Chen's identity, the product of block-Toeplitz jets that
+perturbed holonomy also uses.  Bisection stops at panels of length
+2^-12, where a kink or a jump is left, and after 5 bisections along a
+chain of panels that left both halves unresolved, where noise is left;
+the first rule bounds the depth, the second the width, and neither
+depends on where along [0, 1] the other panels lie.  A panel whose
+samples are all equal takes the closed-form arc levels C^k / k!.
 
 The certificate rests on |T_k| <= r^k / k! for any r >= int |A(t)|_2 dt.
 r_hat is, per panel, a trapezoid sum of |A_N|_2 over 32 cells of the
@@ -192,17 +194,23 @@ def _fit(samples: callable, a: float, b: float, scale: float):
     all equal or the chop rule holds, that is the upper half of c is
     below _CHOP times the larger of scale and max c.  The upper half, so
     that A is resolved at half the degree and the products A T_k are
-    integrated without aliasing."""
+    integrated without aliasing.  Each node is sampled once, at a Python
+    float, into one array of all 65 nodes, and each grid is a stride
+    view of it."""
     grids = _grids()
-    x = grids[_SIZES[-1]][0]
+    t = (a + (b - a) * grids[_SIZES[-1]][0]).tolist()
+    f = np.empty((len(t), *np.shape(samples(t[0]))))
     for size in _SIZES:
-        stride = (_SIZES[-1] - 1) // (size - 1)
-        f = np.stack([samples(a + (b - a) * x[j])
-                      for j in range(0, _SIZES[-1], stride)])
-        c = np.linalg.norm(grids[size][1] @ f.reshape(size, -1), axis=1)
-        if (f == f[0]).all() or c[size // 2:].max() <= _CHOP * max(scale, c.max()):
-            return f, c, True
-    return f, c, False
+        stride = (len(t) - 1) // (size - 1)
+        nodes = slice(0, None, stride) if size == _SIZES[0] else slice(stride, None, 2 * stride)
+        new = np.array([samples(s) for s in t[nodes]])
+        f = f.astype(np.result_type(f, new), copy=False)     # complex if A is
+        f[nodes] = new
+        grid = f[::stride]
+        c = np.linalg.norm(grids[size][1] @ grid.reshape(size, -1), axis=1)
+        if (grid == grid[0]).all() or c[size // 2:].max() <= _CHOP * max(scale, c.max()):
+            return grid, c, True
+    return grid, c, False
 
 
 def _panel(samples: callable, a: float, b: float, fit, scale: float,
@@ -213,7 +221,11 @@ def _panel(samples: callable, a: float, b: float, fit, scale: float,
 
     An unresolved panel is bisected unless it is _MAX_DEPTH bisections
     deep or _MAX_FORKS of its ancestors had both halves unresolved: a
-    kink or a jump bisects one half at each depth, noise both."""
+    kink or a jump bisects one half at each depth, noise both.  The
+    levels run as real (N, 2d, d) columns [Re T; Im T] under the real
+    block [[Re A, -Im A], [Im A, Re A]] of a complex A, and as A itself
+    for a real A: each level is one real q @ X and one real stacked
+    product, and the n_max + 1 end values turn complex once."""
     f, c, resolved = fit
     if not resolved and depth < _MAX_DEPTH and forks < _MAX_FORKS:
         half = a + (b - a) / 2
@@ -238,17 +250,22 @@ def _panel(samples: callable, a: float, b: float, fit, scale: float,
     # h^2/8 max|A_N''|, and A differs from A_N by about the tail
     curve = (2 / length) ** 2 * float(np.linalg.norm(second @ flat, axis=1).sum())
     h = length / _TRAP
-    norms = np.linalg.norm((trap @ flat).reshape(-1, d, d), 2, axis=(1, 2))
+    norms = np.linalg.svd((trap @ flat).reshape(-1, d, d), compute_uv=False)[:, 0]
     r_hat = (h * float(norms.sum() - (norms[0] + norms[-1]) / 2)
              + length * h * h / 12 * curve + length * tail)
-    levels = np.empty((n_max + 1, d, d), dtype=complex)
-    levels[0] = np.eye(d)
+    cplx = np.iscomplexobj(f)
+    block = np.concatenate([np.concatenate([f.real, -f.imag], 2),
+                            np.concatenate([f.imag, f.real], 2)], 1) if cplx else f
+    ends = np.empty((n_max + 1, block.shape[1], d))
+    ends[0] = np.eye(*ends.shape[1:])
     q = length * integ
-    integrand = f                                    # A T_{k-1} at the nodes
+    integrand = block[..., :d]                       # A T_{k-1} at the nodes
     for k in range(1, n_max + 1):
-        cur = (q @ integrand.reshape(size, d * d)).reshape(size, d, d)
-        levels[k] = cur[-1]
-        integrand = f @ cur
+        cur = (q @ integrand.reshape(size, -1)).reshape(integrand.shape)
+        ends[k] = cur[-1]
+        if k < n_max:
+            integrand = block @ cur
+    levels = ends[:, :d] + 1j * ends[:, d:] if cplx else ends.astype(complex)
     return levels, r_hat, length * tail + (n_max + size) * d * _U
 
 
@@ -277,8 +294,8 @@ def picard_transport(path: MatrixPath, n_max: int = 12,
 def _tree_product(steps: np.ndarray) -> np.ndarray:
     """steps[-1] @ ... @ steps[0] by pairwise tree reduction."""
     while len(steps) > 1:
-        steps = np.concatenate([steps[1::2] @ steps[:-1:2],
-                                steps[len(steps) - len(steps) % 2:]])
+        pairs = steps[1::2] @ steps[:-1:2]
+        steps = np.concatenate([pairs, steps[-1:]]) if len(steps) % 2 else pairs
     return steps[0]
 
 
@@ -319,7 +336,8 @@ def rk4_transport(path: MatrixPath, n_steps: int = 32) -> np.ndarray:
     a = np.array([path.fn(t) for t in nodes.ravel().tolist()], dtype=complex)
     # step k's system has the blocks delta_ij I - h a_ij A_i
     blocks = _GAUSS_A[:, None, :, None] * a.reshape(n_steps, 4, d, 1, d)
-    system = np.eye(4 * d) - h * blocks.reshape(n_steps, 4 * d, 4 * d)
+    system = np.multiply(blocks, -h, out=blocks).reshape(n_steps, 4 * d, 4 * d)
+    system.reshape(n_steps, -1)[:, ::4 * d + 1] += 1
     k = np.linalg.solve(system, a.reshape(n_steps, 4 * d, d))
     steps = _GAUSS_B @ k.reshape(n_steps, 4, d * d)
     return _tree_product(np.eye(d) + h * steps.reshape(n_steps, d, d))

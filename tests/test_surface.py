@@ -139,12 +139,44 @@ def test_sample_representation_genus3():
     (SP2, 3, 3), (SP2, 3, 189)],
     ids=["O(2,1)-g2-s30", "O(2,1)-g2-s211", "Sp(2,R)-g3-s3", "Sp(2,R)-g3-s189"])
 def test_singular_line_search_iterate_starts_a_fresh_try(spec, genus, seed):
-    # these seeds drive a Gauss-Newton line search onto a singular iterate
-    # (and the O(2,1) ones through trial points that overflow, silently)
+    # these seeds drive a Gauss-Newton line search onto a singular iterate;
+    # none of their trial points overflows (see the next test for that)
     rng = np.random.default_rng([seed, genus, 99])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         rep = S.sample_representation(spec, genus, rng)
+    assert S.relator_residual(rep) < 1e-11
+    for m in rep.images:
+        assert G.membership_residual(spec, m) < 1e-9
+
+
+@pytest.mark.parametrize("spec", [GL2R, G.GroupSpec("O_pq", 3, 2, 1)],
+                         ids=["GL(2,R)", "O(2,1)"])
+def test_overflowing_line_search_trials_stay_silent(monkeypatch, spec):
+    # the first Gauss-Newton step, scaled by 1e4, sends the first trials
+    # of its line search past the double range; the line search's errstate
+    # keeps that overflow silent under warnings-as-errors, and the halved
+    # steps still reach a representation
+    lstsq, lone_expm = np.linalg.lstsq, G.expm
+    steps, overflowed = [], []
+
+    def huge_first_step(*args, **kwargs):
+        coef, *rest = lstsq(*args, **kwargs)
+        steps.append(coef)
+        return (coef * 1e4 if len(steps) == 1 else coef, *rest)
+
+    def watched_expm(a):
+        out = lone_expm(a)
+        if not np.isfinite(out).all():
+            overflowed.append(a)
+        return out
+
+    monkeypatch.setattr(np.linalg, "lstsq", huge_first_step)
+    monkeypatch.setattr(G, "expm", watched_expm)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = S.sample_representation(spec, 2, np.random.default_rng(5))
+    assert overflowed and len(steps) > 1
     assert S.relator_residual(rep) < 1e-11
     for m in rep.images:
         assert G.membership_residual(spec, m) < 1e-9

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from decimal import Decimal, localcontext
+from functools import cache
 from math import factorial
 from pathlib import Path
 
@@ -17,6 +18,8 @@ from loopbracket import groups as G
 from loopbracket import serialize as Z
 from loopbracket import surface as S
 from loopbracket import transport as T
+
+import transport_reference as R
 
 
 def _smooth_path(rng, d=2, amp=0.02):
@@ -115,16 +118,115 @@ def test_each_grid_node_is_sampled_once():
     m = np.array([[0.1, 0.3], [-0.2, 0.4]])
     for fn in (lambda t: np.eye(2),                       # constant panel
                lambda t: np.cos(3 * t) * m,               # one panel
-               lambda t: abs(t - 0.3) * m):               # bisected panels
+               lambda t: np.cos(3 * t) * (1 - 2j) * m,    # one complex panel
+               lambda t: abs(t - 0.3) * m,                # bisected panels
+               lambda t: abs(t - 0.3) * (2 + 1j) * m):    # bisected, complex
         calls.clear()
         res = T.picard_transport(path(fn), n_max=3)
         assert len(calls) == res.nodes == len(set(calls))
+        # Python floats, which numpy path functions take faster
+        assert {type(t) for t in calls} == {float}
     assert res.nodes > 2 * 65       # the kink forced bisection
     for n_steps in (1, 2, 7, 32):
         calls.clear()
         T.rk4_transport(path(lambda t: np.eye(2)), n_steps)
         # the four Gauss nodes of each step, once each
         assert len(calls) == len(set(calls)) == 4 * n_steps
+
+
+def _reference_case(d, cplx, shape):
+    """A path in dimension d with r_hat near 0.8: smooth and resolved at 33
+    nodes, at 65 nodes, with a kink that forces bisection, or complex only
+    on (0.5, 0.56), which holds none of the 17 nodes on [0, 1]."""
+    rng = np.random.default_rng([d, cplx])
+    m0, m1, m2 = (rng.normal(size=(d, d)) + (1j * rng.normal(size=(d, d)) if cplx else 0)
+                  for _ in range(3))
+    c = 0.8 / (np.linalg.norm(m0, 2) + np.linalg.norm(m2, 2))
+    w = {"33": 2.0, "65": 8.0}.get(shape)
+    if w is not None:
+        return lambda t: c * (m0 + t * m1 + np.sin(w * t) * m2)
+    if shape == "kink":
+        return lambda t: c * (m0 + abs(t - 0.37) * m1)
+    return lambda t: c * (m0 + np.sin(8 * t) * m1 + (0.1j * m2 if 0.5 < t < 0.56 else 0))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("shape", ["33", "65", "kink"])
+def test_panel_keeps_the_reference_levels(d, cplx, shape):
+    # the levels run as real 2d x 2d blocks: bit for bit the complex loop's
+    # on real paths, within 8 u sum |T_k| on complex ones; the samples, the
+    # coefficient norms, r_hat and the certificate's terms keep their bits
+    fn = _reference_case(d, cplx, shape)
+    new, old = cache(fn), cache(fn)
+    fit, want_fit = T._fit(new, 0.0, 1.0, 0.0), R.fit(old, 0.0, 1.0, 0.0)
+    assert fit[0].shape[0] == (65 if shape == "kink" else int(shape))
+    assert fit[2] == want_fit[2] == (shape != "kink")
+    for got, want in zip(fit[:2], want_fit[:2]):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    scale = float(fit[1].max())
+    levels, r_hat, estimate = T._panel(new, 0.0, 1.0, fit, scale, 12, 0, 0)
+    want, want_r_hat, want_estimate = R.panel(old, 0.0, 1.0, want_fit, scale, 12)
+    assert (r_hat, estimate) == (want_r_hat, want_estimate)
+    assert new.cache_info().currsize == old.cache_info().currsize
+    assert levels.dtype == want.dtype == complex
+    if cplx:
+        tol = 8 * T._U * sum(np.linalg.norm(term, 2) for term in want)
+        assert max(np.linalg.norm(levels - want, 2, axis=(1, 2))) <= tol
+    else:
+        assert levels.tobytes() == want.tobytes()
+
+
+def test_a_path_that_turns_complex_keeps_its_imaginary_part():
+    # the first grid on [0, 1] is real and the second is not: the sample
+    # array turns complex when the first complex sample arrives
+    fn = _reference_case(2, False, "turns complex")
+    assert not any(np.iscomplexobj(fn(t)) for t in T._grids()[17][0].tolist())
+    new, old = cache(fn), cache(fn)
+    for a, b in ((0.0, 1.0), (0.25, 0.75), (0.5, 0.625)):
+        got, want = T._fit(new, a, b, 1.0), R.fit(old, a, b, 1.0)
+        assert got[0].dtype == want[0].dtype == complex
+        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+    res = T.picard_transport(T.MatrixPath(fn, 2))
+    assert np.abs(res.transport.imag).max() > 1e-3
+    gap = np.linalg.norm(res.transport - _dop853(fn, 2, (0.5, 0.56)), 2)
+    assert gap <= res.remainder_bound, (gap, res.remainder_bound)
+
+
+def test_a_path_may_return_nested_lists():
+    # each grid's samples go through np.array, so a path function need not
+    # return arrays; N(t) N(s) = 0 ends the series after the first level
+    res = T.picard_transport(T.MatrixPath(lambda t: [[0.0, t], [0.0, 0.0]], 2), n_max=4)
+    assert np.abs(res.transport - [[1.0, 0.5], [0.0, 1.0]]).max() <= 1e-15
+
+
+def _embed(a):
+    """The real 2d x 2d block [[Re A, -Im A], [Im A, Re A]] of each complex A."""
+    return np.block([[a.real, -a.imag], [a.imag, a.real]])
+
+
+@pytest.mark.parametrize("shape", ["33", "65", "kink"])
+def test_complex_levels_are_the_real_blocks_levels(shape):
+    # E(A) is an algebra map, so the transport of the real path E(A) has
+    # the levels E(T_k): the complex route must agree with it to roundoff
+    for d in (2, 3):
+        fn = _reference_case(d, True, shape)
+        got = T.picard_transport(T.MatrixPath(fn, d))
+        block = T.picard_transport(T.MatrixPath(lambda t: _embed(fn(t)), 2 * d))
+        assert not np.imag(block.terms).any()
+        scale = sum(np.linalg.norm(term, 2) for term in got.terms)
+        for k, (term, real) in enumerate(zip(got.terms, block.terms)):
+            assert np.linalg.norm(_embed(term) - real.real, 2) <= 8 * T._U * scale, k
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 7, 32])
+@pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+def test_rk4_keeps_the_reference_bits(n_steps, cplx):
+    # the stage systems built in place and the tree product without its
+    # even-length concatenate round exactly as before
+    for d in (2, 3, 4):
+        path = T.MatrixPath(_reference_case(d, cplx, "65"), d)
+        assert T.rk4_transport(path, n_steps).tobytes() == R.rk4_transport(path, n_steps).tobytes()
 
 
 @pytest.mark.parametrize("size", T._SIZES)
