@@ -9,9 +9,10 @@ variant takes sign(p)/2 [(gamma_p lambda_p) - (gamma_p lambda_p^-1)].
 
 Evaluation sends a class to Re tr of its holonomy, and poisson_direct
 computes the matching Poisson-side sum sign(p) <F(H_p(gamma)),
-F(H_p(lambda))> from a seeded realization, while the bracket lays the
-pair out by its strands' futures, so the two routes sum over different
-crossings.
+F(H_p(lambda))> over the crossings of the bracket's layout, the one by
+its strands' futures.  The two routes share the crossings and nothing
+after them: the bracket splices words into an exact LoopSum and traces
+it, poisson_direct pairs variations of based holonomies.
 
 The bracket itself is exact combinatorics and imports only the standard
 library; evaluate, evaluate_many and poisson_direct import the numeric
@@ -147,15 +148,15 @@ def _check_limit(word):
         raise W.WordError(f"letter {max(word, key=abs)} past the key limit +-{_LIMIT}")
 
 
-def _bracket(genus: int, word1, word2, seed: int | None, unoriented: bool) -> LoopSum:
-    """The bracket from the layout of realized_pair at seed (None: by futures)."""
-    return _from_counts(_counts(genus, word1, word2, seed, unoriented), 2 if unoriented else 1)
+def _bracket(genus: int, word1, word2, unoriented: bool) -> LoopSum:
+    """The bracket from the layout of realized_pair."""
+    return _from_counts(_counts(genus, word1, word2, unoriented), 2 if unoriented else 1)
 
 
-def _counts(genus: int, word1, word2, seed: int | None, unoriented: bool) -> dict[str, int]:
+def _counts(genus: int, word1, word2, unoriented: bool) -> dict[str, int]:
     """Signed crossing count of each term key, in halves when unoriented;
     a key may count 0."""
-    c1, c2, crossings = P.realized_pair(genus, word1, word2, seed)
+    c1, c2, crossings = P.realized_pair(genus, word1, word2)
     if 2 * genus > _LIMIT:  # else the genus check of realized_pair is the stricter
         _check_limit(c1.word + c2.word)
     if not crossings:
@@ -276,13 +277,13 @@ def bracket_oriented(genus: int, word1, word2, seed: int = 0) -> LoopSum:
     The pair is laid out by its strands' futures; seed is accepted and
     changes nothing.
     """
-    return _bracket(genus, word1, word2, None, unoriented=False)
+    return _bracket(genus, word1, word2, unoriented=False)
 
 
 def bracket_unoriented(genus: int, word1, word2, seed: int = 0) -> LoopSum:
     """Unoriented variant, sign(p)/2 [(g_p l_p) - (g_p l_p^-1)]; seed is
     accepted and changes nothing."""
-    return _bracket(genus, word1, word2, None, unoriented=True)
+    return _bracket(genus, word1, word2, unoriented=True)
 
 
 def bracket_sums(genus: int, sum1: LoopSum, sum2: LoopSum, seed: int = 0,
@@ -299,7 +300,7 @@ def bracket_sums(genus: int, sum1: LoopSum, sum2: LoopSum, seed: int = 0,
     for w1, m1 in first:
         for w2, m2 in second:
             m12 = m1 * m2
-            for key, count in _counts(genus, w1, w2, None, unoriented).items():
+            for key, count in _counts(genus, w1, w2, unoriented).items():
                 totals[key] = totals.get(key, 0) + m12 * count
     return _from_counts(totals, sum1._den * sum2._den * (2 if unoriented else 1))
 
@@ -310,14 +311,14 @@ def poisson_direct(rep: Representation, word1, word2, seed: int = 0) -> float:
     Based holonomies are taken at each crossing, so this is the Poisson
     bracket of the two trace functions; it must match evaluate() of the
     oriented bracket on the GL kinds and of the unoriented bracket on
-    the form kinds.  The pair is laid out by the seeded slot permutation,
-    not by the bracket's futures.
+    the form kinds.  The pair is laid out by its strands' futures, as
+    the bracket lays it out; seed is accepted and changes nothing.
     """
     import numpy as np
 
     from . import groups as G
 
-    c1, c2, crossings = P.realized_pair(rep.genus, word1, word2, seed)
+    c1, c2, crossings = P.realized_pair(rep.genus, word1, word2)
     if not crossings:
         return 0.0
     var1 = G.variation(rep.spec, _based_holonomies(rep, c1.word))

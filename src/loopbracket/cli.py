@@ -107,7 +107,7 @@ def cmd_bracket(args) -> int:
         if name not in curves:
             raise SchemaError(f"no curve named {name!r} in {args.input}")
     fn = bracket_unoriented if args.unoriented else bracket_oriented
-    ls = fn(genus, curves[args.first], curves[args.second], seed=args.seed)
+    ls = fn(genus, curves[args.first], curves[args.second])
     _emit(args, loopsum_to_json(ls))
     return 0
 

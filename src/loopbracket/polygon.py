@@ -16,28 +16,24 @@ gives the normalization [a, b] = +(a b) with no extra global sign.
 
 The two loops of a pair are laid out together on exact boundary slots.
 With n letters in the pair, letter j exits its side at t = m_j/(4n + 1)
-and re-enters the glued side at 1 - t; a layout picks the m_j so that
+and re-enters the glued side at 1 - t; the layout picks the m_j so that
 all 2n boundary points of the pair are distinct, and then every pair
 realizes in generic position.  A point of side s with numerator m is
-kept as the integer perimeter position s (4n + 1) + m.  There are two
-layouts.  The bracket takes the one by futures, _sorted_exits: each
-glued edge's strands are sorted by where their words go next, so
-strands that run side by side stay parallel and the pair comes near
-minimal position, with few crossings beyond the terms they make
-(Goldman, Invent. Math. 85, 1986; Chas 2004).  poisson_direct takes a
-seeded one: m_j = 2 k_j + 1 for distinct k_j < 2n drawn by
-slot_permutation, so that it sums over other crossings than the
-bracket.  Intersections between the two loops are the transverse
-crossings of their chords; each crossing records the sign and the based
-words of both loops read from the crossing point (a rotation of each
-input word).  Two chords of the convex polygon cross exactly when their
-endpoints interleave in the cyclic order of perimeter positions
-(M. Chas, Topology 43, 2004), so no plane coordinates are needed.
+kept as the integer perimeter position s (4n + 1) + m.  The layout is
+the one by futures, _sorted_exits: each glued edge's strands are sorted
+by where their words go next, so strands that run side by side stay
+parallel and the pair comes near minimal position, with few crossings
+beyond the terms they make (Goldman, Invent. Math. 85, 1986; Chas 2004).
+Intersections between the two loops are the transverse crossings of
+their chords; each crossing records the sign and the based words of both
+loops read from the crossing point (a rotation of each input word).  Two
+chords of the convex polygon cross exactly when their endpoints
+interleave in the cyclic order of perimeter positions (M. Chas,
+Topology 43, 2004), so no plane coordinates are needed.
 """
 
 from __future__ import annotations
 
-import random
 from typing import NamedTuple
 
 from . import words as W
@@ -96,30 +92,13 @@ def intersections(first: PLLoop, second: PLLoop) -> list[tuple[int, int, int]]:
     return found
 
 
-def slot_permutation(size: int, seed: int) -> list[int]:
-    """A permutation of range(size) that is a pure function of (size, seed).
-
-    Fisher-Yates over random.Random(seed).random(): Python keeps the
-    random() stream of a seeded generator the same across versions, but
-    not the output of shuffle().
-    """
-    draw = random.Random(seed).random
-    out = list(range(size))
-    for i in range(size - 1, 0, -1):
-        j = int(draw() * (i + 1))
-        out[i], out[j] = out[j], out[i]
-    return out
-
-
-def realized_pair(genus: int, word1, word2, seed: int | None = None
+def realized_pair(genus: int, word1, word2
                   ) -> tuple[PLLoop, PLLoop, list[tuple[int, int, int]]]:
     """Two loops in mutually generic position plus their crossings.
 
     Each word is freely and cyclically reduced first; reduction removes
     exactly the degenerate chords (a cancelling pair would re-enter and
-    exit through the same glued side).  With no seed the exits follow
-    _sorted_exits; with a seed the slots k_j are one seeded permutation.
-    Either way a pair realizes.
+    exit through the same glued side).  The exits follow _sorted_exits.
     """
     if genus < 1:
         raise W.WordError("genus must be >= 1")
@@ -131,10 +110,7 @@ def realized_pair(genus: int, word1, word2, seed: int | None = None
     # the side glued to side s is s ^ 2, the exit side of the inverse letter
     side = {x: exit_side_for_letter(genus, x) for x in {*words[0], *words[1]}}
     sides = [[side[x] for x in w] for w in words]
-    if seed is None:
-        exits = _sorted_exits(genus, sides, n, width)
-    else:
-        exits = [2 * k + 1 for k in slot_permutation(2 * n, seed)[:n]]
+    exits = _sorted_exits(genus, sides, n, width)
     loops, at = [], 0
     for w, s in zip(words, sides):
         e = exits[at:at + len(w)]

