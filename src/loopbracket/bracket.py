@@ -12,7 +12,7 @@ computes the matching Poisson-side sum sign(p) <F(H_p(gamma)),
 F(H_p(lambda))> over the crossings of the bracket's layout, the one by
 its strands' futures.  The two routes share the crossings and nothing
 after them: the bracket splices words into an exact LoopSum and traces
-it, poisson_direct pairs variations of based holonomies.
+it, poisson_direct conjugates one variation per loop to each crossing.
 
 The bracket itself is exact combinatorics and imports only the standard
 library; evaluate, evaluate_many and poisson_direct import the numeric
@@ -311,37 +311,25 @@ def poisson_direct(rep: Representation, word1, word2, seed: int = 0) -> float:
     Based holonomies are taken at each crossing, so this is the Poisson
     bracket of the two trace functions; it must match evaluate() of the
     oriented bracket on the GL kinds and of the unoriented bracket on
-    the form kinds.  The pair is laid out by its strands' futures, as
+    the form kinds.  A loop read from its segment i has the holonomy
+    P_i hol(w) P_i^-1 (surface.prefix_holonomies), and F commutes with
+    conjugation, so F is taken once per loop.  The pair is laid out as
     the bracket lays it out; seed is accepted and changes nothing.
     """
     import numpy as np
 
     from . import groups as G
+    from . import surface as S
 
     c1, c2, crossings = P.realized_pair(rep.genus, word1, word2)
     if not crossings:
         return 0.0
-    var1 = G.variation(rep.spec, _based_holonomies(rep, c1.word))
-    var2 = G.variation(rep.spec, _based_holonomies(rep, c2.word))
+    var = []
+    for loop in (c1, c2):
+        pre, inv = S.prefix_holonomies(rep, loop.word)
+        var.append(pre[:-1] @ G.variation(rep.spec, pre[-1]) @ inv[:-1])
     sign, i, j = np.array(crossings).T
-    return float(sign @ np.einsum("nij,nji->n", var1[i], var2[j]).real)
-
-
-def _based_holonomies(rep: Representation, word):
-    """hol(w[i:] + w[:i]) for every segment i of the loop of `word`, stacked.
-
-    The based word at segment i runs w[i:] first, so its holonomy is
-    hol(w[:i]) @ hol(w[i:]): a prefix product times a suffix product.
-    """
-    import numpy as np
-
-    pre = [np.eye(rep.spec.matrix_dim, dtype=complex)]
-    for x in word[:-1]:
-        pre.append(rep.letters[x] @ pre[-1])
-    suf = [pre[0]]  # suf[k] = hol(w[m - k:])
-    for x in reversed(word):
-        suf.append(suf[-1] @ rep.letters[x])
-    return np.stack(pre) @ np.stack(suf[:0:-1])
+    return float(sign @ np.einsum("nij,nji->n", var[0][i], var[1][j]).real)
 
 
 def torus_class_word(p: int, q: int) -> list[int]:

@@ -49,6 +49,19 @@ def holonomy(rep: Representation, word) -> np.ndarray:
     return h
 
 
+def prefix_holonomies(rep: Representation, word) -> tuple[np.ndarray, np.ndarray]:
+    """(P, P^-1), two (m + 1, d, d) stacks: P_k = hol(w[:k]), each letter
+    joined on the left, and its inverse, each inverse letter joined on the
+    right.  The loop read from its kth segment is conjugate to the whole:
+    hol(w[k:] + w[:k]) = P_k hol(w) P_k^-1."""
+    check_word(word, rep.genus)
+    pre, inv = [rep.letters[0]], [rep.letters[0]]
+    for x in word:
+        pre.append(rep.letters[x] @ pre[-1])
+        inv.append(inv[-1] @ rep.letters[-x])
+    return np.array(pre), np.array(inv)
+
+
 # most entries of the (d, d, d, columns) product of one letter position;
 # one column of the largest group that groups.MAX_ENTRIES admits, O(76),
 # has 76^3 of them

@@ -49,7 +49,8 @@ shift on n_max + 1 levels, so the series ends by itself, and by Chen's
 identity the word's levels are the product of the arcs' jets.  The
 perturbed holonomy is hol(w) R(1); it is multiplicative, its terms
 V_k = hol R_k hol^-1 obey the concatenation rule the suites test, and its
-remainder_bound covers the returned value (see perturbed_holonomy).  The
+remainder_bound adds a bound on the series tail to an estimate of the
+rounding, and as a whole is an estimate (see perturbed_holonomy).  The
 independent route, rk4_perturbed_holonomy, multiplies the crossings with
 the arcs' exact current-frame transports exp(-B_j): no series, no grid.
 """
@@ -349,7 +350,7 @@ class PerturbedHolonomy:
     value: np.ndarray              # perturbed holonomy hol @ R(1)
     series: list[np.ndarray]       # exposed terms V_k = hol T_k hol^-1
     r_hat: float
-    remainder_bound: float         # bounds |value - exact|_2
+    remainder_bound: float         # tail bound + rounding estimate of |value - exact|_2
 
 
 def _arc_perturbations(pert: dict, word, d: int) -> np.ndarray:
@@ -373,18 +374,14 @@ def perturbed_holonomy(rep: S.Representation, pert: dict, word,
     remainder_bound = |hol|_2 tail(r_hat, n_max)
                       + (m + n_max) d u e^r_hat prod_j |rho(x_j)|_2,
     with r_hat = sum_j |C_j|_2, m letters, d the matrix size and
-    u = 2^-53: series truncation plus a Higham gamma_n estimate of the
-    rounding in the m + n_max chained products of d x d matrices.
+    u = 2^-53: a bound on the series truncation plus a Higham gamma_n
+    estimate, not a bound, of the rounding in the m + n_max chained
+    products of d x d matrices.
     """
-    W.check_word(word, rep.genus)
     d = rep.spec.matrix_dim
-    psis, psi_invs = [np.eye(d, dtype=complex)], [np.eye(d, dtype=complex)]
-    for x in word:
-        psis.append(rep.letters[x] @ psis[-1])
-        psi_invs.append(psi_invs[-1] @ rep.letters[-x])
+    psis, psi_invs = S.prefix_holonomies(rep, word)
     psi, psi_inv = psis[-1], psi_invs[-1]
-    c = (np.array(psi_invs)[:-1] @ -_arc_perturbations(pert, word, d)
-         @ np.array(psis)[:-1])
+    c = psi_invs[:-1] @ -_arc_perturbations(pert, word, d) @ psis[:-1]
     norms = np.linalg.norm(np.concatenate([c, rep.letters[list(word)], [psi]]), 2,
                            axis=(1, 2)).tolist()
     r_hat = 0.0

@@ -12,6 +12,7 @@ from loopbracket import polygon as P
 from loopbracket import serialize as Z
 from loopbracket import surface as S
 from loopbracket import words as W
+import holonomy_reference as H
 import layout_reference as L
 from test_surface import homotopy_variants
 
@@ -393,7 +394,8 @@ ALL_KINDS = ("GL(2,R)", "GL(2,C)", "O(2,1)", "O(3,C)", "U(1,1)", "Sp(2,R)",
 
 
 def test_poisson_direct_matches_letter_by_letter_holonomies():
-    # shared prefix/suffix products against one S.holonomy per based word
+    # one F per loop, conjugated by prefix frames, against one S.holonomy
+    # per based word
     rng = np.random.default_rng(71)
     cases = [(GL2R, 1), (GL2C, 2), (O2, 2), (U2, 3)] + [
         (Z.parse_group_string(group), 1 + k % 3) for k, group in enumerate(ALL_KINDS)]
@@ -631,12 +633,12 @@ def _apply(images, word):
     return [y for x in word for y in (images[x] if x > 0 else W.inverse_word(images[-x]))]
 
 
-def _equivariance_case(data):
-    """Genus 1-3, two words of <= 8 letters and a composition of 1-3
-    mapping class generators, read from 23 bytes: one draw is all an
-    example costs Hypothesis, and zero bytes shrink to genus 1, empty
-    words and T_a_1."""
-    genus = 1 + data[0] % 3
+def _equivariance_case(data, genera=(1, 2, 3)):
+    """A genus of genera (1-3 by default), two words of <= 8 letters and
+    a composition of 1-3 mapping class generators, read from 23 bytes:
+    one draw is all an example costs Hypothesis, and zero bytes shrink
+    to the first genus, empty words and T_a_1."""
+    genus = genera[data[0] % len(genera)]
     letters = [x for k in range(1, 2 * genus + 1) for x in (k, -k)]
     words = [[letters[x % len(letters)] for x in data[at + 1:at + 1 + data[at] % 9]]
              for at in (1, 10)]
@@ -662,6 +664,88 @@ def test_brackets_are_mapping_class_equivariant(case):
         want = [B.LoopSum([(_apply(images, w), c) for w, c in ls.items()]) for ls in want]
         got = [B.bracket_oriented(genus, w1, w2), B.bracket_unoriented(genus, w1, w2)]
         assert got == want, (genus, w1, w2)
+
+
+# the groups of perfbench's goldman-long workload and its word lengths
+PAIR_GROUPS = ("GL(2,R)", "GL(2,C)", "GL(3,C)", "O(2,1)", "O(2,C)", "U(1,1)", "Sp(2,R)",
+               "Sp(1,1)")
+LENGTH_PAIRS = ((12, 32), (15, 27), (17, 24), (20, 20), (24, 17), (27, 15), (32, 12), (13, 31))
+
+
+def _pair_reps(seed):
+    """One representation of each pair group at genus 2 and 3, drawn as
+    goldman-long draws its fixed ones (there at seed 2006)."""
+    return {(group, genus): S.sample_representation(
+        Z.parse_group_string(group), genus, np.random.default_rng([seed, genus, slot]))
+        for slot, group in enumerate(PAIR_GROUPS) for genus in (2, 3)}
+
+
+def _bracket_of(spec):
+    # the bracket whose traces the Poisson side matches under spec
+    return B.bracket_oriented if spec.kind in G.GL_KINDS else B.bracket_unoriented
+
+
+def _terms(ls, rep):
+    """(sum, sum of magnitudes) of c Re tr hol(w) over the terms c w of ls,
+    read from its str keys as evaluate_many reads them."""
+    keys = ls._keys()
+    flat = np.frombuffer("".join(keys).encode("utf-32-le"), "<i4") - B._OFFSET
+    traces = S.trace_functions([rep], flat, np.array([len(k) for k in keys], dtype=np.intp))
+    parts = traces[0] * [ls._terms[k] / ls._den for k in keys]
+    return float(parts.sum()), float(np.abs(parts).sum())
+
+
+def _reduced_word(rng, genus, length):
+    """A uniform cyclically reduced word of exactly length letters."""
+    letters = [x for x in range(-2 * genus, 2 * genus + 1) if x]
+    while True:
+        word = []
+        while len(word) < length:
+            x = letters[int(rng.integers(len(letters)))]
+            if not word or x != -word[-1]:
+                word.append(x)
+        if word[0] != -word[-1]:
+            return word
+
+
+def test_poisson_direct_matches_the_based_holonomy_reference():
+    # change of basepoint against prefix times suffix products with F of
+    # every based holonomy, over goldman-long's pairs and representations
+    reps = _pair_reps(2006)
+    rng = np.random.default_rng(167)
+    for k in range(400):
+        group, genus = PAIR_GROUPS[k % 8], 2 + k // 8 % 2
+        rep = reps[group, genus]
+        w1, w2 = (_reduced_word(rng, genus, n) for n in LENGTH_PAIRS[(k + k // 16) % 8])
+        value, size = _terms(_bracket_of(rep.spec)(genus, w1, w2), rep)
+        got, want = B.poisson_direct(rep, w1, w2), H.poisson_direct(rep, w1, w2)
+        scale = 1 + abs(value) + size
+        assert abs(got - want) <= 1e-10 * scale, (group, genus, w1, w2)
+
+
+def test_evaluation_and_poisson_side_are_mapping_class_equivariant():
+    # rho∘phi maps w to rho(phi w), so evaluate() and poisson_direct of
+    # phi w1, phi w2 under rho equal those of w1, w2 under rho∘phi.  The
+    # two Poisson sides realize different pairs, and share no crossing
+    reps = _pair_reps(173)
+    rng = np.random.default_rng(179)
+    cases = 0
+    while cases < 200:
+        genus, (w1, w2), steps = _equivariance_case(rng.bytes(23), genera=(2, 3))
+        if not (W.cyclic_reduce(w1) and W.cyclic_reduce(w2)):
+            continue
+        rep = reps[PAIR_GROUPS[cases % 8], genus]
+        phi = {x: [x] for x in range(1, 2 * genus + 1)}
+        for images in steps:
+            phi = {x: _apply(images, w) for x, w in phi.items()}
+        pulled = S.Representation(rep.spec, genus, [S.holonomy(rep, phi[x]) for x in phi])
+        v1, v2 = _apply(phi, w1), _apply(phi, w2)
+        moved, kept = (_bracket_of(rep.spec)(genus, *pair) for pair in ((v1, v2), (w1, w2)))
+        scale = 1 + max(_terms(moved, rep)[1], _terms(kept, pulled)[1])
+        assert abs(moved.evaluate(rep) - kept.evaluate(pulled)) <= 1e-9 * scale, (w1, w2)
+        direct = B.poisson_direct(rep, v1, v2)
+        assert abs(direct - B.poisson_direct(pulled, w1, w2)) <= 1e-9 * scale, (w1, w2)
+        cases += 1
 
 
 def test_evaluate_rejects_out_of_range_letter():

@@ -523,10 +523,34 @@ def test_every_word_entry_point_rejects_letters_past_2g(genus):
                      [B.LoopSum(), B.LoopSum([([1, x], 1)])], [rep, rep]),
                  "perturbed": lambda: T.perturbed_holonomy(rep, pert, [x]),
                  "rk4_perturbed": lambda: T.rk4_perturbed_holonomy(rep, pert, [x]),
-                 "poisson_direct": lambda: B.poisson_direct(rep, [1], [x])}
+                 "poisson_direct": lambda: B.poisson_direct(rep, [1], [x]),
+                 "prefix_holonomies": lambda: S.prefix_holonomies(rep, [1, x])}
         for call in calls.values():
             with pytest.raises(W.WordError):
                 call()
+
+
+@pytest.mark.parametrize("group", ["GL(2,R)", "GL(3,C)", "O(2,1)", "U(1,1)", "Sp(2,R)", "Sp(1,1)"])
+def test_prefix_holonomies_are_the_holonomies_of_the_prefixes_and_their_inverses(group):
+    spec = Z.parse_group_string(group)
+    eye = np.eye(spec.matrix_dim)
+    for genus in (2, 3):
+        rng = np.random.default_rng([151, genus])
+        rep = S.sample_representation(spec, genus, rng)
+        pre, inv = S.prefix_holonomies(rep, [])
+        assert pre.shape == inv.shape == (1, *eye.shape)
+        assert np.array_equal(pre[0], eye) and np.array_equal(inv[0], eye)
+        letters = [x for x in range(-2 * genus, 2 * genus + 1) if x]
+        for length in (1, 5, 17, 32):
+            word = [int(x) for x in rng.choice(letters, size=length)]
+            pre, inv = S.prefix_holonomies(rep, word)
+            assert pre.shape == inv.shape == (length + 1, *eye.shape)
+            for k in range(length + 1):
+                # the same products in the same order as holonomy's, so
+                # every prefix keeps its bits, the whole word's among them
+                assert pre[k].tobytes() == S.holonomy(rep, word[:k]).tobytes()
+                scale = np.linalg.norm(pre[k], 2) * np.linalg.norm(inv[k], 2)
+                assert np.linalg.norm(pre[k] @ inv[k] - eye, 2) <= 1e-12 * scale, (k, word)
 
 
 @pytest.mark.parametrize("spec", [GL2R, U2], ids=str)
