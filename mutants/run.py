@@ -64,6 +64,16 @@ MUTANTS = (
            "pre[:-1] @ G.variation(rep.spec, pre[-1]) @ inv[:-1]",
            "inv[:-1] @ G.variation(rep.spec, pre[-1]) @ pre[:-1]",
            (GOLDMAN + "test_poisson_direct_matches_the_based_holonomy_reference",)),
+    Mutant("sigma with F in place of F^T: -sigma on Sp(2,R)",
+           "src/loopbracket/groups.py",
+           "f.T @ adj @ f",
+           "f @ adj @ f",
+           ("tests/test_groups.py::test_variation_matches_the_inverse_reference_on_the_group",)),
+    Mutant("sigma without the conjugate, on U(p,q) and Sp(p,q)",
+           "src/loopbracket/groups.py",
+           "acc.conj() if conj else acc",
+           "acc if conj else acc",
+           ("tests/test_groups.py::test_variation_off_the_group_is_the_pairing_projection",)),
     Mutant("-Im A block of a complex panel flipped",
            "src/loopbracket/transport.py",
            "np.concatenate([f.real, -f.imag], 2)",

@@ -11,19 +11,19 @@ each of the kind's multipliers (1, i or both), and F is the kind's form
 where it is not the identity; for sp(p, q), x fills a block of a 2n x 2n
 matrix (see algebra_basis).
 
-Conventions.  The pairing is <x, y> = Re tr(xy): R-bilinear, symmetric,
-and nondegenerate (indefinite in general) on each algebra below, since
-each is closed under conjugate transpose and <x, x^*> = |x|_F^2 > 0 for
-x != 0.  So its Gram matrix on any basis has no zero eigenvalue, and one
-eigendecomposition of it gives a pairing-orthonormal basis.  The
-decorated variation Fhat(g; x_1..x_k) is the pairing-dual of
+Conventions.  The pairing is <x, y> = Re tr(xy): R-bilinear, symmetric
+and, on each algebra below, nondegenerate (pairing_orthonormal_basis).
+The decorated variation Fhat(g; x_1..x_k) is the pairing-dual of
 
     <Fhat(g; x_1..x_k), y> = fhat(g; x_1..x_k, y) = Re tr(g x_1 .. x_k y)
 
-over algebra elements y.  At k = 0 it is the variation F(g), the dual of
-d/dt f(g exp(t y)) |_{t=0} = <g, y>: the projection of g onto the
-algebra, which is g for the two GL kinds and (g - g^-1)/2 for the kinds
-cut out by a form.
+over algebra elements y: the pairing-orthogonal projection of
+g x_1 .. x_k onto the algebra, and at k = 0 the variation F(g).  The GL
+kinds project by the identity.  A kind cut out by a real orthogonal form
+F has the involution sigma(x) = F^T adj(x) F: a pairing isometry whose -1
+eigenspace is the algebra (for Sp_pq, among the x with x J = J conj x),
+so the projection is (x - sigma x)/2.  On the group sigma(g) = g^-1, so
+F(g) = (g - g^-1)/2.
 
 All matrices are complex128 internally; the real kinds keep zero imaginary
 part and their membership residuals include a reality term.
@@ -91,30 +91,34 @@ class GroupSpec:
         return self.kind in _REAL_KINDS
 
 
+@cache
 def form_matrices(spec: GroupSpec):
-    """The group's defining equations besides reality, as (F, conj, J).
+    """The group's defining equations besides reality, as (F, conj, J),
+    with read-only arrays.
 
     adj(g) F g = F, where adj is the transpose, or the conjugate
     transpose when conj; F is None for the GL kinds.  O_pq/U_pq:
     F = diag(I_p, -I_q).  O_C: the identity.  Sp_R: the standard
     symplectic form.  Sp_pq: the Hermitian form F = diag(D, D), and
     g J = J conj(g) for the quaternionic structure J = [[0, -I], [I, 0]];
-    J is None for the other kinds.
+    J is None for the other kinds.  Each F is real and orthogonal.
     """
-    n = spec.n
-    if spec.kind in GL_KINDS:
-        return None, False, None
+    n, f, j = spec.n, None, None
     if spec.kind == "O_C":
-        return np.eye(n, dtype=complex), False, None
-    if spec.kind == "Sp_R":
+        f = np.eye(n, dtype=complex)
+    elif spec.kind == "Sp_R":
         z, i = np.zeros((n // 2, n // 2)), np.eye(n // 2)
-        return np.block([[z, i], [-i, z]]).astype(complex), False, None
-    d = np.diag(np.r_[np.ones(spec.p), -np.ones(spec.q)]).astype(complex)
-    if spec.kind != "Sp_pq":
-        return d, spec.kind == "U_pq", None
-    z, i = np.zeros((n, n)), np.eye(n)
-    return (np.block([[d, np.zeros_like(d)], [np.zeros_like(d), d]]), True,
-            np.block([[z, -i], [i, z]]).astype(complex))
+        f = np.block([[z, i], [-i, z]]).astype(complex)
+    elif spec.kind not in GL_KINDS:
+        f = np.diag(np.r_[np.ones(spec.p), -np.ones(spec.q)]).astype(complex)
+    if spec.kind == "Sp_pq":
+        z, i = np.zeros((n, n)), np.eye(n)
+        f = np.block([[f, np.zeros_like(f)], [np.zeros_like(f), f]])
+        j = np.block([[z, -i], [i, z]]).astype(complex)
+    for a in (f, j):
+        if a is not None:
+            a.flags.writeable = False  # cached and shared
+    return f, spec.kind in ("U_pq", "Sp_pq"), j
 
 
 def _fro(x) -> float:
@@ -316,22 +320,17 @@ def pairing(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def variation(spec: GroupSpec, g: np.ndarray, xs=()) -> np.ndarray:
-    """Decorated variation Fhat(g; x_1..x_k); with no x it is F(g).
-
-    GL kinds: g x_1 .. x_k.  Form kinds: the symmetrized combination
-    (g x_1 .. x_k + (-1)^{k+1} x_k .. x_1 g^-1) / 2, which lands back in
-    the algebra and keeps the chain rule exact.  g may be a stack.
-    """
-    g = np.asarray(g, dtype=complex)
-    acc = g
+    """Decorated variation Fhat(g; x_1..x_k), the projection of
+    acc = g x_1 .. x_k onto the algebra (see the module docstring): acc,
+    or (acc - sigma(acc)) / 2 on the form kinds.  g may be a stack."""
+    acc = np.asarray(g, dtype=complex)
     for x in xs:
         acc = acc @ x
-    if spec.kind in GL_KINDS:
+    f, conj, _ = form_matrices(spec)
+    if f is None:
         return acc
-    rev = np.linalg.inv(g)
-    for x in xs:
-        rev = np.asarray(x) @ rev
-    return (acc + rev if len(xs) % 2 else acc - rev) / 2.0
+    adj = np.swapaxes(acc.conj() if conj else acc, -1, -2)
+    return (acc - f.T @ adj @ f) / 2.0
 
 
 @cache

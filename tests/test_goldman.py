@@ -723,6 +723,30 @@ def test_poisson_direct_matches_the_based_holonomy_reference():
         assert abs(got - want) <= 1e-10 * scale, (group, genus, w1, w2)
 
 
+def test_poisson_direct_inverts_nothing(monkeypatch):
+    # one representation of each form kind is sampled first (the sampler
+    # and the letter table invert); then poisson_direct runs goldman-long
+    # sized genus-2 pairs with every LAPACK inverse or solve made to raise
+    forms = PAIR_GROUPS[3:]
+    reps = [S.sample_representation(Z.parse_group_string(group), 2,
+                                    np.random.default_rng([2006, 2, 3 + slot]))
+            for slot, group in enumerate(forms)]
+    rng = np.random.default_rng(181)
+    cases = []
+    for k, rep in enumerate(reps):
+        w1, w2 = (_reduced_word(rng, 2, n) for n in LENGTH_PAIRS[k])
+        cases.append((rep, w1, w2, *_terms(_bracket_of(rep.spec)(2, w1, w2), rep)))
+
+    def refuse(*args, **kwargs):
+        raise np.linalg.LinAlgError("no inverse on the Poisson side")
+
+    for name in ("inv", "solve", "lstsq"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    for rep, w1, w2, value, size in cases:
+        got = B.poisson_direct(rep, w1, w2)
+        assert abs(got - value) <= 1e-8 * (1 + abs(value) + size), (rep.spec, w1, w2)
+
+
 def test_evaluation_and_poisson_side_are_mapping_class_equivariant():
     # rho∘phi maps w to rho(phi w), so evaluate() and poisson_direct of
     # phi w1, phi w2 under rho equal those of w1, w2 under rho∘phi.  The

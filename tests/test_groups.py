@@ -5,6 +5,7 @@ from scipy.linalg import expm
 from loopbracket import groups as G
 
 import sampler_reference as R
+import variation_reference as V
 
 SPECS = [
     G.GroupSpec("GL_R", 2),
@@ -99,6 +100,56 @@ def test_variation_generic_agrees_with_closed_form(spec):
     for _ in range(5):
         g = G.random_element(spec, rng)
         assert np.linalg.norm(G.variation(spec, g) - G.project_to_algebra(spec, g)) < 1e-9
+
+
+def test_every_form_is_real_orthogonal_and_read_only():
+    # sigma(x) = F^T adj(x) F is an involution that reverses products
+    # only when F^T F = 1
+    for spec in SPECS:
+        f, _, j = G.form_matrices(spec)
+        if spec.kind in G.GL_KINDS:
+            assert f is None
+            continue
+        assert not f.imag.any() and np.array_equal(f.T @ f, np.eye(len(f)))
+        assert not any(a.flags.writeable for a in (f, j) if a is not None)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=str)
+def test_variation_matches_the_inverse_reference_on_the_group(spec):
+    # on the group sigma(g x_1..x_k) = (-1)^k x_k..x_1 g^-1, which the
+    # reference builds with an inverse and a reversed product
+    rng = np.random.default_rng(31)
+    xs = [G.random_algebra_element(spec, rng) for _ in range(3)]
+    for g in (G.random_element(spec, rng), np.stack(G.random_elements(spec, rng, 4))):
+        for k in range(4):
+            got, want = G.variation(spec, g, xs[:k]), V.variation(spec, g, xs[:k])
+            if spec.kind in G.GL_KINDS:
+                assert np.array_equal(got, want)
+            acc, rev = g, np.linalg.inv(g)
+            for x in xs[:k]:
+                acc, rev = acc @ x, x @ rev
+            scale = 1 + np.linalg.norm(acc, axis=(-2, -1)) + np.linalg.norm(rev, axis=(-2, -1))
+            assert (np.linalg.norm(got - want, axis=(-2, -1)) <= 1e-12 * scale).all(), k
+
+
+def _structured(spec, rng):
+    """A matrix off the group with the kind's reality and J structure:
+    real for the real kinds, y - J conj(y) J for Sp_pq."""
+    d = spec.matrix_dim
+    m = rng.standard_normal((d, d)) + (not spec.is_real) * 1j * rng.standard_normal((d, d))
+    j = G.form_matrices(spec)[2]
+    return m if j is None else m - j @ m.conj() @ j
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=str)
+def test_variation_off_the_group_is_the_pairing_projection(spec):
+    rng = np.random.default_rng(37)
+    for scale in (1e-3, 1.0, 1e3):
+        m = scale * _structured(spec, rng)
+        size = np.linalg.norm(m)
+        got = G.variation(spec, m)
+        assert np.linalg.norm(got - G.project_to_algebra(spec, m)) <= 1e-12 * size
+        assert G.algebra_residual(spec, got) <= 1e-12 * size
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=str)
