@@ -68,12 +68,14 @@ MUTANTS = (
            "src/loopbracket/groups.py",
            "f.T @ adj @ f",
            "f @ adj @ f",
-           ("tests/test_groups.py::test_variation_matches_the_inverse_reference_on_the_group",)),
+           ("tests/test_groups.py::test_variation_matches_the_inverse_reference_on_the_group",
+            GOLDMAN + "test_unoriented_matches_poisson_on_form_kinds")),
     Mutant("sigma without the conjugate, on U(p,q) and Sp(p,q)",
            "src/loopbracket/groups.py",
            "acc.conj() if conj else acc",
            "acc if conj else acc",
-           ("tests/test_groups.py::test_variation_off_the_group_is_the_pairing_projection",)),
+           ("tests/test_groups.py::test_variation_off_the_group_is_the_pairing_projection",
+            GOLDMAN + "test_unoriented_matches_poisson_on_form_kinds")),
     Mutant("-Im A block of a complex panel flipped",
            "src/loopbracket/transport.py",
            "np.concatenate([f.real, -f.imag], 2)",
@@ -109,6 +111,11 @@ MUTANTS = (
            "sum(math.prod(s) * f(*(x * h for x in s))",
            "sum(f(*(x * h for x in s))",
            ("tests/test_groups.py::test_central_difference_is_exact_on_low_degree_polynomials",)),
+    Mutant("earlier handles' inverses multiplied in the wrong order",
+           "src/loopbracket/surface.py",
+           "inv[k + 1] @ inv[k]",
+           "inv[k] @ inv[k + 1]",
+           ("tests/test_surface.py::test_sample_representation_genus3",)),
     Mutant("perturbed holonomy scaled by 1.001",
            "src/loopbracket/transport.py",
            "PerturbedHolonomy(psi, psi @ levels.sum(axis=0),",

@@ -137,20 +137,6 @@ def relator_residual(rep: Representation) -> float:
     return float(np.linalg.norm(r - np.eye(rep.spec.matrix_dim)))
 
 
-def _commuting_pair(spec, rng):
-    # exp of two odd polynomials in one algebra element: odd powers stay
-    # in every supported algebra, so both images are group members and
-    # they commute exactly
-    x = G.random_algebra_element(spec, rng)
-    nx = np.linalg.norm(x)
-    if nx < 1e-12:
-        raise RelatorError("degenerate algebra sample")
-    x = x / nx
-    c = rng.uniform(0.3, 0.9, size=4) * np.where(rng.integers(0, 2, size=4), 1, -1)
-    x3 = x @ x @ x
-    return G.expm(np.stack([c[0] * x + c[1] * x3, c[2] * x + c[3] * x3]))
-
-
 def _real_coords(x):
     # real parts, then imaginary parts, of each trailing (d, d) block
     return np.concatenate([x.real, x.imag], axis=-2).reshape(x.shape[:-2] + (-1,))
@@ -180,16 +166,17 @@ def _newton_last_handle(spec, images, tol):
     from the last two of the 2g images; the others stay fixed.
 
     The relator holonomy factors as B^-1 A^-1 B A C with C the known
-    product of the earlier commutator blocks.  Solving for B alone is
-    rank-deficient (the image of B -> B^-1 A^-1 B A has codimension
-    dim Z(A) inside the unimodular target set), so Gauss-Newton runs
-    over the pair; updates X exp(xi) keep both iterates in the group.
-    The accepted iterate's inverses and products carry over to the
-    next Jacobian.
+    product of the earlier commutator blocks, C = I at genus 1.  Solving
+    for B alone is rank-deficient (the image of B -> B^-1 A^-1 B A has
+    codimension dim Z(A) inside the unimodular target set), so
+    Gauss-Newton runs over the pair; updates X exp(xi) keep both iterates
+    in the group.  The accepted iterate's inverses and products carry
+    over to the next Jacobian.
     """
     eye = np.eye(spec.matrix_dim, dtype=complex)
     *earlier, a, b = images
-    inv = np.linalg.inv(np.array(earlier))
+    # a (2g - 2, d, d) stack, empty at genus 1, where np.array([]) is 1-d
+    inv = np.linalg.inv(np.array(earlier).reshape(-1, *a.shape))
     c = eye
     for k in range(0, len(earlier), 2):
         # later handles act later, hence multiply on the left
@@ -236,22 +223,18 @@ def sample_representation(spec: G.GroupSpec, genus: int, rng: np.random.Generato
                           tol: float = 1e-12) -> Representation:
     """Random representation of the genus-g surface group.
 
-    Genus 1: a commuting pair.  Genus >= 2: 2g random images from one
-    draw, then Gauss-Newton on the last handle pair; fresh draws up to
-    _MAX_TRIES, then RelatorError.
+    2g random images from one draw, then Gauss-Newton on the last handle
+    pair, with C = I at genus 1; fresh draws up to _MAX_TRIES, then
+    RelatorError.
     """
     if genus < 1:
         raise WordError("genus must be >= 1")
     for _ in range(_MAX_TRIES):
-        if genus == 1:
-            a, b = _commuting_pair(spec, rng)
-            rep = Representation(spec, 1, [a, b])
-        else:
-            images = G.random_elements(spec, rng, 2 * genus)
-            solved = _newton_last_handle(spec, images, tol)
-            if solved is None:
-                continue
-            rep = Representation(spec, genus, images[:-2] + list(solved))
+        images = G.random_elements(spec, rng, 2 * genus)
+        solved = _newton_last_handle(spec, images, tol)
+        if solved is None:
+            continue
+        rep = Representation(spec, genus, images[:-2] + list(solved))
         if relator_residual(rep) <= max(tol, 1e-11):
             return rep
     raise RelatorError(f"no representation found after {_MAX_TRIES} attempts")

@@ -75,17 +75,6 @@ def _relator_residual(spec, genus, images):
     return float(np.linalg.norm(h - np.eye(spec.matrix_dim)))
 
 
-def _commuting_pair(spec, rng):
-    x = random_algebra_element(spec, rng)
-    nx = np.linalg.norm(x)
-    if nx < 1e-12:
-        raise RelatorError("degenerate algebra sample")
-    x = x / nx
-    c = rng.uniform(0.3, 0.9, size=4) * np.where(rng.integers(0, 2, size=4), 1, -1)
-    x3 = x @ x @ x
-    return expm(np.stack([c[0] * x + c[1] * x3, c[2] * x + c[3] * x3]))
-
-
 def _real_coords(x):
     return np.stack([x.real, x.imag], axis=-3).reshape(x.shape[:-2] + (-1,))
 
@@ -143,16 +132,13 @@ def sample_images(spec, genus, rng, tol=1e-12):
     """The images sample_representation(spec, genus, rng, tol) returns;
     RelatorError once every try fails."""
     for _ in range(32):
-        if genus == 1:
-            images = list(_commuting_pair(spec, rng))
-        else:
-            earlier = [(random_element(spec, rng), random_element(spec, rng))
-                       for _ in range(genus - 1)]
-            solved = _newton_last_handle(spec, rng, random_element(spec, rng),
-                                         earlier, tol)
-            if solved is None:
-                continue
-            images = [m for pair in earlier for m in pair] + list(solved)
+        earlier = [(random_element(spec, rng), random_element(spec, rng))
+                   for _ in range(genus - 1)]
+        solved = _newton_last_handle(spec, rng, random_element(spec, rng),
+                                     earlier, tol)
+        if solved is None:
+            continue
+        images = [m for pair in earlier for m in pair] + list(solved)
         if _relator_residual(spec, genus, images) <= max(tol, 1e-11):
             return images
     raise RelatorError("no representation found after 32 attempts")

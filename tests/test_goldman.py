@@ -379,8 +379,10 @@ def test_oriented_matches_poisson_on_gl():
 
 
 def test_unoriented_matches_poisson_on_form_kinds():
+    # the Sp kinds' antisymmetric forms watch sigma's F^T, U and Sp its conjugate
     rng = np.random.default_rng(31)
-    for spec in (O2, U2):
+    kinds = ("O(2,1)", "O(2,C)", "U(1,1)", "Sp(2,R)", "Sp(1,1)")
+    for spec in (O2, U2, *map(Z.parse_group_string, kinds)):
         for genus, w1, w2 in [(1, [1], [2]), (1, [1, 2], [2, 2, -1]),
                               (2, [1, 2], [2, -3])]:
             rep = S.sample_representation(spec, genus, rng)

@@ -227,7 +227,7 @@ SURVEY_GROUPS = ("GL(2,R)", "GL(2,C)", "O(2,1)", "O(3,C)", "U(1,1)",
                  "Sp(2,R)", "Sp(1,1)")
 
 
-@pytest.mark.parametrize("genus", [2, 3])
+@pytest.mark.parametrize("genus", [1, 2, 3])
 @pytest.mark.parametrize("group", SURVEY_GROUPS)
 def test_sampler_survey(group, genus):
     # every seed gives a representation or a RelatorError, nothing else
