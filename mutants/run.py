@@ -121,6 +121,11 @@ MUTANTS = (
            "PerturbedHolonomy(psi, psi @ levels.sum(axis=0),",
            "PerturbedHolonomy(psi, 1.001 * psi @ levels.sum(axis=0),",
            (TRANSPORT + "test_perturbed_holonomy_matches_expm_with_honest_bound",)),
+    Mutant("serialize imports dgla when it loads",
+           "src/loopbracket/serialize.py",
+           "from .schema import SchemaError, is_integer\n",
+           "from . import dgla as DG\nfrom .schema import SchemaError, is_integer\n",
+           ("tests/test_cli.py::test_each_run_loads_only_its_modules",)),
 )
 
 

@@ -22,9 +22,13 @@ written), 3 no representation found within the sampler's tries, 4
 relator residual above tolerance.  Every pair of valid curves realizes,
 so bracket exits 0 or 2.
 
-Each subcommand imports the numeric modules it uses when it runs, so
-bracket, whose modules need only the standard library, never loads
-numpy.
+Each subcommand imports the modules it runs when it runs, because a
+process with no bytecode cache compiles every module it imports:
+importing cli loads schema and words, bracket adds bracket and polygon
+and never numpy, sample-rep and holonomy add groups, serialize and
+surface (holonomy --perturbation also transport), dgla-check adds
+those three and dgla, and verify adds those three, verify and its
+suite's own modules.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ import math
 import os
 import sys
 
-from .bracket import bracket_oriented, bracket_unoriented
 from .schema import DglaError, SchemaError, curves_from_json, loopsum_to_json
 from .words import RelatorError, WordError, check_word, format_word, parse_word
 
@@ -102,6 +105,8 @@ def _emit(args, *docs):
 
 
 def cmd_bracket(args) -> int:
+    from .bracket import bracket_oriented, bracket_unoriented
+
     genus, curves = curves_from_json(_load_json(args.input))
     for name in (args.first, args.second):
         if name not in curves:

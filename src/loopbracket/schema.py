@@ -10,8 +10,12 @@ tensors do not fit together; the CLI maps both to exit code 2.
 
 from __future__ import annotations
 
-from . import bracket as B
+from typing import TYPE_CHECKING
+
 from . import words as W
+
+if TYPE_CHECKING:
+    from . import bracket as B
 
 
 class SchemaError(ValueError):

@@ -14,14 +14,17 @@ have finite inverses.  Curve files, loop sums and SchemaError live in
 from __future__ import annotations
 
 import re
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import dgla as DG
 from . import groups as G
 from . import surface as S
 from . import words as W
 from .schema import SchemaError, is_integer
+
+if TYPE_CHECKING:
+    from . import dgla as DG
 
 
 def _numbers(data, name) -> np.ndarray:
@@ -151,12 +154,16 @@ def perturbation_from_json(obj, genus: int, dim: int) -> dict:
 
 
 def dgla_to_json(dgla: DG.CyclicDgla) -> dict:
+    from . import dgla as DG
+
     d0, d1 = dgla.dims
     return {"d0": d0, "d1": d1,
             **{name: getattr(dgla, name).tolist() for name in DG.shapes(d0, d1)}}
 
 
 def dgla_from_json(obj) -> DG.CyclicDgla:
+    from . import dgla as DG
+
     if not isinstance(obj, dict) or "d0" not in obj or "d1" not in obj:
         raise SchemaError("DGLA file needs explicit 'd0' and 'd1'")
     d0, d1 = obj["d0"], obj["d1"]

@@ -22,18 +22,18 @@ import inspect
 import math
 from functools import partial, reduce
 from itertools import product
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
-from . import bracket as B
-from . import dgla as DG
 from . import groups as G
 from . import serialize as Z
 from . import surface as S
-from . import transport as T
 from . import words as W
 from .schema import SchemaError
+
+if TYPE_CHECKING:
+    from . import transport as T
 
 _GL_GROUPS = ("GL(2,R)", "GL(2,C)")
 _FORM_GROUPS = ("O(2)", "O(1,1)", "U(2)", "Sp(2,R)")
@@ -62,6 +62,8 @@ def central_difference(f: Callable[..., float], k: int, h: float) -> float:
 
 def _goldman_record(rng: np.random.Generator, idx: int, *, tol: float,
                     unoriented: bool, genus=None, group=None) -> dict:
+    from . import bracket as B
+
     groups = _FORM_GROUPS if unoriented else _GL_GROUPS
     gname = group or groups[idx % len(groups)]
     g = genus if genus is not None else 1 + (idx // len(groups)) % 2
@@ -85,6 +87,8 @@ def _goldman_record(rng: np.random.Generator, idx: int, *, tol: float,
 
 def jacobi_trial(rng: np.random.Generator, idx: int, *, tol: float,
                  genus=None, group=None) -> dict:
+    from . import bracket as B
+
     odd = bool(idx % 2)
     gname = group or ("GL(2,R)", "U(2)", "GL(2,C)", "O(1,1)")[idx % 4]
     g = genus if genus is not None else 1 + (idx // 4) % 2
@@ -112,6 +116,8 @@ def jacobi_trial(rng: np.random.Generator, idx: int, *, tol: float,
 
 def _chen_random_path(rng: np.random.Generator) -> T.MatrixPath:
     """Gentle non-commuting path with r_hat roughly in [0.3, 1.2]."""
+    from . import transport as T
+
     target = rng.uniform(0.3, 1.15)
     m0 = rng.normal(size=(2, 2))
     m0 = target * m0 / np.linalg.norm(m0, 2)
@@ -130,6 +136,8 @@ def _norm_integral(path: T.MatrixPath) -> float:
 
 
 def _chen_ratio_path(rng: np.random.Generator) -> T.MatrixPath:
+    from . import transport as T
+
     m = rng.normal(size=(2, 2))
     m = m + (0.3 + np.linalg.norm(m, 2)) * np.eye(2)
     m = m / np.linalg.norm(m, 2)
@@ -152,6 +160,8 @@ def _word_rep_pert(rng, scale):
 
 
 def chen_trial(rng: np.random.Generator, idx: int, *, tol: float) -> dict:
+    from . import transport as T
+
     if idx == 0:
         # constant nilpotent coefficient: one exact term, rest zero
         n = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -227,6 +237,8 @@ _DGLA_CONFIGS = ((1, "GL(2,R)"), (1, "U(2)"), (2, "GL(2,R)"), (1, "Sp(2,R)"),
 
 def dgla_trial(rng: np.random.Generator, idx: int, *, tol: float,
                genus=None, group=None) -> dict:
+    from . import dgla as DG
+
     g, gname = _DGLA_CONFIGS[idx % len(_DGLA_CONFIGS)]
     if genus is not None:
         g = genus

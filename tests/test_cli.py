@@ -594,77 +594,93 @@ def test_stdin_input(diag_rep):
     assert json.loads(out.stdout)["trace"] == 2.5
 
 
-_NO_SCIPY = """
-import contextlib, io, sys
-import numpy
-def ours():
-    return {m for m in sys.modules if m.startswith("numpy.polynomial")}
-base = ours()  # numpy < 2 loads numpy.polynomial in `import numpy` itself
+_LOADS = """
+import contextlib, io, json, sys
 from loopbracket import cli
-curves, rep, pert = sys.argv[1:]
-runs = [["bracket", curves, "a", "b"], ["holonomy", rep, "a1 b1"],
-        ["holonomy", rep, "a1 b1", "--perturbation", pert],
-        ["verify", "variation", "--trials", "1"],
-        ["sample-rep", "--group", "O(2,1)", "--genus", "2"],
-        ["dgla-check", "--toy", "GL(2,R)"]]
-for argv in runs:
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(argv) == 0, argv
-print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
-print(sorted(ours() - base))
-"""
-
-
-def test_cli_runs_without_scipy(torus_curves, diag_rep, tmp_path):
-    # scipy is a test dependency only; the CLI must never import it.  Nor
-    # may these commands load numpy.polynomial beyond what `import numpy`
-    # loads: only the Chebyshev grids of picard_transport use it, and
-    # holonomy --perturbation builds none
-    pert = tmp_path / "pert.json"
-    pert.write_text(json.dumps({"a1": Z.matrix_to_json(0.01 * np.eye(2))}))
-    out = subprocess.run([sys.executable, "-c", _NO_SCIPY, torus_curves, diag_rep,
-                          str(pert)], capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["[]", "[]"]
-
-
-_NO_NUMPY = """
-import contextlib, io, sys
-from loopbracket import cli
-curves, bad, out = sys.argv[1:]
-runs = [(["bracket", curves, "a", "b"], 0),
-        (["bracket", curves, "a", "b", "--unoriented"], 0),
-        (["bracket", curves, "a", "b", "--out", out], 0),
-        (["bracket", "-", "a", "b"], 0),
-        (["bracket", bad, "a", "b"], 2),
-        (["bracket", curves, "a", "nope"], 2)]
+runs, stdin = json.loads(sys.argv[1]), sys.argv[2]
 for argv, code in runs:
-    sys.stdin, sink = open(curves), io.StringIO()
+    sys.stdin, sink = open(stdin), io.StringIO()
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-        assert cli.main(argv) == code, argv
-print(sorted(m for m in sys.modules
-             if m.split(".")[0] == "numpy" or m == "loopbracket.verify"))
+        assert cli.main(argv) == code, (argv, sink.getvalue())
+print(json.dumps({
+    "loopbracket": sorted(m for m in sys.modules if m.startswith("loopbracket.")),
+    "numpy": "numpy" in sys.modules, "fractions": "fractions" in sys.modules,
+    "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+    "polynomial": sorted(m for m in sys.modules if m.startswith("numpy.polynomial"))}))
 """
 
+_CLI = ("cli", "schema", "words")
+_NUMERIC = _CLI + ("groups", "serialize", "surface")
+_VERIFY = _NUMERIC + ("verify",)
+_BRACKET = ("bracket", "polygon")
 
-def test_bracket_runs_without_numpy(torus_curves, tmp_path):
+# a process with no bytecode cache compiles each module it imports, so
+# each subcommand imports only the modules it runs.  Rows: the runs
+# (argv, exit code) made in one fresh interpreter, and the loopbracket
+# modules loaded after them
+_LOADS_TABLE = {
+    "import": ([], _CLI),
     # the bracket is exact combinatorics: none of its paths, the error
     # exits included, may import numpy or the verify suites
+    "bracket": ([(["bracket", "{curves}", "a", "b"], 0),
+                 (["bracket", "{curves}", "a", "b", "--unoriented"], 0),
+                 (["bracket", "{curves}", "a", "b", "--out", "{out}"], 0),
+                 (["bracket", "-", "a", "b"], 0),
+                 (["bracket", "{bad}", "a", "b"], 2),
+                 (["bracket", "{curves}", "a", "nope"], 2)], _CLI + _BRACKET),
+    "sample-rep": ([(["sample-rep", "--group", "O(2,1)", "--genus", "2"], 0)], _NUMERIC),
+    "holonomy": ([(["holonomy", "{rep}", "a1 b1"], 0)], _NUMERIC),
+    "holonomy --perturbation": (
+        [(["holonomy", "{rep}", "a1 b1", "--perturbation", "{pert}"], 0)],
+        _NUMERIC + ("transport",)),
+    "dgla-check": ([(["dgla-check", "--toy", "GL(2,R)"], 0)], _NUMERIC + ("dgla",)),
+    "verify variation": ([(["verify", "variation", "--trials", "1"], 0)], _VERIFY),
+    **{f"verify {suite}": ([(["verify", suite, "--trials", "1"], 0)], _VERIFY + _BRACKET)
+       for suite in ("goldman-gl", "goldman-unoriented", "jacobi")},
+    "verify chen": ([(["verify", "chen", "--trials", "1"], 0)], _VERIFY + ("transport",)),
+    "verify dgla": ([(["verify", "dgla", "--trials", "1"], 0)], _VERIFY + ("dgla",)),
+}
+
+
+@pytest.fixture(scope="module")
+def numpy_polynomial_base():
+    # numpy < 2 loads numpy.polynomial in `import numpy` itself
+    out = subprocess.run([sys.executable, "-c", "import json, sys, numpy; print(json.dumps("
+                          "[m for m in sys.modules if m.startswith('numpy.polynomial')]))"],
+                         capture_output=True, text=True, check=True)
+    return set(json.loads(out.stdout))
+
+
+@pytest.mark.parametrize("row", list(_LOADS_TABLE))
+def test_each_run_loads_only_its_modules(row, torus_curves, diag_rep, tmp_path,
+                                         numpy_polynomial_base):
+    runs, modules = _LOADS_TABLE[row]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"genus": 1, "curves": {"a": "a1", "b": "b1 z9"}}))
-    out = subprocess.run([sys.executable, "-c", _NO_NUMPY, torus_curves, str(bad),
-                          str(tmp_path / "out.json")], capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
-    assert (tmp_path / "out.json").read_text() == '[{"coef":"1","word":"a1 b1"}]\n'
-
-
-def test_cli_import_loads_no_numpy():
-    out = subprocess.run([sys.executable, "-c",
-                          "import sys, loopbracket.cli; print('numpy' in sys.modules)"],
+    pert = tmp_path / "pert.json"
+    pert.write_text(json.dumps({"a1": Z.matrix_to_json(0.01 * np.eye(2))}))
+    files = {"curves": torus_curves, "rep": diag_rep, "bad": str(bad),
+             "pert": str(pert), "out": str(tmp_path / "out.json")}
+    runs = [([arg.format(**files) for arg in argv], code) for argv, code in runs]
+    out = subprocess.run([sys.executable, "-c", _LOADS, json.dumps(runs), torus_curves],
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    got = json.loads(out.stdout)
+    assert got["loopbracket"] == sorted(f"loopbracket.{m}" for m in modules)
+    # `import loopbracket.cli` and the bracket path need the standard
+    # library alone, and only the bracket's coefficients need Fraction
+    assert got["numpy"] == ("groups" in modules)
+    if row == "import":
+        assert not got["fractions"]
+    # scipy is a test dependency only; the CLI must never import it.  Nor
+    # may a run load numpy.polynomial beyond what `import numpy` loads,
+    # except for the Chebyshev grids of picard_transport, which only the
+    # chen suite builds: holonomy --perturbation builds none
+    assert got["scipy"] == []
+    if row != "verify chen":
+        assert set(got["polynomial"]) <= numpy_polynomial_base
+    if row == "bracket":
+        assert Path(files["out"]).read_text() == '[{"coef":"1","word":"a1 b1"}]\n'
 
 
 # numpy's private modules: numpy._core, np.linalg._umath_linalg and the
