@@ -93,9 +93,19 @@ MUTANTS = (
            (GOLDMAN + "test_torus_closed_form_small_cases",)),
     Mutant("inverse splice read at rotation j instead of n2 - j",
            "src/loopbracket/bracket.py",
-           "key = _splice_key(first, inverse, i, -j % n2)",
-           "key = _splice_key(first, inverse, i, j)",
+           "[(-sign, i, n2 - j) for sign, i, j in crossings]",
+           "[(-sign, i, j) for sign, i, j in crossings]",
            (GOLDMAN + "test_unoriented_is_the_mean_of_two_oriented_brackets",)),
+    Mutant("key read from the tables without the cyclic-junction test",
+           "src/loopbracket/bracket.py",
+           "if t1[i + n1 - 1] != -t2[j] and t1[i] != -t2[j + n2 - 1]:",
+           "if t1[i + n1 - 1] != -t2[j]:",
+           (GOLDMAN + "test_keys_match_the_per_crossing_reference",)),
+    Mutant("first listed rotation kept without comparing the second",
+           "src/loopbracket/bracket.py",
+           "key = x if x < y else y",
+           "key = x",
+           (GOLDMAN + "test_keys_match_the_per_crossing_reference",)),
     Mutant("Koszul sign of the second Jacobi term",
            "src/loopbracket/dgla.py",
            "(-1) ** (q * p))",

@@ -155,7 +155,20 @@ def _bracket(genus: int, word1, word2, unoriented: bool) -> LoopSum:
 
 def _counts(genus: int, word1, word2, unoriented: bool) -> dict[str, int]:
     """Signed crossing count of each term key, in halves when unoriented;
-    a key may count 0."""
+    a key may count 0.
+
+    One loop per side forms the keys: over l_p, then, when unoriented,
+    over l_p^-1.  The key of g_p l_p is canonical_cyclic(g + l) for g, l
+    the rotations of the two words at i and j.  Both words are reduced,
+    so letters cancel only at the junction g|l and at the cyclic
+    junction l|g, and what is left is a stretch of g and a stretch of l.
+    Most splices cancel nothing, and their stretches are g and l whole.
+    In a ranked pair the key is the least rotation of the splice that
+    starts at a tail the tables list for the cuts; a start cut away by
+    a junction leaves them no answer, and then, as in an unranked pair,
+    words.least_rotation scans the joined word.  Where one side cancels
+    away, what is left need not be reduced, and canonical_cyclic keys it.
+    """
     c1, c2, crossings = P.realized_pair(genus, word1, word2)
     if 2 * genus > _LIMIT:  # else the genus check of realized_pair is the stricter
         _check_limit(c1.word + c2.word)
@@ -164,28 +177,64 @@ def _counts(genus: int, word1, word2, unoriented: bool) -> dict[str, int]:
     # the tails tables are built once per pair and save a scan on each
     # term; below 1.5 terms a letter they cost more than that
     ranked = 2 * len(crossings) >= 3 * (len(c1.word) + len(c2.word))
-    first, second = _side(c1.word, ranked), _side(c2.word, ranked)
+    n1, t1, e1, r1 = _side(c1.word, ranked)
+    n2 = len(c2.word)
+    sides = [(crossings, _side(c2.word, ranked))]
     if unoriented:
-        # l_p^-1 is the rotation of w2^-1 at n2 - j
-        n2, inverse = len(c2.word), _side(tuple(W.inverse_word(c2.word)), ranked)
+        # l_p^-1 is the rotation of w2^-1 at n2 - j, and counts -sign
+        sides.append(([(-sign, i, n2 - j) for sign, i, j in crossings],
+                      _side(tuple(W.inverse_word(c2.word)), ranked)))
     counts: dict[str, int] = {}
-    for sign, i, j in crossings:
-        key = _splice_key(first, second, i, j)
-        counts[key] = counts.get(key, 0) + sign
-        if unoriented:
-            key = _splice_key(first, inverse, i, -j % n2)
-            counts[key] = counts.get(key, 0) - sign
+    n12 = n1 + n2
+    for splices, (_, t2, e2, r2) in sides:
+        for sign, i, j in splices:
+            if t1[i + n1 - 1] != -t2[j] and t1[i] != -t2[j + n2 - 1]:
+                a, n, word = n1, n12, e1[i:i + n1] + e2[j:j + n2]
+                tails1, tails2 = r1[i], r2[j]
+            else:
+                k = 0
+                while k < n1 and k < n2 and t1[i + n1 - 1 - k] == -t2[j + k]:
+                    k += 1
+                m = 0
+                while m < n1 - k and m < n2 - k and t1[i + m] == -t2[j + n2 - 1 - m]:
+                    m += 1
+                a, n = n1 - k - m, n12 - 2 * (k + m)
+                word = e1[i + m:i + n1 - k] + e2[j + k:j + n2 - m]
+                # the stretches end at cuts i - k and j - m, read from the
+                # second round of the tables where they fall below 0
+                tails1, tails2 = r1[i - k], r2[j - m]
+                if tails1 and (tails1[0] > a or tails2[0] > n - a):
+                    tails1 = None  # a listed start is cut away
+            if tails1:
+                # the rotation of the splice at p is twice[p:p + n]
+                twice = word * 2
+                if len(tails1) + len(tails2) > 2:
+                    key = min([twice[a - t:a + n - t] for t in tails1]
+                              + [twice[n - t:2 * n - t] for t in tails2])
+                else:
+                    p, q = a - tails1[0], n - tails2[0]
+                    x, y = twice[p:p + n], twice[q:q + n]
+                    key = x if x < y else y
+            elif a and a != n:
+                key = W.least_rotation(word)
+            else:  # one side cancels away, and what is left need not be reduced
+                key = _encode(W.canonical_cyclic(t1[i:i + n1] + t2[j:j + n2]))
+            counts[key] = counts.get(key, 0) + sign
+            # free this splice's strings before the next one is built: kept
+            # alive they fragment the heap, +10 % peak RSS at 512 letters
+            word = twice = x = y = None
     return counts
 
 
 def _side(word: tuple, ranked: bool):
     """(n, letters, codes, tails) of one word of a pair.
 
-    Letters and key codes run twice round, so the rotation at i is
-    [i:i + n]; tails is _tails(codes, n), or None where the pair goes without.
+    Letters, key codes and tails run twice round, so the rotation at i is
+    [i:i + n] and tails[i] lists the starts for cut i mod n (_tails); a
+    pair that goes without the tables has None at every cut.
     """
     n, letters, codes = len(word), word * 2, _encode(word) * 2
-    return n, letters, codes, _tails(codes, n) if ranked else None
+    return n, letters, codes, _tails(codes, n) * 2 if ranked else [None] * (2 * n)
 
 
 def _tails(codes: str, n: int) -> list[tuple[int, ...]]:
@@ -231,44 +280,6 @@ def _tails(codes: str, n: int) -> list[tuple[int, ...]]:
         out.append(tuple(sorted((t for t, s in tails if codes[s:s + len(best)] == best),
                                 reverse=True)))
     return out
-
-
-def _splice_key(first, second, i: int, j: int) -> str:
-    """Key of canonical_cyclic(g + l) for g, l the rotations of the two
-    sides at i and j.
-
-    Both words are reduced, so letters cancel only at the junction g|l
-    and at the cyclic junction l|g.  What is left is a stretch of g and
-    a stretch of l.  When the tails tables hold, the least rotation
-    starts at one of the few starts they list for the cuts; otherwise
-    the joined word is scanned.
-    """
-    n1, t1, e1, r1 = first
-    n2, t2, e2, r2 = second
-    k = 0
-    while k < n1 and k < n2 and t1[i + n1 - 1 - k] == -t2[j + k]:
-        k += 1
-    m = 0
-    while m < n1 - k and m < n2 - k and t1[i + m] == -t2[j + n2 - 1 - m]:
-        m += 1
-    a, b = n1 - k - m, n2 - k - m
-    if not a or not b:
-        # one side cancels away, and what is left need not be reduced
-        return _encode(W.canonical_cyclic(t1[i:i + n1] + t2[j:j + n2]))
-    word = e1[i + m:i + n1 - k] + e2[j + k:j + n2 - m]
-    if r1 and r2:
-        # the stretches end at cuts i - k and j - m; a listed start cut
-        # away by the junctions leaves the tables no answer
-        tails1, tails2 = r1[(i - k) % n1], r2[(j - m) % n2]
-        if tails1[0] <= a and tails2[0] <= b:
-            twice, n = word + word, a + b
-            if len(tails1) + len(tails2) > 2:
-                return min([twice[a - t:a - t + n] for t in tails1]
-                           + [twice[n - t:2 * n - t] for t in tails2])
-            p, q = a - tails1[0], n - tails2[0]
-            x, y = twice[p:p + n], twice[q:q + n]
-            return x if x < y else y
-    return W.least_rotation(word)
 
 
 def bracket_oriented(genus: int, word1, word2, seed: int = 0) -> LoopSum:

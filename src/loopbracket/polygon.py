@@ -96,15 +96,16 @@ def realized_pair(genus: int, word1, word2
                   ) -> tuple[PLLoop, PLLoop, list[tuple[int, int, int]]]:
     """Two loops in mutually generic position plus their crossings.
 
-    Each word is freely and cyclically reduced first; reduction removes
+    Each word's letters are checked as given, so one that cancels is
+    checked too; then it is freely and cyclically reduced, which removes
     exactly the degenerate chords (a cancelling pair would re-enter and
     exit through the same glued side).  The exits follow _sorted_exits.
     """
     if genus < 1:
         raise W.WordError("genus must be >= 1")
-    words = [W.cyclic_reduce(w) for w in (word1, word2)]
-    for w in words:
+    for w in (word1, word2):
         W.check_word(w, genus)
+    words = [W.cyclic_reduce(w) for w in (word1, word2)]
     n = len(words[0]) + len(words[1])
     width = 4 * n + 1
     # the side glued to side s is s ^ 2, the exit side of the inverse letter

@@ -1,5 +1,9 @@
+import inspect
+import sys
 from contextlib import nullcontext
 from fractions import Fraction
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from loopbracket import surface as S
 from loopbracket import words as W
 import holonomy_reference as H
 import layout_reference as L
+import splice_reference as K
 from test_surface import homotopy_variants
 
 GL2R = G.GroupSpec("GL_R", 2)
@@ -450,17 +455,32 @@ def _naive_class(word):
 
 def _assert_splices_canonical(g, l):
     """The bracket's key for every (i, j) splice of g and l decodes to the
-    class of g_i l_j, with and without rank tables."""
+    class of g_i l_j, with and without rank tables.
+
+    realized_pair is patched to give g, l and one crossing per splice, of
+    sign 2^(i len(l) + j), so the count of a key spells out the splices
+    it keys.  All the splices at once rank the pair where 2 n1 n2 >=
+    3 (n1 + n2); one splice alone never does.
+    """
     if not g or not l:
         return
-    sides = [(B._side(tuple(g), ranked), B._side(tuple(l), ranked))
-             for ranked in (False, True)]
+    loops = SimpleNamespace(word=tuple(g)), SimpleNamespace(word=tuple(l))
+    every, want = [], {}
     for i in range(len(g)):
         for j in range(len(l)):
-            want = _naive_class(g[i:] + g[:i] + l[j:] + l[:j])
-            for first, second in sides:
-                got = B._decode(B._splice_key(first, second, i, j))
-                assert got == want, (g, l, i, j, first[3] is not None)
+            bit = 1 << (i * len(l) + j)
+            key = B._encode(_naive_class(g[i:] + g[:i] + l[j:] + l[:j]))
+            want[key] = want.get(key, 0) + bit
+            every.append((bit, i, j))
+    alone = {}
+    with mock.patch.object(P, "realized_pair") as realized:
+        realized.return_value = (*loops, every)
+        assert B._counts(1, g, l, False) == want, (g, l)
+        for crossing in every:
+            realized.return_value = (*loops, [crossing])
+            for key, bit in B._counts(1, g, l, False).items():
+                alone[key] = alone.get(key, 0) + bit
+    assert alone == want, (g, l)
 
 
 @given(_rotation_pairs())
@@ -563,6 +583,111 @@ def test_long_brackets_match_term_by_term_assembly():
             fn = B.bracket_unoriented if unoriented else B.bracket_oriented
             want = _bracket_by_add(genus, w1, w2, 11, unoriented)
             assert fn(genus, w1, w2, seed=11) == want, (genus, len(w1), len(w2))
+
+
+def _assert_keys_match_the_reference(genus, w1, w2):
+    # the library and the oracle key one realization of the pair
+    pair = P.realized_pair(genus, w1, w2)
+    with mock.patch.object(P, "realized_pair", lambda *args: pair):
+        for unoriented, fn in ((False, B.bracket_oriented), (True, B.bracket_unoriented)):
+            assert fn(genus, w1, w2) == K.bracket(genus, w1, w2, unoriented), (
+                genus, w1, w2, unoriented)
+
+
+def test_keys_match_the_per_crossing_reference():
+    # 3000 pairs at genus 1-3 of 1-64 letters, log-uniform in length:
+    # random words, a rotation of w1^-1 before w2 (w1 cancels away),
+    # inverse pieces of w1 at both ends of w2 (both junctions cancel),
+    # and powers u^r (ties in the tables)
+    rng = np.random.default_rng(181)
+    for trial in range(3000):
+        genus = 1 + trial % 3
+        letters = [k for k in range(-2 * genus, 2 * genus + 1) if k]
+        w1, w2 = ([int(x) for x in rng.choice(letters, size=int(65 ** rng.random()))]
+                  for _ in range(2))
+        k = int(rng.integers(0, len(w1) + 1))
+        if trial % 4 == 1:
+            w2 = (W.inverse_word(w1[k:] + w1[:k]) + w2)[:64]
+        elif trial % 4 == 2:
+            w2 = (W.inverse_word(w1[k:]) + w2[:8] + W.inverse_word(w1[:k // 2]))[:64]
+        elif trial % 4 == 3:
+            w1 = w1[:int(rng.integers(1, 5))] * int(rng.integers(2, 17))
+        _assert_keys_match_the_reference(genus, w1, w2)
+
+
+def test_goldman_long_keys_match_the_per_crossing_reference():
+    rng = np.random.default_rng(191)
+    for k in range(128):
+        genus = 2 + k % 2
+        _assert_keys_match_the_reference(
+            genus, *(_reduced_word(rng, genus, n) for n in LENGTH_PAIRS[k // 2 % 8]))
+
+
+# the branches of the key loop in bracket._counts, by the text of a line
+# that runs only on that branch
+_KEY_BRANCHES = {
+    "nothing cancels": "a, n, word = n1, n12,",
+    "the junction g|l cancels": "k += 1",
+    "the cyclic junction l|g cancels": "m += 1",
+    "a listed start is cut away": "tails1 = None",
+    "several listed starts": "key = min(",
+    "one listed start a side": "key = x if x < y else y",
+    "scan": "key = W.least_rotation(word)",
+    "one side cancels away": "key = _encode(W.canonical_cyclic(",
+}
+
+
+def _key_branches_run(genus, w1, w2, unoriented):
+    """The names of the _KEY_BRANCHES that bracket._counts runs on the pair."""
+    lines, start = inspect.getsourcelines(B._counts)
+    at = {}
+    for name, text in _KEY_BRANCHES.items():
+        (hit,) = [start + k for k, line in enumerate(lines) if line.strip().startswith(text)]
+        at[hit] = name
+    seen = set()
+
+    def line(frame, event, arg):
+        if event == "line" and frame.f_lineno in at:
+            seen.add(at[frame.f_lineno])
+        return line
+
+    outer = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: line if frame.f_code is B._counts.__code__ else None)
+    try:
+        B._counts(genus, w1, w2, unoriented)
+    finally:
+        sys.settrace(outer)
+    return seen
+
+
+def test_hand_cases_reach_every_branch_of_the_key_loop():
+    cases = [
+        # a1 against b1 on the torus: one crossing, so no tables
+        ("unranked pair", 1, [1], [2], {"nothing cancels", "scan"}),
+        # (a1 b1)^3 ties every rotation at each cut
+        ("periodic word", 1, [1, 2] * 3, [2, -1, 2, 2, 2, 1], {"several listed starts"}),
+        # w2 is w1^-1 b1 B2, so w1 cancels away where the rotations meet
+        ("one side cancels away", 2, [4, -2, -3, -3, -2], [2, 3, 3, 2, -4, 2, -4],
+         {"one side cancels away"}),
+        # splices (4, 4) and (5, 3) cancel at both junctions
+        ("both junctions cancel", 2, [4, -1, -3, -3, -2, 4], [1, -4, -4, 2, 3, 2],
+         {"the junction g|l cancels", "the cyclic junction l|g cancels",
+          "a listed start is cut away", "one listed start a side"}),
+    ]
+    reached = set()
+    for name, genus, w1, w2, branches in cases:
+        _, _, crossings = P.realized_pair(genus, w1, w2)
+        ranked = 2 * len(crossings) >= 3 * (len(w1) + len(w2))
+        assert ranked == (name != "unranked pair"), name
+        if name == "both junctions cancel":
+            assert {(i, j) for _, i, j in crossings
+                    if w1[i - 1] == -w2[j] and w1[i] == -w2[j - 1]} == {(4, 4), (5, 3)}
+        for unoriented in (False, True):
+            seen = _key_branches_run(genus, w1, w2, unoriented)
+            assert unoriented or branches <= seen, (name, branches - seen)
+            reached |= seen
+        _assert_keys_match_the_reference(genus, w1, w2)
+    assert reached == set(_KEY_BRANCHES)
 
 
 @st.composite
@@ -778,6 +903,23 @@ def test_evaluate_rejects_out_of_range_letter():
     rep = S.sample_representation(GL2R, 1, np.random.default_rng(79))
     with pytest.raises(W.WordError):
         B.LoopSum([([1, 2], 1), ([3], 2)]).evaluate(rep)
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_out_of_range_letters_raise_where_they_cancel(genus):
+    # letters are checked as given, before reduction drops a cancelling pair
+    rep = S.sample_representation(GL2R, genus, np.random.default_rng(97))
+    past = 2 * genus + 1
+    pairs = [([1, past, -past], [2]), ([past, 1, -past], [2]), ([2], [-past, past]),
+             ([1], [0, 0, 2]), ([1, 2, -2 - 2 * genus, 2 + 2 * genus], [1, 2])]
+    for w1, w2 in pairs:
+        for call in (B.bracket_oriented, B.bracket_unoriented):
+            with pytest.raises(W.WordError):
+                call(genus, w1, w2)
+        with pytest.raises(W.WordError):
+            B.poisson_direct(rep, w1, w2)
+        with pytest.raises(W.WordError):
+            B.poisson_direct(rep, w2, w1)
 
 
 def test_representative_independence_small():
